@@ -7,10 +7,18 @@ list of hull operators applied innermost-first, drawn from
 * ``Conv``    convex hull
 * ``Conv_b``  convex balanced hull (combinations with total |weight| <= 1)
 
-Membership is exact. Bare sets and ``Sol`` sets are decided by scanning;
-convex decorations reduce to rational feasibility programs; the key case
-``Conv_b(Sol(G))`` (a union of boxes, convexified) is one linear program, and
-its gauge is the same program with the mass row turned into the objective.
+Membership is exact and tries the cheap decisions first:
+
+1. bare scan: a bare set is its generator list;
+2. box scan: ``Sol(G)`` is the union of the boxes ``|x| <= |g|``, and it lies
+   inside ``Conv(Sol(G))`` and ``Conv_b(Sol(G))``, so a point in one box is a
+   member of all three without further work;
+3. span check: a convex-solid point outside every box that is nonzero where
+   all boxes vanish is rejected;
+4. LP: what is left is one rational feasibility program. ``Conv`` and
+   ``Conv_b`` of bare generators go straight to it, and ``Conv_b(Sol(G))`` (a
+   union of boxes, convexified) is one program whose gauge is the same
+   program with the mass row turned into the objective.
 
 The second half of the module is the law suite: eleven identities and
 inclusions relating hulls to pointwise set algebra, each checked by sampling
@@ -160,6 +168,12 @@ def _box_program(gens, x, objective: bool, convex_row: str | None):
     return lp
 
 
+def _in_one_box(gens, x) -> bool:
+    """x lies in Sol(gens): some generator box |x| <= |g| contains it."""
+    ax = abs(x)
+    return any(ax.le(abs(g)) for g in gens)
+
+
 def member(S: GeneratedSet, x: LatticeElement) -> bool:
     """Exact membership for the supported decorations."""
     _check_dim(S, x)
@@ -167,13 +181,14 @@ def member(S: GeneratedSet, x: LatticeElement) -> bool:
     if deco == ():
         return any(g == x for g in S.generators)
     if deco == (SOL,):
-        ax = abs(x)
-        return any(ax.le(abs(g)) for g in S.generators)
+        return _in_one_box(S.generators, x)
     if deco == (CONV,):
         return _comb_member(S.generators, x, balanced=False)
     if deco == (CONV_B,):
         return _comb_member(S.generators, x, balanced=True)
     if deco in ((SOL, CONV), (SOL, CONV_B)):
+        if _in_one_box(S.generators, x):
+            return True  # Sol(G) lies inside both convex-solid hulls
         lp = _box_program(S.generators, x, objective=False,
                           convex_row="==" if deco == (SOL, CONV) else "<=")
         return lp is not None and lp.feasible()

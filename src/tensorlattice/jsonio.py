@@ -7,7 +7,17 @@ to round it. These helpers are the single place that parses and prints them.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# Scientific notation may not describe a number longer than Python accepts
+# written out in full (4300 digits): "1e1000000" would otherwise build a
+# 3.3-million-bit integer before anything looks at it.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# Integers up to this many bits (at most 603 digits) print with str() under
+# any int-to-str digit limit the interpreter allows (the least is 640).
+_STR_BITS = 2000
 
 
 class FormatError(ValueError):
@@ -26,6 +36,11 @@ def as_fraction(value, field: str = "value") -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+                raise FormatError(field, f"exponent exceeds {MAX_EXPONENT} in magnitude")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -33,11 +48,22 @@ def as_fraction(value, field: str = "value") -> Fraction:
     raise FormatError(field, f"expected rational string or integer, got {type(value).__name__}")
 
 
+def _int_str(n: int) -> str:
+    """Exact decimal digits of any int, in pieces short enough for str()."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    half = (n.bit_length() * 3 // 10) // 2  # about half the decimal digits
+    high, low = divmod(n, 10 ** half)
+    return _int_str(high) + _int_str(low).zfill(half)
+
+
 def fraction_str(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" (canonical lowest terms)."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def fraction_list(values) -> list[str]:

@@ -45,6 +45,8 @@ from .tensor import (
     Membership,
     TensorElement,
     TensorNbhd,
+    _report,
+    _violation,
     dominating_rank_one,
     matrix_unit,
     nbhd_member,
@@ -558,19 +560,6 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
 # ---------------------------------------------------------------------------
 # Property checks
 # ---------------------------------------------------------------------------
-
-
-def _report(samples):
-    return {"samples": samples, "violations": 0, "witnesses": []}
-
-
-def _violation(rep, index, payload=None):
-    rep["violations"] += 1
-    if len(rep["witnesses"]) < 3:
-        entry = {"index": index}
-        if payload:
-            entry.update(payload)
-        rep["witnesses"].append(entry)
 
 
 def _random_element(rng: SplitStream, dim: int, lo=-3, hi=3, denominator=4) -> LatticeElement:

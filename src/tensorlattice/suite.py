@@ -32,6 +32,8 @@ from .rng import SplitStream
 from .tensor import (
     TensorElement,
     TensorNbhd,
+    _report,
+    _violation,
     base_axiom_check,
     dominating_rank_one,
     matrix_unit,
@@ -42,19 +44,6 @@ from .tensor import (
 )
 
 _SHARD = 250  # fixed shard width; merging is index-based, so any worker count agrees
-
-
-def _report(samples):
-    return {"samples": samples, "violations": 0, "witnesses": []}
-
-
-def _violation(rep, index, payload=None):
-    rep["violations"] += 1
-    if len(rep["witnesses"]) < 3:
-        entry = {"index": index}
-        if payload:
-            entry.update(payload)
-        rep["witnesses"].append(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +138,17 @@ def seminorm_axiom_check(*, samples: int, seed: int) -> dict:
         v = LatticeElement(tuple(
             srng.fraction(-c, c, 4) if c != 0 else Fraction(0) for c in abs(x).coords
         ))
+        px = p(x)  # a gauge LP for the polyhedral kind, so evaluated once
         problems = []
-        if p(x) < 0:
+        if px < 0:
             problems.append("negative value")
-        if p(x.scale(lam)) != abs(lam) * p(x):
+        if p(x.scale(lam)) != abs(lam) * px:
             problems.append("homogeneity")
-        if p(x + y) > p(x) + p(y):
+        if p(x + y) > px + p(y):
             problems.append("subadditivity")
-        if p(abs(x)) != p(x):
+        if p(abs(x)) != px:
             problems.append("absolute value")
-        if p(v) > p(x):
+        if p(v) > px:
             problems.append("solidity")
         if problems:
             _violation(rep, s, {"kind": p.kind, "problems": problems})

@@ -390,6 +390,8 @@ def _signed_padded(witness):
 # ---------------------------------------------------------------------------
 
 
+# The per-statement report shape shared by every sampled property check
+# (here, in `projective` and in `suite`): at most three witnesses are kept.
 def _report(samples):
     return {"samples": samples, "violations": 0, "witnesses": []}
 

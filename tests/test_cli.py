@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,15 @@ class TestSeminorm:
         code, _, err = run(capsys, ["seminorm", "{not json", L1, U_FIXTURE])
         assert code == 1
         assert err.startswith("error: field")
+
+    def test_huge_exponent_is_rejected_quickly(self, capsys):
+        huge_u = '{"shape": [1, 2], "entries": [["1", "1e1000000"]]}'
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["seminorm", '{"kind": "weighted_l1", "weights": ["1"]}',
+                                      L1, huge_u])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: field 'u.entries[0][1]'")
 
     def test_json_file_output_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -18,7 +18,7 @@ from tensorlattice.elements import (
     weighted_order_unit,
 )
 from tensorlattice.hulls import INFINITE
-from tensorlattice.jsonio import FormatError
+from tensorlattice.jsonio import MAX_EXPONENT, FormatError, as_fraction, fraction_str
 
 
 def el(*coords):
@@ -298,3 +298,15 @@ class TestJson:
     def test_seminorm_rejects_unknown_kind(self):
         with pytest.raises(FormatError):
             RieszSeminorm.from_json({"kind": "spectral", "weights": ["1"]})
+
+    def test_exponent_is_bounded(self):
+        assert as_fraction(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
+        assert as_fraction(f"-2.5E-{MAX_EXPONENT}") == Fraction(-25, 10 ** (MAX_EXPONENT + 1))
+        for text in (f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}", "1e1_000_000",
+                     "1e" + "9" * 10_000):
+            with pytest.raises(FormatError):
+                as_fraction(text, "x[0]")
+
+    def test_fraction_str_beyond_int_str_limit(self):
+        assert fraction_str(Fraction(10 ** 5000, 3)) == "1" + "0" * 5000 + "/3"
+        assert fraction_str(Fraction(-(10 ** 9000) - 12345, 7)) == "-1" + "0" * 8995 + "12345/7"

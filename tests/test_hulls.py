@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import corner_gauge, corner_member
+from tensorlattice import hulls
 from tensorlattice.elements import LatticeElement, LatticeHom
 from tensorlattice.hulls import (
     INFINITE,
@@ -14,6 +15,7 @@ from tensorlattice.hulls import (
     hull_law_suite,
     member,
     random_bare_set,
+    sample_box_point,
     sample_hull_point,
     scale_set,
     set_algebra,
@@ -133,6 +135,50 @@ class TestCornerOracle:
                 assert member(S, x) == corner_member(gens, x)
             agreements += 1
         assert agreements >= 100
+
+
+class TestBoxScan:
+    """Convex-solid membership decides points of a single box without an LP."""
+
+    def test_both_convex_solid_decorations_agree_with_corner_oracle(self):
+        rng = SplitStream(11).split("box-scan")
+        kinds = {"one box": 0, "hull only": 0, "outside": 0}
+        for t in range(90):
+            r = rng.split(t)
+            dim = r.randint(2, 3)
+            gens = [el(*[r.fraction(-3, 3) for _ in range(dim)])
+                    for _ in range(r.randint(2, 3))]
+            if t % 3 == 0:
+                x = sample_box_point(r, r.choice(gens))
+            else:
+                # Same-sign corners of two boxes: their midpoint is in the hull
+                # and their join may not be; neither lies in one box unless
+                # one box contains the other.
+                a, b = abs(gens[0]), abs(gens[1])
+                corner = (a + b).scale(Fraction(1, 2)) if t % 3 == 1 else a.join(b)
+                x = el(*[r.sign() * c for c in corner.coords])
+            expected = corner_member(gens, x)
+            if any(abs(x).le(abs(g)) for g in gens):
+                kinds["one box"] += 1
+            else:
+                kinds["hull only" if expected else "outside"] += 1
+            for deco in (("Sol", "Conv"), ("Sol", "Conv_b")):
+                assert member(GeneratedSet(gens, deco), x) == expected
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_point_in_one_box_needs_no_lp(self, monkeypatch):
+        class NoLP:
+            def __init__(self):
+                raise AssertionError("membership built an LP")
+
+        monkeypatch.setattr(hulls, "LinearProgram", NoLP)
+        gens = [el(2, -1), el("1/2", 3)]
+        for deco in (("Sol", "Conv"), ("Sol", "Conv_b")):
+            S = GeneratedSet(gens, deco)
+            assert member(S, el(-2, 1))
+            assert member(S, el("1/4", "-5/2"))
+            with pytest.raises(AssertionError):
+                member(S, el("5/4", 2))  # in the hull but in neither box
 
 
 class TestSetAlgebra:
