@@ -70,8 +70,14 @@ class LatticeElement:
 
     @staticmethod
     def unit(dim: int, index: int, value=1) -> "LatticeElement":
+        return LatticeElement.sparse(dim, ((index, as_fraction(value)),))
+
+    @staticmethod
+    def sparse(dim: int, entries) -> "LatticeElement":
+        """The point with the given (index, value) entries and zeros elsewhere."""
         coords = [Fraction(0)] * dim
-        coords[index] = as_fraction(value)
+        for i, c in entries:
+            coords[i] = c
         return LatticeElement(tuple(coords))
 
     @property
@@ -252,21 +258,37 @@ class RieszSeminorm:
 
         return hulls.gauge(self.unit_ball(), x)
 
+    def rays(self):
+        """The rays d >= 0 whose multiples d / p(d) are the maximal vertices of
+        the positive unit ball, each as (p(d), ((i, d_i), ...)) over d_i != 0.
+
+        Weighted l1 has the unit vectors e_i with p(e_i) = w_i (a zero weight
+        makes e_i an unbounded direction); the weighted order unit has the one
+        ray w with p(w) = 1. Polyhedral gauges have no ray set here.
+        """
+        if self.kind == WEIGHTED_L1:
+            return [(w, ((i, Fraction(1)),)) for i, w in enumerate(self.weights)]
+        if self.kind == WEIGHTED_ORDER_UNIT:
+            return [(Fraction(1), tuple(enumerate(self.weights)))]
+        raise UnsupportedSeminormKind(
+            f"{self.kind!r} has no ray set; certificates need weighted l1 or "
+            f"weighted order-unit seminorms"
+        )
+
     def unit_ball(self):
         """The set {p <= 1} as a convex-solid-balanced generated set."""
         from . import hulls
 
-        if self.kind == WEIGHTED_L1:
-            gens = []
-            for i, w in enumerate(self.weights):
-                if w > 0:
-                    gens.append(LatticeElement.unit(self.dim, i, Fraction(1, 1) / w))
+        if self.kind == POLYHEDRAL_GAUGE:
+            gens = self.generators
+        else:
+            gens = tuple(
+                LatticeElement.sparse(self.dim, ((i, c / pd) for i, c in ray))
+                for pd, ray in self.rays() if pd > 0
+            )
             if not gens:
                 raise ValueError("unit ball of the zero seminorm is not generated")
-            return hulls.GeneratedSet(tuple(gens), ("Sol", "Conv_b"))
-        if self.kind == WEIGHTED_ORDER_UNIT:
-            return hulls.GeneratedSet((LatticeElement(tuple(self.weights)),), ("Sol", "Conv_b"))
-        return hulls.GeneratedSet(tuple(self.generators), ("Sol", "Conv_b"))
+        return hulls.GeneratedSet(tuple(gens), ("Sol", "Conv_b"))
 
     def to_json(self) -> dict:
         if self.kind == POLYHEDRAL_GAUGE:

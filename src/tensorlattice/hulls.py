@@ -920,6 +920,15 @@ def hull_law_suite(law: int, *, triples: int, seed: int, dim_lo: int = 1, dim_hi
                 "fixture",
             )
 
+    return law_verdict(law, directions)
+
+
+def law_verdict(law: int, directions: dict) -> dict:
+    """The report of one law: its direction counts against LAW_EXPECTATIONS.
+
+    A direction is observed to hold, to fail, or to be vacuous (never
+    checked); the law is ok when every direction is observed as expected.
+    """
     expected = LAW_EXPECTATIONS[law]
     observed = {}
     ok = True

@@ -15,6 +15,8 @@ from fractions import Fraction
 # 3.3-million-bit integer before anything looks at it.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# Diagnostics quote at most this many characters of a rejected string.
+_QUOTE_CHARS = 40
 # Integers up to this many bits (at most 603 digits) print with str() under
 # any int-to-str digit limit the interpreter allows (the least is 640).
 _STR_BITS = 2000
@@ -27,6 +29,13 @@ class FormatError(ValueError):
         self.field = field
         self.message = message
         super().__init__(f"field '{field}': {message}")
+
+
+def _quote(value: str) -> str:
+    """A short quotation of untrusted input: the whole string, or a prefix and its length."""
+    if len(value) <= _QUOTE_CHARS:
+        return repr(value)
+    return f"{value[:_QUOTE_CHARS]!r}... ({len(value)} characters)"
 
 
 def as_fraction(value, field: str = "value") -> Fraction:
@@ -43,8 +52,10 @@ def as_fraction(value, field: str = "value") -> Fraction:
                 raise FormatError(field, f"exponent exceeds {MAX_EXPONENT} in magnitude")
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(field, f"invalid rational {value!r}: {exc}") from None
+        except ZeroDivisionError:
+            raise FormatError(field, f"zero denominator in {_quote(value)}") from None
+        except ValueError:
+            raise FormatError(field, f"invalid rational {_quote(value)}") from None
     raise FormatError(field, f"expected rational string or integer, got {type(value).__name__}")
 
 

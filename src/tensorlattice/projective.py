@@ -16,12 +16,19 @@ a bare number for it. The contract is a `SeminormCertificate`: an interval
   nonnegative matrix M with B(x, y) = sum M_ij x_i y_j dominated by
   p(x) q(y) on the positive cone, whence sum M_ij |u_ij| <= (p (x) q)(u).
 
-Both witnesses re-verify exactly in rational arithmetic. For the pure kind
-pairs (weighted l1 both sides, weighted order-unit both sides) closed forms
-exist and the certificates close to gap 0; the weighted mixed pairs also
-close in practice through row/column decompositions matched by per-row or
-per-column dual mass, but no closed-form claim is exported for them
-(`seminorm_closed_form` returns None).
+Both witnesses re-verify exactly in rational arithmetic.
+
+One criterion decides domination for every weighted kind pair. Each factor
+seminorm lists the rays d >= 0 whose multiples d / p(d) are the maximal
+vertices of its positive unit ball (`RieszSeminorm.rays`), and B is
+dominated by p (x) q exactly when B(d, e) <= p(d) q(e) for every ray pair.
+For weighted kinds the supports supp(d) x supp(e) of the ray pairs
+partition the grid into blocks, so the optimal dual puts each block's
+budget p(d) q(e) on one cell. For the pure kind pairs (weighted l1 both
+sides, weighted order-unit both sides) the dual value is the exact value and
+the certificates close to gap 0; the mixed pairs also close in practice
+through row/column decompositions, but no closed-form claim is exported for
+them (`seminorm_closed_form` returns None).
 """
 
 from __future__ import annotations
@@ -160,8 +167,8 @@ class Decomposition:
 class DualCertificate:
     """An entrywise nonnegative bilinear form dominated by p(x)q(y) on x,y >= 0.
 
-    The domination check is a finite criterion per kind pair; evaluating the
-    form at |u| yields the certified lower bound.
+    The domination check is a finite criterion over ray pairs; evaluating
+    the form at |u| yields the certified lower bound.
     """
 
     matrix: TensorElement
@@ -180,38 +187,20 @@ class DualCertificate:
         )
 
     def dominates(self, p: RieszSeminorm, q: RieszSeminorm) -> bool:
-        """B(x,y) <= p(x)q(y) for all x,y >= 0, by the kind-pair criterion.
+        """B(x,y) <= p(x)q(y) for all x,y >= 0, checked on the ray pairs.
 
-        l1 weights act as per-coordinate budgets; order-unit weights enter
-        through the extreme rays of the unit ball's positive face:
-
-        * (l1, l1): M_ij <= w_i v_j everywhere;
-        * (ou, ou): sum_ij M_ij w_i v_j <= 1;
-        * (l1, ou): sum_j M_ij v_j <= w_i for every row i;
-        * (ou, l1): sum_i M_ij w_i <= v_j for every column j.
+        Every x >= 0 lies below a combination sum_d a_d d of the rays with
+        a_d >= 0 and sum_d a_d p(d) = p(x), and B is nonnegative and bilinear,
+        so B(d, e) <= p(d) q(e) on every ray pair (d, e) is the whole
+        criterion.
         """
-        _require_weighted(p, q)
         n, m = self.matrix.shape
         if (p.dim, q.dim) != (n, m):
             raise DimensionMismatch(f"dual matrix {self.matrix.shape} vs seminorm dims ({p.dim},{q.dim})")
-        w, v = p.weights, q.weights
         M = self.matrix.entries
-        if p.kind == WEIGHTED_L1 and q.kind == WEIGHTED_L1:
-            return all(M[i][j] <= w[i] * v[j] for i in range(n) for j in range(m))
-        if p.kind == WEIGHTED_ORDER_UNIT and q.kind == WEIGHTED_ORDER_UNIT:
-            total = sum(
-                (M[i][j] * w[i] * v[j] for i in range(n) for j in range(m)),
-                Fraction(0),
-            )
-            return total <= 1
-        if p.kind == WEIGHTED_L1:
-            return all(
-                sum((M[i][j] * v[j] for j in range(m)), Fraction(0)) <= w[i]
-                for i in range(n)
-            )
         return all(
-            sum((M[i][j] * w[i] for i in range(n)), Fraction(0)) <= v[j]
-            for j in range(m)
+            sum((M[i][j] * c for i, j, c in cells), Fraction(0)) <= scale
+            for scale, cells in _ray_blocks(p, q)
         )
 
     def to_json(self) -> dict:
@@ -269,28 +258,50 @@ class SeminormCertificate:
 # ---------------------------------------------------------------------------
 
 
+def _ray_blocks(p: RieszSeminorm, q: RieszSeminorm):
+    """For each ray pair (d, e): the scale p(d) q(e) and the cells
+    (i, j, d_i e_j) of the block supp(d) x supp(e), in row-major order.
+
+    For weighted kinds the blocks partition the grid.
+    """
+    right = q.rays()
+    return [
+        (pd * qe, [(i, j, di * ej) for i, di in d for j, ej in e])
+        for pd, d in p.rays()
+        for qe, e in right
+    ]
+
+
+def _block_maxima(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
+    """Per block: (scale, ratio, i, j, c) for the cell with the largest ratio
+    |u_ij| / c, the first in row-major order on ties."""
+    out = []
+    for scale, cells in _ray_blocks(p, q):
+        best = None
+        for i, j, c in cells:
+            ratio = abs(u.entries[i][j]) / c
+            if best is None or ratio > best[1]:
+                best = (scale, ratio, i, j, c)
+        out.append(best)
+    return out
+
+
 def seminorm_closed_form(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
     """Exact value for the pure kind pairs; None when no closed form is exported.
 
-    * weighted l1 both sides: sum_ij w_i v_j |u_ij| (entrywise decomposition
-      meets the product-weight dual);
-    * weighted order-unit both sides: max_ij |u_ij| / (w_i v_j) (a scaled
-      rank-one of the unit vectors meets the point-mass dual).
+    The value is the sum over ray blocks of p(d) q(e) max |u_ij| / (d_i e_j):
+    sum_ij w_i v_j |u_ij| for weighted l1 both sides, max_ij |u_ij| / (w_i v_j)
+    for the weighted order unit both sides. Mixed and polyhedral pairs get
+    None.
     """
     _check_shapes(p, q, u)
-    if p.kind == WEIGHTED_L1 and q.kind == WEIGHTED_L1:
-        return sum(
-            (p.weights[i] * q.weights[j] * abs(c)
-             for i, row in enumerate(u.entries) for j, c in enumerate(row)),
-            Fraction(0),
-        )
-    if p.kind == WEIGHTED_ORDER_UNIT and q.kind == WEIGHTED_ORDER_UNIT:
-        return max(
-            abs(c) / (p.weights[i] * q.weights[j])
-            for i, row in enumerate(u.entries)
-            for j, c in enumerate(row)
-        )
-    return None
+    if p.kind != q.kind:
+        return None
+    try:
+        maxima = _block_maxima(p, q, u)
+    except UnsupportedSeminormKind:
+        return None
+    return sum((scale * ratio for scale, ratio, *_ in maxima), Fraction(0))
 
 
 def _argmax(pairs):
@@ -305,71 +316,20 @@ def _argmax(pairs):
 def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> DualCertificate:
     """The optimal entrywise-nonnegative dual form, built in closed form.
 
-    Each kind pair's domination criterion is a transportation-style budget;
-    the optimum loads the budget greedily on the largest |u| ratios:
-
-    * (l1, l1): the full product matrix w (x) v;
-    * (ou, ou): all mass on one entry maximizing |u_ij| / (w_i v_j);
-    * (l1, ou): each row's budget w_i on a column maximizing |u_ij| / v_j;
-    * (ou, l1): symmetrically per column.
-
-    The construction is re-verified against the criterion before returning.
+    The ray blocks partition the grid and each block carries one budget
+    p(d) q(e), so the optimum spends each budget on the block's cell with
+    the largest |u_ij| / (d_i e_j). The construction is re-verified against
+    the criterion before returning.
     """
-    _require_weighted(p, q)
     _check_shapes(p, q, u)
     n, m = u.shape
-    w, v = p.weights, q.weights
     M = [[Fraction(0)] * m for _ in range(n)]
-    if p.kind == WEIGHTED_L1 and q.kind == WEIGHTED_L1:
-        for i in range(n):
-            for j in range(m):
-                M[i][j] = w[i] * v[j]
-    elif p.kind == WEIGHTED_ORDER_UNIT and q.kind == WEIGHTED_ORDER_UNIT:
-        (i, j), _ = _argmax(
-            (((i, j), abs(u.entries[i][j]) / (w[i] * v[j]))
-             for i in range(n) for j in range(m))
-        )
-        M[i][j] = 1 / (w[i] * v[j])
-    elif p.kind == WEIGHTED_L1:
-        for i in range(n):
-            j, _ = _argmax(((j, abs(u.entries[i][j]) / v[j]) for j in range(m)))
-            M[i][j] = w[i] / v[j]
-    else:
-        for j in range(m):
-            i, _ = _argmax(((i, abs(u.entries[i][j]) / w[i]) for i in range(n)))
-            M[i][j] = v[j] / w[i]
+    for scale, _, i, j, c in _block_maxima(p, q, u):
+        M[i][j] = scale / c
     cert = DualCertificate(TensorElement(tuple(tuple(row) for row in M)))
     if not cert.dominates(p, q):  # pragma: no cover - construction is tight
         raise RuntimeError("dual construction violated its own criterion")
     return cert
-
-
-def dual_lower_bound_lp(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Fraction:
-    """The same dual optimum via a generic linear program.
-
-    Kept as an independent cross-check of the closed-form construction; the
-    production path never calls it.
-    """
-    _require_weighted(p, q)
-    _check_shapes(p, q, u)
-    n, m = u.shape
-    w, v = p.weights, q.weights
-    lp = LinearProgram()
-    M = [[lp.var(cost=-abs(u.entries[i][j])) for j in range(m)] for i in range(n)]
-    if p.kind == WEIGHTED_L1 and q.kind == WEIGHTED_L1:
-        for i in range(n):
-            for j in range(m):
-                lp.add({M[i][j]: 1}, "<=", w[i] * v[j])
-    elif p.kind == WEIGHTED_ORDER_UNIT and q.kind == WEIGHTED_ORDER_UNIT:
-        lp.add({M[i][j]: w[i] * v[j] for i in range(n) for j in range(m)}, "<=", 1)
-    elif p.kind == WEIGHTED_L1:
-        for i in range(n):
-            lp.add({M[i][j]: v[j] for j in range(m)}, "<=", w[i])
-    else:
-        for j in range(m):
-            lp.add({M[i][j]: w[i] for i in range(n)}, "<=", v[j])
-    value, _ = lp.minimize()
-    return -value
 
 
 # ---------------------------------------------------------------------------

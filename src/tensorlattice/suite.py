@@ -237,27 +237,7 @@ def _merge_law(law: int, shards: list[dict], fixtures: dict) -> dict:
             key=lambda w: (1, 0) if w["index"] == "fixture" else (0, w["index"])
         )
         del d["witnesses"][3:]
-    expected = hulls.LAW_EXPECTATIONS[law]
-    observed = {}
-    ok = True
-    for direction, exp in expected.items():
-        d = directions.get(direction)
-        if d is None or (d["checked"] == 0 and d["vacuous"] > 0):
-            observed[direction] = "vacuous"
-            ok = False
-            continue
-        observed[direction] = "fails" if d["violations"] else "holds"
-        if observed[direction] != exp:
-            ok = False
-    return {
-        "law": law,
-        "id": f"hull-law-{law}",
-        "statement": hulls.LAW_STATEMENTS[law],
-        "directions": directions,
-        "expected": expected,
-        "observed": observed,
-        "ok": ok,
-    }
+    return hulls.law_verdict(law, directions)
 
 
 def hull_law_suite_sharded(*, triples: int, seed: int, dim_lo: int = 1, dim_hi: int = 5,

@@ -20,20 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import (
-    INFINITE,
-    WEIGHTED_L1,
-    WEIGHTED_ORDER_UNIT,
-    DimensionMismatch,
-    LatticeElement,
-    RieszSeminorm,
-)
+from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm
 from .jsonio import FormatError, fraction_str, require_key
 from .rng import SplitStream
 from .tensor import (
     TensorElement,
     TensorNbhd,
-    matrix_unit,
+    _report,
+    _violation,
     rank_one,
     sample_nbhd_point,
     sample_tensor_box,
@@ -214,15 +208,9 @@ def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> d
     n, m = phi.source_shape
     rng = SplitStream(seed).split("hom-properties")
     checks = {
-        name: {"samples": samples, "violations": 0, "witnesses": []}
+        name: _report(samples)
         for name in ("factorization", "additivity", "join", "absolute_value", "solidity")
     }
-
-    def hit(name, s, payload):
-        rep = checks[name]
-        rep["violations"] += 1
-        if len(rep["witnesses"]) < 3:
-            rep["witnesses"].append({"index": s, **payload})
 
     for s in range(samples):
         srng = rng.split(s)
@@ -231,17 +219,17 @@ def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> d
         u = _sample_tensor(srng.split("u"), n, m)
         v = _sample_tensor(srng.split("v"), n, m)
         if T.apply(rank_one(x, y)) != phi(x, y):
-            hit("factorization", s, {"x": x.to_json(), "y": y.to_json()})
+            _violation(checks["factorization"], s, {"x": x.to_json(), "y": y.to_json()})
         if T.apply(u + v) != T.apply(u) + T.apply(v):
-            hit("additivity", s, {"u": u.to_json(), "v": v.to_json()})
+            _violation(checks["additivity"], s, {"u": u.to_json(), "v": v.to_json()})
         if T.apply(u.join(v)) != T.apply(u).join(T.apply(v)):
-            hit("join", s, {"u": u.to_json(), "v": v.to_json()})
+            _violation(checks["join"], s, {"u": u.to_json(), "v": v.to_json()})
         if T.apply(abs(u)) != abs(T.apply(u)):
-            hit("absolute_value", s, {"u": u.to_json()})
+            _violation(checks["absolute_value"], s, {"u": u.to_json()})
         # a lattice hom is solid: |w| <= |u| forces |T(w)| <= |T(u)|
         dominated = sample_tensor_box(srng.split("dominated"), u)
         if not abs(T.apply(dominated)).le(abs(T.apply(u))):
-            hit("solidity", s, {"a": u.to_json(), "u": dominated.to_json()})
+            _violation(checks["solidity"], s, {"a": u.to_json(), "u": dominated.to_json()})
     out = {
         "id": "hom-property",
         "statement": (
@@ -317,15 +305,9 @@ def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSemino
                         r: RieszSeminorm):
     """The exact operator constant C with r(T(u)) <= C * (p (x) q)(u).
 
-    Built from the seminorm kinds; each case also yields the tensor
-    direction that attains it:
-
-    * l1 (x) l1: C = max_ij r(g_ij) / (w_i v_j), attained at the matrix unit
-      of the maximizing entry;
-    * order-unit both sides: C = r(Phi(w, v)), attained at w (x) v;
-    * l1 (x) order-unit: C = max_i r(Phi(e_i, v)) / w_i, attained at
-      e_i (x) v;
-    * order-unit (x) l1: symmetric per column.
+    The maximum of r(Phi(d, e)) / (p(d) q(e)) over the ray pairs (d, e) of
+    the factor seminorms (`RieszSeminorm.rays`), attained at d (x) e: for
+    l1 (x) l1 the matrix units, for order-unit both sides w (x) v.
 
     INFINITE signals an unbounded direction: a tensor with projective
     seminorm zero whose image has positive target seminorm.
@@ -339,33 +321,12 @@ def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSemino
         raise DimensionMismatch(
             f"target seminorm dim {r.dim} does not match the bimorphism target {phi.target_dim}"
         )
-    for name, s in (("p", p), ("q", q)):
-        if s.kind not in (WEIGHTED_L1, WEIGHTED_ORDER_UNIT):
-            raise ValueError(f"{name} must be a weighted seminorm, got kind {s.kind!r}")
-    w, v = p.weights, q.weights
-    if p.kind == WEIGHTED_L1 and q.kind == WEIGHTED_L1:
-        candidates = [
-            (_ratio(r(phi.images[i][j]), w[i] * v[j]), matrix_unit(n, m, i, j))
-            for i in range(n) for j in range(m)
-        ]
-    elif p.kind == WEIGHTED_ORDER_UNIT and q.kind == WEIGHTED_ORDER_UNIT:
-        wv = LatticeElement(tuple(w))
-        vv = LatticeElement(tuple(v))
-        candidates = [(r(phi(wv, vv)), rank_one(wv, vv))]
-    elif p.kind == WEIGHTED_L1:
-        vv = LatticeElement(tuple(v))
-        candidates = [
-            (_ratio(r(phi(LatticeElement.unit(n, i), vv)), w[i]),
-             rank_one(LatticeElement.unit(n, i), vv))
-            for i in range(n)
-        ]
-    else:
-        wv = LatticeElement(tuple(w))
-        candidates = [
-            (_ratio(r(phi(wv, LatticeElement.unit(m, j))), v[j]),
-             rank_one(wv, LatticeElement.unit(m, j)))
-            for j in range(m)
-        ]
+    right = [(qe, LatticeElement.sparse(m, e)) for qe, e in q.rays()]
+    candidates = []
+    for pd, d in p.rays():
+        d = LatticeElement.sparse(n, d)
+        for qe, e in right:
+            candidates.append((_ratio(r(phi(d, e)), pd * qe), rank_one(d, e)))
     constant = _max_extended(c for c, _ in candidates)
     direction = None
     for c, d in candidates:

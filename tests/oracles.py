@@ -13,8 +13,10 @@ different mathematical reduction:
   factors to a fixed rational grid on the unit sphere's positive face and
   optimize the right factors exactly, which is the brute-force decomposition
   search the closed forms are validated against;
-* dual values via a generic linear program (`dual_lower_bound_lp` in the
-  package) and, for the simplex itself, scipy's float solver.
+* dual values via a generic linear program (`dual_lower_bound_lp` below,
+  which writes out each kind pair's domination constraints by hand instead
+  of deriving them from the ray pairs) and, for the simplex itself, scipy's
+  float solver.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from tensorlattice.elements import (
     LatticeElement,
     RieszSeminorm,
 )
+from tensorlattice.projective import _check_shapes, _require_weighted
 from tensorlattice.simplex import InfeasibleLP, LinearProgram
 from tensorlattice.tensor import TensorElement
 
@@ -191,3 +194,31 @@ def grid_decomposition_value_deep(p, q, u, step=Fraction(1, 8), k_max: int = 4):
             if value is not None and (best is None or value < best):
                 best = value
     return best
+
+
+def dual_lower_bound_lp(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Fraction:
+    """The same dual optimum via a generic linear program.
+
+    Kept as an independent cross-check of the closed-form construction; the
+    production path never calls it.
+    """
+    _require_weighted(p, q)
+    _check_shapes(p, q, u)
+    n, m = u.shape
+    w, v = p.weights, q.weights
+    lp = LinearProgram()
+    M = [[lp.var(cost=-abs(u.entries[i][j])) for j in range(m)] for i in range(n)]
+    if p.kind == WEIGHTED_L1 and q.kind == WEIGHTED_L1:
+        for i in range(n):
+            for j in range(m):
+                lp.add({M[i][j]: 1}, "<=", w[i] * v[j])
+    elif p.kind == WEIGHTED_ORDER_UNIT and q.kind == WEIGHTED_ORDER_UNIT:
+        lp.add({M[i][j]: w[i] * v[j] for i in range(n) for j in range(m)}, "<=", 1)
+    elif p.kind == WEIGHTED_L1:
+        for i in range(n):
+            lp.add({M[i][j]: v[j] for j in range(m)}, "<=", w[i])
+    else:
+        for j in range(m):
+            lp.add({M[i][j]: w[i] for i in range(n)}, "<=", v[j])
+    value, _ = lp.minimize()
+    return -value

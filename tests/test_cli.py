@@ -69,6 +69,14 @@ class TestSeminorm:
         assert code == 1 and out == ""
         assert err.startswith("error: field 'u.entries[0][1]'")
 
+    def test_long_malformed_entry_gives_a_short_diagnostic(self, capsys):
+        long_u = json.dumps({"shape": [1, 1], "entries": [["1" * 10000 + "x"]]})
+        code, out, err = run(capsys, ["seminorm", '{"kind": "weighted_l1", "weights": ["1"]}',
+                                      '{"kind": "weighted_l1", "weights": ["1"]}', long_u])
+        assert code == 1 and out == ""
+        assert len(err) < 200
+        assert "u.entries[0][0]" in err
+
     def test_json_file_output_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, ["seminorm", L1, L1, U_FIXTURE,

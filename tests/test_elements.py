@@ -9,6 +9,7 @@ from tensorlattice.elements import (
     LatticeHom,
     RieszSeminorm,
     SeminormFamily,
+    UnsupportedSeminormKind,
     disjointify,
     lattice_eval,
     polyhedral_gauge,
@@ -237,6 +238,18 @@ class TestSeminorms:
         p = weighted_l1([1, 2])
         ball = p.unit_ball()
         assert p(ball.generators[0]) <= 1
+        # the rays scaled to p = 1; zero-weight l1 rays generate nothing
+        assert weighted_l1([2, 0, 4]).unit_ball().generators == (el("1/2", 0, 0), el(0, 0, "1/4"))
+        assert weighted_order_unit([2, 1]).unit_ball().generators == (el(2, 1),)
+        with pytest.raises(ValueError, match="zero seminorm"):
+            weighted_l1([0, 0]).unit_ball()
+
+    def test_rays_are_sparse_and_read_from_the_weights(self):
+        one = Fraction(1)
+        assert weighted_l1([2, 0]).rays() == [(2, ((0, one),)), (0, ((1, one),))]
+        assert weighted_order_unit([2, 1]).rays() == [(one, ((0, 2), (1, 1)))]
+        with pytest.raises(UnsupportedSeminormKind):
+            polyhedral_gauge([el(1, 0)]).rays()
 
 
 class TestSeminormFamily:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import grid_decomposition_value
+from oracles import dual_lower_bound_lp, grid_decomposition_value
 from tensorlattice.elements import (
     LatticeElement,
     SeminormFamily,
@@ -20,7 +20,6 @@ from tensorlattice.projective import (
     certificate_axiom_check,
     cross_property_check,
     dual_lower_bound,
-    dual_lower_bound_lp,
     gauge_equivalence_check,
     hausdorff_check,
     seminorm_certify,
@@ -71,6 +70,8 @@ class TestClosedForms:
         p = polyhedral_gauge([el(1, 0), el(0, 1)])
         with pytest.raises(UnsupportedSeminormKind):
             seminorm_certify(p, L1, U_FIXTURE)
+        assert seminorm_closed_form(p, p, U_FIXTURE) is None
+        assert seminorm_closed_form(p, L1, U_FIXTURE) is None
 
 
 class TestDualLowerBound:
@@ -82,13 +83,34 @@ class TestDualLowerBound:
             r = rng.split(t)
             n, m = r.randint(1, 3), r.randint(1, 3)
             mk_p, mk_q = kinds[t % 4]
-            p = mk_p([r.randint(1, 3) for _ in range(n)])
-            q = mk_q([r.randint(1, 3) for _ in range(m)])
+            # l1 weights may vanish (unbounded rays); order-unit weights may not
+            p = mk_p([r.randint(0 if mk_p is weighted_l1 else 1, 3) for _ in range(n)])
+            q = mk_q([r.randint(0 if mk_q is weighted_l1 else 1, 3) for _ in range(m)])
             u = random_tensor(r, n, m)
             closed_dual = dual_lower_bound(p, q, u)
             lp_value = dual_lower_bound_lp(p, q, u)
             assert closed_dual.value(u) == lp_value, (p, q, u)
             assert closed_dual.dominates(p, q)
+
+    def test_dual_matrix_of_every_kind_pair_on_ties(self):
+        # all ratios tie, so each block's budget goes to its first cell in
+        # row-major order: every cell (l1, l1), the first cell (ou, ou), the
+        # first column (l1, ou: one block per row), the first row (ou, l1)
+        ones = TensorElement.make([[1, 1], [1, 1]])
+        expected = {
+            (L1, L1): [["1", "1"], ["1", "1"]],
+            (OU, OU): [["1", "0"], ["0", "0"]],
+            (L1, OU): [["1", "0"], ["1", "0"]],
+            (OU, L1): [["1", "1"], ["0", "0"]],
+        }
+        for (p, q), M in expected.items():
+            assert dual_lower_bound(p, q, ones).to_json() == {"M": M}, (p.kind, q.kind)
+
+    def test_zero_l1_weight_gets_no_dual_mass(self):
+        p = weighted_l1([0, 2])
+        u = TensorElement.make([[5, 1], [1, 3]])
+        assert dual_lower_bound(p, OU, u).to_json() == {"M": [["0", "0"], ["0", "2"]]}
+        assert dual_lower_bound(OU, p, u).to_json() == {"M": [["0", "0"], ["0", "2"]]}
 
     def test_dual_confirms_closed_forms(self):
         for p, q in ((L1, L1), (OU, OU)):
@@ -162,6 +184,25 @@ class TestCertify:
             Budget(k_max=0)
         with pytest.raises(ValueError):
             Budget(restarts=-1)
+
+
+class TestAlternatingMinimization:
+    # order unit (x) l1 with a one-term budget: the structural candidates
+    # stop at 2, and only alternating minimization reaches the dual's 3/2
+    P = weighted_order_unit([2, 1])
+    Q = weighted_l1([1, 1])
+    U = TensorElement.make([[1, -2], [0, 1]])
+
+    def test_structural_candidates_leave_a_gap(self):
+        cert = seminorm_certify(self.P, self.Q, self.U, Budget(k_max=1, restarts=0))
+        assert (cert.lower, cert.upper) == (Fraction(3, 2), 2)
+        assert cert.verify(self.P, self.Q, self.U)
+
+    def test_restarts_close_the_gap_with_one_term(self):
+        cert = seminorm_certify(self.P, self.Q, self.U, Budget(k_max=1))
+        assert cert.lower == cert.upper == Fraction(3, 2)
+        assert len(cert.decomposition.terms) == 1
+        assert cert.verify(self.P, self.Q, self.U)
 
 
 class TestCertificateObjects:

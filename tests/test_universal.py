@@ -4,6 +4,7 @@ import pytest
 
 from tensorlattice.elements import (
     LatticeElement,
+    UnsupportedSeminormKind,
     polyhedral_gauge,
     weighted_l1,
     weighted_order_unit,
@@ -171,6 +172,13 @@ class TestContinuityConstant:
         assert cert.upper == 0
         T = induce_hom(CANON)
         assert L1_4(T.apply(direction)) > 0
+
+    def test_polyhedral_factor_is_unsupported(self):
+        poly = polyhedral_gauge([el(1, 0), el(0, 1)])
+        with pytest.raises(UnsupportedSeminormKind):
+            continuity_constant(CANON, poly, L1_2, L1_4)
+        with pytest.raises(UnsupportedSeminormKind):
+            continuity_constant(CANON, L1_2, poly, L1_4)
 
     def test_polyhedral_target_off_span_is_infinite(self):
         r = polyhedral_gauge([LatticeElement.unit(4, 0)])
