@@ -18,14 +18,12 @@ from .elements import (
     SeminormFamily,
     UnsupportedSeminormKind,
     disjointify,
-    lattice_eval,
     polyhedral_gauge,
     riesz_decompose,
-    seminorm_eval,
     weighted_l1,
     weighted_order_unit,
 )
-from .hulls import GeneratedSet, gauge, hull_law_check, member, set_algebra
+from .hulls import GeneratedSet, gauge, hull_law_check, member
 from .projective import (
     Budget,
     Decomposition,
@@ -88,7 +86,6 @@ __all__ = [
     "hom_property_report",
     "hull_law_check",
     "induce_hom",
-    "lattice_eval",
     "member",
     "nbhd_member",
     "polyhedral_gauge",
@@ -97,8 +94,6 @@ __all__ = [
     "riesz_decompose",
     "seminorm_certify",
     "seminorm_closed_form",
-    "seminorm_eval",
-    "set_algebra",
     "weighted_l1",
     "weighted_order_unit",
 ]

@@ -169,7 +169,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=80,
                     help="samples per property check (default 80)")
     sp.add_argument("--workers", type=int, default=1,
-                    help="parallel shard workers; output is identical for any count")
+                    help="worker processes for the hull laws; output is identical for any count")
     common(sp)
     sp.set_defaults(func=_cmd_suite)
 

@@ -132,31 +132,6 @@ class LatticeElement:
         return LatticeElement(parse_fraction_list(data, field))
 
 
-_LATTICE_OPS = ("join", "meet", "abs", "plus", "scale")
-
-
-def lattice_eval(op: str, x: LatticeElement, y: LatticeElement | None = None, scalar=None):
-    """Uniform dispatcher over the lattice vocabulary.
-
-    `join`/`meet`/`plus` need `y`; `scale` needs `scalar`; `abs` is unary.
-    """
-    if op not in _LATTICE_OPS:
-        raise ValueError(f"unknown lattice op {op!r}, expected one of {_LATTICE_OPS}")
-    if op == "abs":
-        return abs(x)
-    if op == "scale":
-        if scalar is None:
-            raise ValueError("op 'scale' requires a scalar")
-        return x.scale(scalar)
-    if y is None:
-        raise ValueError(f"op {op!r} requires a second element")
-    if op == "join":
-        return x.join(y)
-    if op == "meet":
-        return x.meet(y)
-    return x + y
-
-
 def riesz_decompose(z: LatticeElement, x: LatticeElement, y: LatticeElement):
     """Split z into z1 + z2 with |z1| <= |x| and |z2| <= |y|.
 
@@ -325,10 +300,6 @@ def weighted_order_unit(weights) -> RieszSeminorm:
 
 def polyhedral_gauge(generators) -> RieszSeminorm:
     return RieszSeminorm(POLYHEDRAL_GAUGE, generators=tuple(generators))
-
-
-def seminorm_eval(p: RieszSeminorm, x: LatticeElement):
-    return p(x)
 
 
 @dataclass(frozen=True)

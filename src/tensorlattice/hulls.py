@@ -110,29 +110,33 @@ def _check_dim(S: GeneratedSet, x: LatticeElement):
 # ---------------------------------------------------------------------------
 
 
-def _comb_member(gens, x, balanced: bool) -> bool:
-    # x == sum of weighted generators; convex (sum == 1) or balanced (sum |.| <= 1)
+def _sum_hull_member(blocks, x, balanced: bool) -> bool:
+    """x in hull(G_1) + ... + hull(G_k), one LP: a mass row per block, then x.
+
+    Each block gets its own weights: convex (sum == 1) or balanced (positive
+    and negative parts with total <= 1). One block is plain hull membership.
+    """
     lp = LinearProgram()
-    if balanced:
-        pos = [lp.var() for _ in gens]
-        neg = [lp.var() for _ in gens]
-        lp.add({v: 1 for v in pos + neg}, "<=", 1)
-        for i in range(x.dim):
-            coeffs = {}
+    weights = []
+    for gens in blocks:
+        if balanced:
+            pos = [lp.var() for _ in gens]
+            neg = [lp.var() for _ in gens]
+            lp.add({v: 1 for v in pos + neg}, "<=", 1)
+            weights.append((gens, pos, neg))
+        else:
+            lam = [lp.var() for _ in gens]
+            lp.add({v: 1 for v in lam}, "==", 1)
+            weights.append((gens, lam, None))
+    for i in range(x.dim):
+        coeffs = {}
+        for gens, pos, neg in weights:
             for k, g in enumerate(gens):
                 if g.coords[i] != 0:
                     coeffs[pos[k]] = g.coords[i]
-                    coeffs[neg[k]] = -g.coords[i]
-            lp.add(coeffs, "==", x.coords[i])
-    else:
-        lam = [lp.var() for _ in gens]
-        lp.add({v: 1 for v in lam}, "==", 1)
-        for i in range(x.dim):
-            lp.add(
-                {lam[k]: g.coords[i] for k, g in enumerate(gens) if g.coords[i] != 0},
-                "==",
-                x.coords[i],
-            )
+                    if neg is not None:
+                        coeffs[neg[k]] = -g.coords[i]
+        lp.add(coeffs, "==", x.coords[i])
     return lp.feasible()
 
 
@@ -182,10 +186,8 @@ def member(S: GeneratedSet, x: LatticeElement) -> bool:
         return any(g == x for g in S.generators)
     if deco == (SOL,):
         return _in_one_box(S.generators, x)
-    if deco == (CONV,):
-        return _comb_member(S.generators, x, balanced=False)
-    if deco == (CONV_B,):
-        return _comb_member(S.generators, x, balanced=True)
+    if deco in ((CONV,), (CONV_B,)):
+        return _sum_hull_member((S.generators,), x, balanced=deco == (CONV_B,))
     if deco in ((SOL, CONV), (SOL, CONV_B)):
         if _in_one_box(S.generators, x):
             return True  # Sol(G) lies inside both convex-solid hulls
@@ -272,41 +274,9 @@ def scale_set(A: GeneratedSet, alpha) -> GeneratedSet:
     return GeneratedSet(tuple(g.scale(alpha) for g in A.generators), A.decoration)
 
 
-def intersect_probe(A: GeneratedSet, B: GeneratedSet):
-    """Intersections of hulled sets are not finitely generated; probe instead."""
-
-    def probe(x: LatticeElement) -> bool:
-        return member(A, x) and member(B, x)
-
-    return probe
-
-
 def common_generators(A: GeneratedSet, B: GeneratedSet) -> tuple[LatticeElement, ...]:
     bset = {g.coords for g in B.generators}
     return tuple(g for g in A.generators if g.coords in bset)
-
-
-def set_algebra(A: GeneratedSet, B: GeneratedSet | None, op: str, alpha=None):
-    """Dispatcher. Generator-level constructions are exact for bare sets;
-    for decorated operands they build the named generator combination, which
-    relates to the true pointwise set by the laws checked in this module."""
-    if op == "scale":
-        if alpha is None:
-            raise ValueError("op 'scale' requires alpha")
-        return scale_set(A, alpha)
-    if B is None:
-        raise ValueError(f"op {op!r} requires a second set")
-    if op == "plus":
-        return sum_sets(A, B)
-    if op == "union":
-        return union_sets(A, B)
-    if op == "join":
-        return join_sets(A, B)
-    if op == "meet":
-        return meet_sets(A, B)
-    if op == "intersect_probe":
-        return intersect_probe(A, B)
-    raise ValueError(f"unknown set algebra op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,37 +294,25 @@ def solid_sum_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> boo
     )
 
 
-def solid_join_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
-    # {s ∨ t : |s| <= |a|, |t| <= |b|} is the box [-(|a| ∧ |b|), |a| ∨ |b|]
+def _pair_box_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement, low, high) -> bool:
+    """z lies in one box [-low(|a|, |b|), high(|a|, |b|)] over the pairs (a, b)."""
     for a in A.generators:
+        aa = abs(a).coords
         for b in B.generators:
-            aa, ab = abs(a), abs(b)
-            ok = True
-            for i in range(z.dim):
-                low = -min(aa.coords[i], ab.coords[i])
-                high = max(aa.coords[i], ab.coords[i])
-                if not (low <= z.coords[i] <= high):
-                    ok = False
-                    break
-            if ok:
+            ab = abs(b).coords
+            if all(-low(aa[i], ab[i]) <= c <= high(aa[i], ab[i]) for i, c in enumerate(z.coords)):
                 return True
     return False
+
+
+def solid_join_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
+    # {s ∨ t : |s| <= |a|, |t| <= |b|} is the box [-(|a| ∧ |b|), |a| ∨ |b|]
+    return _pair_box_member(A, B, z, min, max)
 
 
 def solid_meet_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
-    for a in A.generators:
-        for b in B.generators:
-            aa, ab = abs(a), abs(b)
-            ok = True
-            for i in range(z.dim):
-                low = -max(aa.coords[i], ab.coords[i])
-                high = min(aa.coords[i], ab.coords[i])
-                if not (low <= z.coords[i] <= high):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    # {s ∧ t : |s| <= |a|, |t| <= |b|} is the box [-(|a| ∨ |b|), |a| ∧ |b|]
+    return _pair_box_member(A, B, z, max, min)
 
 
 def solid_union_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
@@ -493,36 +451,13 @@ def _hull(S: GeneratedSet, deco: tuple[str, ...]) -> GeneratedSet:
     return GeneratedSet(S.generators, deco)
 
 
-def _sum_hull_member(A: GeneratedSet, B: GeneratedSet, u: LatticeElement, balanced: bool) -> bool:
-    """u ∈ hull(A) + hull(B), decided as one joint feasibility program."""
-    lp = LinearProgram()
-
-    def block(gens):
-        if balanced:
-            pos = [lp.var() for _ in gens]
-            neg = [lp.var() for _ in gens]
-            lp.add({v: 1 for v in pos + neg}, "<=", 1)
-            return pos, neg
-        lam = [lp.var() for _ in gens]
-        lp.add({v: 1 for v in lam}, "==", 1)
-        return lam, None
-
-    blocks = [(block(A.generators), A.generators), (block(B.generators), B.generators)]
-    for i in range(u.dim):
-        coeffs = {}
-        for (pos, neg), gens in blocks:
-            for k, g in enumerate(gens):
-                if g.coords[i] == 0:
-                    continue
-                coeffs[pos[k]] = coeffs.get(pos[k], Fraction(0)) + g.coords[i]
-                if neg is not None:
-                    coeffs[neg[k]] = coeffs.get(neg[k], Fraction(0)) - g.coords[i]
-        lp.add(coeffs, "==", u.coords[i])
-    return lp.feasible()
-
-
-def _outcome(direction, ok, witness=None):
-    return direction, ("ok" if ok else "violation"), witness
+def _outcome(direction, ok, point, **context):
+    """One checked direction; a failure carries the point and any named elements."""
+    if ok:
+        return direction, "ok", None
+    witness = {"point": point.to_json()}
+    witness.update((name, value.to_json()) for name, value in context.items())
+    return direction, "violation", witness
 
 
 def _vacuous(direction):
@@ -532,57 +467,48 @@ def _vacuous(direction):
 def _law_sum(inst, rng, balanced: bool):
     A, B = inst["A"], inst["B"]
     deco = (CONV_B,) if balanced else (CONV,)
-    out = []
     # LHS -> RHS: the hull of the pairwise sums splits into a sum of hulls.
     u = sample_hull_point(rng, _hull(sum_sets(A, B), deco))
-    ok = _sum_hull_member(A, B, u, balanced)
-    out.append(_outcome("sum-splits", ok, None if ok else {"point": u.to_json()}))
+    out = [_outcome("sum-splits", _sum_hull_member((A.generators, B.generators), u, balanced), u)]
     # RHS -> LHS: a sum of hull points lands in the hull of the pairwise sums.
     x = sample_hull_point(rng, _hull(A, deco))
     y = sample_hull_point(rng, _hull(B, deco))
-    ok = member(_hull(sum_sets(A, B), deco), x + y)
-    out.append(_outcome("sum-absorbs", ok, None if ok else {"point": (x + y).to_json()}))
+    out.append(_outcome("sum-absorbs", member(_hull(sum_sets(A, B), deco), x + y), x + y))
     return out
 
 
-def _law_union(inst, rng):
+def _law_union(inst, rng, deco, suffix):
+    """Hull of the union against the union of the hulls, for one decoration."""
     A, B = inst["A"], inst["B"]
-    out = []
-    for tag, deco in (("convb", (CONV_B,)), ("conv", (CONV,))):
-        combined = _hull(union_sets(A, B), deco)
-        u = sample_hull_point(rng, combined)
-        ok = member(_hull(A, deco), u) or member(_hull(B, deco), u)
-        out.append(_outcome(f"printed-{tag}", ok, None if ok else {"point": u.to_json()}))
-        side = A if rng.randint(0, 1) else B
-        v = sample_hull_point(rng, _hull(side, deco))
-        ok = member(combined, v)
-        out.append(_outcome(f"reverse-{tag}", ok, None if ok else {"point": v.to_json()}))
+    combined = _hull(union_sets(A, B), deco)
+    u = sample_hull_point(rng, combined)
+    ok = member(_hull(A, deco), u) or member(_hull(B, deco), u)
+    out = [_outcome("printed" + suffix, ok, u)]
+    side = A if rng.randint(0, 1) else B
+    v = sample_hull_point(rng, _hull(side, deco))
+    out.append(_outcome("reverse" + suffix, member(combined, v), v))
     return out
 
 
-def _law_intersection_hulls(inst, rng):
+def _law_intersection(inst, rng, deco, suffix):
+    """Hull of the common generators against the intersection of the hulls."""
     A, B = inst["A"], inst["B"]
     common = common_generators(A, B)
     out = []
-    for tag, deco in (("convb", (CONV_B,)), ("conv", (CONV,))):
-        if common:
-            u = sample_hull_point(rng, GeneratedSet(common, deco))
-            ok = member(_hull(A, deco), u) and member(_hull(B, deco), u)
-            out.append(_outcome(f"printed-{tag}", ok, None if ok else {"point": u.to_json()}))
-        else:
-            out.append(_vacuous(f"printed-{tag}"))
-        # Reverse: hunt for a point of hull(A) ∩ hull(B) by rejection.
-        found = None
-        for _ in range(6):
-            u = sample_hull_point(rng, _hull(A, deco))
-            if member(_hull(B, deco), u):
-                found = u
-                break
-        if found is None:
-            out.append(_vacuous(f"reverse-{tag}"))
-        else:
-            ok = bool(common) and member(GeneratedSet(common, deco), found)
-            out.append(_outcome(f"reverse-{tag}", ok, None if ok else {"point": found.to_json()}))
+    if common:
+        u = sample_hull_point(rng, GeneratedSet(common, deco))
+        ok = member(_hull(A, deco), u) and member(_hull(B, deco), u)
+        out.append(_outcome("printed" + suffix, ok, u))
+    else:
+        out.append(_vacuous("printed" + suffix))
+    # Reverse: hunt for a point of hull(A) ∩ hull(B) by rejection.
+    for _ in range(6):
+        u = sample_hull_point(rng, _hull(A, deco))
+        if member(_hull(B, deco), u):
+            ok = bool(common) and member(GeneratedSet(common, deco), u)
+            out.append(_outcome("reverse" + suffix, ok, u))
+            return out
+    out.append(_vacuous("reverse" + suffix))
     return out
 
 
@@ -596,7 +522,11 @@ def _law_solid_sum(inst, rng):
         and member(_hull(A, (SOL,)), z1)
         and member(_hull(B, (SOL,)), z2)
     )
-    return [_outcome("printed", ok, None if ok else {"point": z.to_json()})]
+    return [_outcome("printed", ok, z)]
+
+
+# The two convex decorations, each with the suffix of its direction names.
+_CONV_HULLS = (((CONV_B,), "-convb"), ((CONV,), "-conv"))
 
 
 def _law_scaling(inst, rng):
@@ -607,58 +537,19 @@ def _law_scaling(inst, rng):
     g = rng.choice(A.generators)
     z = sample_box_point(rng, g.scale(alpha))
     ok = z.is_zero() if alpha == 0 else member(_hull(A, (SOL,)), z.scale(1 / Fraction(alpha)))
-    out.append(_outcome("printed-sol", ok, None if ok else {"point": z.to_json()}))
+    out.append(_outcome("printed-sol", ok, z))
     w = sample_box_point(rng, g).scale(alpha)
-    ok = member(_hull(scaled, (SOL,)), w)
-    out.append(_outcome("reverse-sol", ok, None if ok else {"point": w.to_json()}))
+    out.append(_outcome("reverse-sol", member(_hull(scaled, (SOL,)), w), w))
     # Convex and convex balanced hulls, both directions.
-    for tag, deco in (("convb", (CONV_B,)), ("conv", (CONV,))):
+    for deco, suffix in _CONV_HULLS:
         u = sample_hull_point(rng, _hull(scaled, deco))
         if alpha == 0:
             ok = u.is_zero()
         else:
             ok = member(_hull(A, deco), u.scale(1 / Fraction(alpha)))
-        out.append(_outcome(f"printed-{tag}", ok, None if ok else {"point": u.to_json()}))
+        out.append(_outcome("printed" + suffix, ok, u))
         v = sample_hull_point(rng, _hull(A, deco)).scale(alpha)
-        ok = member(_hull(scaled, deco), v)
-        out.append(_outcome(f"reverse-{tag}", ok, None if ok else {"point": v.to_json()}))
-    return out
-
-
-def _law_solid_union(inst, rng):
-    A, B = inst["A"], inst["B"]
-    combined = _hull(union_sets(A, B), (SOL,))
-    z = sample_hull_point(rng, combined)
-    ok = member(_hull(A, (SOL,)), z) or member(_hull(B, (SOL,)), z)
-    out = [_outcome("printed", ok, None if ok else {"point": z.to_json()})]
-    side = A if rng.randint(0, 1) else B
-    w = sample_hull_point(rng, _hull(side, (SOL,)))
-    ok = member(combined, w)
-    out.append(_outcome("reverse", ok, None if ok else {"point": w.to_json()}))
-    return out
-
-
-def _law_solid_intersection(inst, rng):
-    A, B = inst["A"], inst["B"]
-    common = common_generators(A, B)
-    out = []
-    if common:
-        z = sample_hull_point(rng, GeneratedSet(common, (SOL,)))
-        ok = member(_hull(A, (SOL,)), z) and member(_hull(B, (SOL,)), z)
-        out.append(_outcome("printed", ok, None if ok else {"point": z.to_json()}))
-    else:
-        out.append(_vacuous("printed"))
-    found = None
-    for _ in range(6):
-        z = sample_hull_point(rng, _hull(A, (SOL,)))
-        if member(_hull(B, (SOL,)), z):
-            found = z
-            break
-    if found is None:
-        out.append(_vacuous("reverse"))
-    else:
-        ok = bool(common) and member(GeneratedSet(common, (SOL,)), found)
-        out.append(_outcome("reverse", ok, None if ok else {"point": found.to_json()}))
+        out.append(_outcome("reverse" + suffix, member(_hull(scaled, deco), v), v))
     return out
 
 
@@ -666,9 +557,7 @@ def _law_solid_join(inst, rng):
     A, B = inst["A"], inst["B"]
     a, b = rng.choice(A.generators), rng.choice(B.generators)
     z = sample_box_point(rng, a.join(b))
-    ok = solid_join_member(A, B, z)
-    out = [_outcome("printed", ok, None if ok else {"point": z.to_json(),
-                                                    "a": a.to_json(), "b": b.to_json()})]
+    out = [_outcome("printed", solid_join_member(A, B, z), z, a=a, b=b)]
     # On the positive cone the split is constructive: clamp z against each
     # side; the join of the clamps recovers z because z <= |a| v |b|. A
     # disjoint witness also exists, splitting z along the coordinates where
@@ -691,7 +580,7 @@ def _law_solid_join(inst, rng):
         and member(_hull(B, (SOL,)), d2)
         and solid_join_member(A, B, zp)
     )
-    out.append(_outcome("positive-cone", ok, None if ok else {"point": zp.to_json()}))
+    out.append(_outcome("positive-cone", ok, zp))
     return out
 
 
@@ -699,9 +588,7 @@ def _law_solid_meet(inst, rng):
     A, B = inst["A"], inst["B"]
     a, b = rng.choice(A.generators), rng.choice(B.generators)
     z = sample_box_point(rng, a.meet(b))
-    ok = solid_meet_member(A, B, z)
-    out = [_outcome("printed", ok, None if ok else {"point": z.to_json(),
-                                                    "a": a.to_json(), "b": b.to_json()})]
+    out = [_outcome("printed", solid_meet_member(A, B, z), z, a=a, b=b)]
     # Negative-cone variant by order reversal: clamp from below against each
     # side; the meet of the clamps recovers z because z >= -(|a| v |b|).
     zn = -abs(z)
@@ -713,7 +600,7 @@ def _law_solid_meet(inst, rng):
         and member(_hull(B, (SOL,)), z2)
         and solid_meet_member(A, B, zn)
     )
-    out.append(_outcome("negative-cone", ok, None if ok else {"point": zn.to_json()}))
+    out.append(_outcome("negative-cone", ok, zn))
     return out
 
 
@@ -725,19 +612,25 @@ def _law_hom_image(inst, rng):
     image = GeneratedSet(
         tuple(hom.apply(g) for g in A.generators), (SOL,)
     )
-    ok = member(image, w)
-    return [_outcome("printed", ok, None if ok else {"point": w.to_json()})]
+    return [_outcome("printed", member(image, w), w)]
+
+
+def _each_decoration(check, decorations):
+    """A law checked once per decoration, in order, on one shared stream."""
+    return lambda inst, rng: [
+        outcome for deco, suffix in decorations for outcome in check(inst, rng, deco, suffix)
+    ]
 
 
 _LAW_CHECKS = {
     1: lambda inst, rng: _law_sum(inst, rng, balanced=False),
     2: lambda inst, rng: _law_sum(inst, rng, balanced=True),
-    3: _law_union,
-    4: _law_intersection_hulls,
+    3: _each_decoration(_law_union, _CONV_HULLS),
+    4: _each_decoration(_law_intersection, _CONV_HULLS),
     5: _law_solid_sum,
     6: _law_scaling,
-    7: _law_solid_union,
-    8: _law_solid_intersection,
+    7: _each_decoration(_law_union, (((SOL,), ""),)),
+    8: _each_decoration(_law_intersection, (((SOL,), ""),)),
     9: _law_solid_join,
     10: _law_solid_meet,
     11: _law_hom_image,
@@ -779,7 +672,7 @@ def _fixtures(law: int):
         pt = e([1, -1])
         return [
             ("sum-absorbs", A, B, pt,
-             lambda: _sum_hull_member(A, B, pt, balanced=True)
+             lambda: _sum_hull_member((A.generators, B.generators), pt, balanced=True)
              and not member(_hull(sum_sets(A, B), (CONV_B,)), pt)),
         ]
     if law == 3:
@@ -839,6 +732,21 @@ def _fixtures(law: int):
     return []
 
 
+def _tally(directions: dict, direction: str, status: str, witness):
+    """Count one outcome of a direction, keeping its first three witnesses."""
+    d = directions.setdefault(
+        direction, {"checked": 0, "violations": 0, "vacuous": 0, "witnesses": []}
+    )
+    if status == "vacuous":
+        d["vacuous"] += 1
+        return
+    d["checked"] += 1
+    if status == "violation":
+        d["violations"] += 1
+        if witness is not None and len(d["witnesses"]) < 3:
+            d["witnesses"].append(witness)
+
+
 def hull_law_check(law: int, A: GeneratedSet | None, B: GeneratedSet | None,
                    samples: int, seed: int, *, alpha=None, hom: LatticeHom | None = None) -> dict:
     """Check one law on one operand pair, `samples` sampled points per direction."""
@@ -856,18 +764,8 @@ def hull_law_check(law: int, A: GeneratedSet | None, B: GeneratedSet | None,
         )
     directions: dict[str, dict] = {}
     for s in range(samples):
-        for direction, status, witness in _LAW_CHECKS[law](inst, rng.split(s)):
-            d = directions.setdefault(
-                direction, {"checked": 0, "violations": 0, "vacuous": 0, "witnesses": []}
-            )
-            if status == "vacuous":
-                d["vacuous"] += 1
-                continue
-            d["checked"] += 1
-            if status == "violation":
-                d["violations"] += 1
-                if len(d["witnesses"]) < 3 and witness:
-                    d["witnesses"].append(witness)
+        for outcome in _LAW_CHECKS[law](inst, rng.split(s)):
+            _tally(directions, *outcome)
     return {
         "law": law,
         "id": f"hull-law-{law}",
@@ -876,50 +774,24 @@ def hull_law_check(law: int, A: GeneratedSet | None, B: GeneratedSet | None,
     }
 
 
-def hull_law_suite(law: int, *, triples: int, seed: int, dim_lo: int = 1, dim_hi: int = 5,
-                   include_fixtures: bool = True, start: int = 0) -> dict:
-    """Run one law over `triples` random (A, B, point) instances.
+def hull_law_suite(law: int, *, triples: int, seed: int, dim_lo: int = 1, dim_hi: int = 5) -> dict:
+    """Run one law over `triples` random (A, B, point) instances, then its fixtures.
 
-    `start` offsets the sample indices so shards of a larger range can be run
-    independently and merged; the stream for index i depends only on the seed
-    and i.
+    The stream of instance i depends only on the seed, the law and i.
     """
     rng = SplitStream(seed).split("hull-law-suite", law)
     directions: dict[str, dict] = {}
-
-    def record(direction, status, witness, index):
-        d = directions.setdefault(
-            direction, {"checked": 0, "violations": 0, "vacuous": 0, "witnesses": []}
-        )
-        if status == "vacuous":
-            d["vacuous"] += 1
-            return
-        d["checked"] += 1
-        if status == "violation":
-            d["violations"] += 1
-            if len(d["witnesses"]) < 3 and witness is not None:
-                witness = dict(witness)
-                witness["index"] = index
-                d["witnesses"].append(witness)
-
-    for s in range(start, start + triples):
+    for s in range(triples):
         srng = rng.split(s)
         inst = _random_instance(law, srng.split("instance"), dim_lo, dim_hi)
         for direction, status, witness in _LAW_CHECKS[law](inst, srng.split("points")):
-            record(direction, status, witness, s)
-
-    if include_fixtures:
-        for direction, A, B, pt, is_counterexample in _fixtures(law):
-            confirmed = is_counterexample()
-            record(
-                direction,
-                "violation" if confirmed else "ok",
-                {"fixture": True, "point": pt.to_json(),
-                 "A": [g.to_json() for g in A.generators],
-                 "B": [g.to_json() for g in B.generators]},
-                "fixture",
-            )
-
+            _tally(directions, direction, status, witness and {**witness, "index": s})
+    for direction, A, B, pt, is_counterexample in _fixtures(law):
+        _tally(directions, direction, "violation" if is_counterexample() else "ok",
+               {"fixture": True, "point": pt.to_json(),
+                "A": [g.to_json() for g in A.generators],
+                "B": [g.to_json() for g in B.generators],
+                "index": "fixture"})
     return law_verdict(law, directions)
 
 

@@ -15,11 +15,19 @@ from fractions import Fraction
 # 3.3-million-bit integer before anything looks at it.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# A rational string may carry at most this many digits. "p" and "p/q", the
+# forms `fraction_str` prints, are read in pieces, so they round-trip beyond
+# the interpreter's int-to-str limit; other forms go through Fraction() and
+# stay within that limit (4300 digits unless the interpreter is set otherwise).
+MAX_DIGITS = 20_000
+_PLAIN = re.compile(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*\Z")
 # Diagnostics quote at most this many characters of a rejected string.
 _QUOTE_CHARS = 40
-# Integers up to this many bits (at most 603 digits) print with str() under
-# any int-to-str digit limit the interpreter allows (the least is 640).
+# Integers up to this many bits (at most 603 digits) print with str(), and
+# digit strings up to _INT_DIGITS long read with int(), under any int-to-str
+# digit limit the interpreter allows (the least is 640).
 _STR_BITS = 2000
+_INT_DIGITS = 600
 
 
 class FormatError(ValueError):
@@ -45,6 +53,17 @@ def as_fraction(value, field: str = "value") -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        length = sum(map(str.isdecimal, value))
+        if length > MAX_DIGITS:
+            raise FormatError(field, f"{length} digits exceed the bound of {MAX_DIGITS}")
+        plain = _PLAIN.match(value)
+        if plain:
+            sign, numerator, denominator = plain.groups()
+            numerator = _digits_int(numerator)
+            denominator = _digits_int(denominator) if denominator else 1
+            if denominator == 0:
+                raise FormatError(field, f"zero denominator in {_quote(value)}")
+            return Fraction(-numerator if sign == "-" else numerator, denominator)
         exponent = _EXPONENT.search(value)
         if exponent:
             digits = exponent.group(1).replace("_", "").lstrip("0")
@@ -57,6 +76,14 @@ def as_fraction(value, field: str = "value") -> Fraction:
         except ValueError:
             raise FormatError(field, f"invalid rational {_quote(value)}") from None
     raise FormatError(field, f"expected rational string or integer, got {type(value).__name__}")
+
+
+def _digits_int(digits: str) -> int:
+    """The int of a decimal digit string, read in pieces short enough for int()."""
+    if len(digits) <= _INT_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _digits_int(digits[:-half]) * 10 ** half + _digits_int(digits[-half:])
 
 
 def _int_str(n: int) -> str:

@@ -2,10 +2,10 @@
 
 All sampling in the test suites flows from one seed through this generator.
 It is counter-based (word i is a pure function of (key, i), SplitMix64-style)
-so shards of a sample range can be generated independently and merged in
-index order, and it is splittable: `split(label)` derives an independent
-stream whose key depends only on the parent key and the label, never on how
-much of the parent stream was consumed. Reports built from these streams are
+so any sample of a range can be drawn on its own, in any order, and it is
+splittable: `split(label)` derives an independent stream whose key depends
+only on the parent key and the label, never on how much of the parent
+stream was consumed. Reports built from these streams are
 byte-identical across runs and worker counts.
 """
 

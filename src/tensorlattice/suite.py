@@ -7,14 +7,15 @@ separation check, and the universal-property checks, and folds them into a
 single machine-readable report with one pass/fail line per statement.
 
 Determinism contract: the report is a function of (seed, sizes) only.
-Sampling is sharded into fixed-size index ranges whose per-index streams
-derive from the seed, so the merged result is byte-identical no matter how
-many workers ran the shards. Reports contain no timestamps and serialize
-with sorted keys.
+Every sample draws from its own stream, derived from the seed, the statement
+and the sample index, and each hull law runs whole as one task, so the report
+is byte-identical no matter how many workers ran the laws. Reports contain
+no timestamps and serialize with sorted keys.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from fractions import Fraction
 
@@ -42,8 +43,6 @@ from .tensor import (
     rank_one_sup_recover,
     sup_of_rank_ones,
 )
-
-_SHARD = 250  # fixed shard width; merging is index-based, so any worker count agrees
 
 
 # ---------------------------------------------------------------------------
@@ -209,65 +208,21 @@ def tensor_model_check(*, samples: int, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Hull-law sharding
+# Hull laws, one task per law
 # ---------------------------------------------------------------------------
-
-
-def _law_shard(task):
-    law, seed, start, count, dim_lo, dim_hi = task
-    return hulls.hull_law_suite(
-        law, triples=count, seed=seed, dim_lo=dim_lo, dim_hi=dim_hi,
-        include_fixtures=False, start=start,
-    )
-
-
-def _merge_law(law: int, shards: list[dict], fixtures: dict) -> dict:
-    directions: dict[str, dict] = {}
-    for rep in shards + [fixtures]:
-        for direction, d in rep["directions"].items():
-            into = directions.setdefault(
-                direction, {"checked": 0, "violations": 0, "vacuous": 0, "witnesses": []}
-            )
-            into["checked"] += d["checked"]
-            into["violations"] += d["violations"]
-            into["vacuous"] += d["vacuous"]
-            into["witnesses"].extend(d["witnesses"])
-    for d in directions.values():
-        d["witnesses"].sort(
-            key=lambda w: (1, 0) if w["index"] == "fixture" else (0, w["index"])
-        )
-        del d["witnesses"][3:]
-    return hulls.law_verdict(law, directions)
 
 
 def hull_law_suite_sharded(*, triples: int, seed: int, dim_lo: int = 1, dim_hi: int = 5,
                            workers: int = 1) -> list[dict]:
-    """All eleven hull laws, shard-parallel, worker-count independent."""
-    tasks = []
-    spans = []
-    for law in sorted(hulls.LAW_EXPECTATIONS):
-        start = 0
-        while start < triples:
-            count = min(_SHARD, triples - start)
-            tasks.append((law, seed, start, count, dim_lo, dim_hi))
-            start += count
-        spans.append(law)
-    if workers > 1 and len(tasks) > 1:
+    """All eleven hull laws, each run whole; the worker count never changes the reports."""
+    run_law = functools.partial(
+        hulls.hull_law_suite, triples=triples, seed=seed, dim_lo=dim_lo, dim_hi=dim_hi,
+    )
+    laws = sorted(hulls.LAW_EXPECTATIONS)
+    if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_law_shard, tasks)
-    else:
-        results = [_law_shard(t) for t in tasks]
-    by_law: dict[int, list[dict]] = {}
-    for task, rep in zip(tasks, results):
-        by_law.setdefault(task[0], []).append(rep)
-    merged = []
-    for law in spans:
-        fixtures = hulls.hull_law_suite(
-            law, triples=0, seed=seed, dim_lo=dim_lo, dim_hi=dim_hi,
-            include_fixtures=True, start=0,
-        )
-        merged.append(_merge_law(law, by_law[law], fixtures))
-    return merged
+            return pool.map(run_law, laws, chunksize=1)
+    return [run_law(law) for law in laws]
 
 
 # ---------------------------------------------------------------------------

@@ -246,11 +246,6 @@ class TensorNbhd:
     def shape(self) -> tuple[int, int]:
         return self.left.dim, self.right.dim
 
-    def scale_left(self, alpha) -> "TensorNbhd":
-        # Scaling one factor scales W by the same amount; seminorm tags are
-        # dropped because the scaled ball is no longer their unit ball.
-        return TensorNbhd(scale_set(self.left, alpha), self.right)
-
     def to_json(self) -> dict:
         if self.p is not None and self.q is not None:
             return {"p": self.p.to_json(), "q": self.q.to_json()}

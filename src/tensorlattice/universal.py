@@ -148,10 +148,6 @@ class LatticeBimorphism:
         return phi
 
 
-def bimorphism_eval(phi: LatticeBimorphism, x: LatticeElement, y: LatticeElement) -> LatticeElement:
-    return phi(x, y)
-
-
 @dataclass(frozen=True)
 class InducedHom:
     """The unique linear extension of a bimorphism to the tensor model."""

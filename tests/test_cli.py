@@ -69,6 +69,16 @@ class TestSeminorm:
         assert code == 1 and out == ""
         assert err.startswith("error: field 'u.entries[0][1]'")
 
+    def test_megabyte_of_digits_is_rejected_quickly(self, capsys):
+        huge_u = json.dumps({"shape": [1, 1], "entries": [["7" * 1_000_000]]})
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["seminorm", '{"kind": "weighted_l1", "weights": ["1"]}',
+                                      '{"kind": "weighted_l1", "weights": ["1"]}', huge_u])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: field 'u.entries[0][0]'")
+        assert "1000000 digits" in err and len(err) < 200
+
     def test_long_malformed_entry_gives_a_short_diagnostic(self, capsys):
         long_u = json.dumps({"shape": [1, 1], "entries": [["1" * 10000 + "x"]]})
         code, out, err = run(capsys, ["seminorm", '{"kind": "weighted_l1", "weights": ["1"]}',

@@ -11,15 +11,13 @@ from tensorlattice.elements import (
     SeminormFamily,
     UnsupportedSeminormKind,
     disjointify,
-    lattice_eval,
     polyhedral_gauge,
     riesz_decompose,
-    seminorm_eval,
     weighted_l1,
     weighted_order_unit,
 )
 from tensorlattice.hulls import INFINITE
-from tensorlattice.jsonio import MAX_EXPONENT, FormatError, as_fraction, fraction_str
+from tensorlattice.jsonio import MAX_DIGITS, MAX_EXPONENT, FormatError, as_fraction, fraction_str
 
 
 def el(*coords):
@@ -106,19 +104,6 @@ def test_dimension_mismatch_raises():
         el(1, 2).join(el(1))
     with pytest.raises(DimensionMismatch):
         el(1, 2) + el(1, 2, 3)
-
-
-def test_lattice_eval_dispatch():
-    x, y = el(1, -2), el(0, 3)
-    assert lattice_eval("join", x, y) == x.join(y)
-    assert lattice_eval("meet", x, y) == x.meet(y)
-    assert lattice_eval("plus", x, y) == x + y
-    assert lattice_eval("abs", x) == abs(x)
-    assert lattice_eval("scale", x, scalar=Fraction(-2)) == el(-2, 4)
-    with pytest.raises(ValueError):
-        lattice_eval("frobnicate", x, y)
-    with pytest.raises(ValueError):
-        lattice_eval("join", x)  # binary op needs y
 
 
 class TestRieszDecompose:
@@ -229,11 +214,6 @@ class TestSeminorms:
         if abs(x).le(abs(y)):
             assert not p(y) < p(x)
 
-    def test_seminorm_eval_matches_call(self):
-        p = weighted_order_unit([2, 1])
-        x = el(4, 1)
-        assert seminorm_eval(p, x) == p(x)
-
     def test_unit_ball_generators(self):
         p = weighted_l1([1, 2])
         ball = p.unit_ball()
@@ -323,3 +303,25 @@ class TestJson:
     def test_fraction_str_beyond_int_str_limit(self):
         assert fraction_str(Fraction(10 ** 5000, 3)) == "1" + "0" * 5000 + "/3"
         assert fraction_str(Fraction(-(10 ** 9000) - 12345, 7)) == "-1" + "0" * 8995 + "12345/7"
+
+    def test_round_trip_beyond_int_str_limit(self):
+        for value in (Fraction(10 ** 5000 + 1, 3), Fraction(-(7 ** 9000), 11 ** 2000),
+                      Fraction(10 ** (MAX_DIGITS - 1))):
+            assert as_fraction(fraction_str(value)) == value
+        assert as_fraction(" -" + "9" * 5000 + " ") == -(10 ** 5000 - 1)
+
+    def test_digit_bound_names_the_count(self):
+        for text in ("1" * (MAX_DIGITS + 1), f"{10 ** 4000}/{'3' * (MAX_DIGITS - 4000)}",
+                     "0." + "5" * MAX_DIGITS):
+            with pytest.raises(FormatError, match=f"{MAX_DIGITS + 1} digits exceed"):
+                as_fraction(text, "x[0]")
+
+    def test_plain_forms_match_fraction(self):
+        for text in ("0", "-0", "+3", " 12/8 ", "-6/4", "007", "1/3", "2.5", "1_000", "-1e3"):
+            assert as_fraction(text) == Fraction(text)
+        for text in ("1/0", "-0/0"):
+            with pytest.raises(FormatError, match="zero denominator"):
+                as_fraction(text)
+        for text in ("", "-", "1/", "/2", "1/-2", "1 / 2", "1//2", "--1"):
+            with pytest.raises(FormatError, match="invalid rational"):
+                as_fraction(text)

@@ -18,7 +18,6 @@ from tensorlattice.hulls import (
     sample_box_point,
     sample_hull_point,
     scale_set,
-    set_algebra,
     solid_closure_check,
     solid_join_member,
     solid_meet_member,
@@ -207,22 +206,6 @@ class TestSetAlgebra:
         assert solid_join_member(A, B, el(2, 3))
         assert solid_meet_member(A, B, el(1, 1))
         assert not solid_meet_member(A, B, el(2, 0))
-
-    def test_intersect_probe_is_oracle(self):
-        A = GeneratedSet([el(2, 0), el(0, 1)], ("Sol",))
-        B = GeneratedSet([el(1, 0), el(0, 2)], ("Sol",))
-        probe = set_algebra(A, B, "intersect_probe")
-        assert probe(el(1, 0))
-        assert not probe(el(2, 0))
-        assert not probe(el(0, 2))
-
-    def test_set_algebra_dispatch(self):
-        A = GeneratedSet([el(1, 0)], ("Sol",))
-        B = GeneratedSet([el(0, 1)], ("Sol",))
-        assert set_algebra(A, B, "plus").generators == sum_sets(A, B).generators
-        assert set_algebra(A, None, "scale", alpha=Fraction(3)).generators[0] == el(3, 0)
-        with pytest.raises(ValueError):
-            set_algebra(A, B, "convolve")
 
 
 class TestHullLaws:

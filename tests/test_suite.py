@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from tensorlattice.hulls import LAW_EXPECTATIONS, hull_law_suite
@@ -10,6 +11,18 @@ from tensorlattice.suite import (
     seminorm_axiom_check,
     tensor_model_check,
 )
+
+
+# sha256 of json.dumps(reports, sort_keys=True) for laws 5 and 7-11 at
+# triples=300, seed=42: more triples than the 250-sample shards the suite
+# once split each law into, so the pin spans their old boundary.
+LAW_REPORTS_SHA256 = "c576a20f8a5f28abb4bfb0c5b0dd7af09d0d0204a33242b755ea3c8e84635af0"
+# sha256 of the bytes `tensorlattice suite --seed 42` prints.
+SUITE_SEED42_SHA256 = "834fb63cfe7d17b2f7777b3a0efaf7a5b7dd560b91a329c1bec7fa06bfdffaed"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_riesz_decomposition_check():
@@ -64,6 +77,16 @@ class TestShardedLawSuite:
             assert rep["expected"] == LAW_EXPECTATIONS[rep["law"]]
             assert rep["observed"] == rep["expected"], rep["law"]
             assert rep["ok"]
+
+
+class TestPinnedReports:
+    def test_law_reports(self):
+        reports = [hull_law_suite(law, triples=300, seed=42) for law in (5, 7, 8, 9, 10, 11)]
+        assert sha256(json.dumps(reports, sort_keys=True)) == LAW_REPORTS_SHA256
+
+    def test_seed42_suite_report(self):
+        report = run_suite(seed=42)
+        assert sha256(json.dumps(report, sort_keys=True, indent=2) + "\n") == SUITE_SEED42_SHA256
 
 
 class TestRunSuite:
