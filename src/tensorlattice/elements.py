@@ -251,7 +251,13 @@ class RieszSeminorm:
         )
 
     def unit_ball(self):
-        """The set {p <= 1} as a convex-solid-balanced generated set."""
+        """Conv_b(Sol(G)), with G the vertices d / p(d) of the rays with p(d) > 0.
+
+        For a polyhedral gauge G is its generator list. This is the set
+        {p <= 1} unless p vanishes on a ray: for a weighted l1 seminorm with
+        a zero weight w_i, {p <= 1} contains every multiple of e_i, while
+        this set has no extent along e_i (its gauge there is INFINITE).
+        """
         from . import hulls
 
         if self.kind == POLYHEDRAL_GAUGE:

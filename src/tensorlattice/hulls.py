@@ -376,6 +376,11 @@ def sample_hull_point(rng: SplitStream, S: GeneratedSet, margin=Fraction(0), wit
     return (point, terms) if with_witness else point
 
 
+def random_element(rng: SplitStream, dim: int, lo=-3, hi=3) -> LatticeElement:
+    """A point whose coordinates lie on the quarter grid of [lo, hi]."""
+    return LatticeElement(tuple(rng.fraction(lo, hi, 4) for _ in range(dim)))
+
+
 def random_bare_set(rng: SplitStream, dim: int, max_gens: int = 4, lo: int = -5, hi: int = 5) -> GeneratedSet:
     count = rng.randint(1, max_gens)
     gens = tuple(
@@ -392,6 +397,37 @@ def random_lattice_hom(rng: SplitStream, source_dim: int, target_dim: int) -> La
             row[rng.randint(0, source_dim - 1)] = rng.fraction(0, 3, 2)
         rows.append(tuple(row))
     return LatticeHom(tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Reports of sampled statements
+# ---------------------------------------------------------------------------
+# Every sampled check in the package records through these helpers, which
+# keep the witnesses of the first _WITNESS_CAP violations.
+
+_WITNESS_CAP = 3
+
+
+def _report(samples):
+    return {"samples": samples, "violations": 0, "witnesses": []}
+
+
+def _count(rep, witness, key="violations", count=1):
+    rep[key] += count
+    if len(rep["witnesses"]) < _WITNESS_CAP:
+        rep["witnesses"].append(witness)
+
+
+def _violation(rep, index, payload=None):
+    _count(rep, {"index": index, **(payload or {})})
+
+
+def _close(rep, statement_id, statement, key="violations"):
+    """Name the statement of a report; it holds when rep[key] counted nothing."""
+    rep["id"] = statement_id
+    rep["statement"] = statement
+    rep["ok"] = rep[key] == 0
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +778,7 @@ def _tally(directions: dict, direction: str, status: str, witness):
         return
     d["checked"] += 1
     if status == "violation":
-        d["violations"] += 1
-        if witness is not None and len(d["witnesses"]) < 3:
-            d["witnesses"].append(witness)
+        _count(d, witness)
 
 
 def hull_law_check(law: int, A: GeneratedSet | None, B: GeneratedSet | None,
@@ -868,11 +902,7 @@ def solid_closure_check(*, samples: int, seed: int, dim_lo: int = 1, dim_hi: int
             y = sample_box_point(orng, x)
             results[name]["checked"] += 1
             if not oracle(A, B, y):
-                results[name]["violations"] += 1
-                if len(results[name]["witnesses"]) < 3:
-                    results[name]["witnesses"].append(
-                        {"index": s, "x": x.to_json(), "y": y.to_json()}
-                    )
+                _violation(results[name], s, {"x": x.to_json(), "y": y.to_json()})
             if name in ("join", "meet"):
                 # One-sided solidity: join on the positive cone, meet on the negative.
                 xp = abs(x)

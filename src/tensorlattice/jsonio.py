@@ -14,13 +14,21 @@ from fractions import Fraction
 # written out in full (4300 digits): "1e1000000" would otherwise build a
 # 3.3-million-bit integer before anything looks at it.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-# A rational string may carry at most this many digits. "p" and "p/q", the
-# forms `fraction_str` prints, are read in pieces, so they round-trip beyond
-# the interpreter's int-to-str limit; other forms go through Fraction() and
-# stay within that limit (4300 digits unless the interpreter is set otherwise).
+# A rational string may carry at most this many digits, in any form. Every
+# digit run is read in pieces, so values round-trip beyond the interpreter's
+# int-to-str limit. "p" and "p/q", the forms `fraction_str` prints, match
+# _PLAIN; the rest of the grammar Fraction() reads (underscores, decimal
+# points, exponents) matches _RATIONAL.
 MAX_DIGITS = 20_000
 _PLAIN = re.compile(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*\Z")
+_RATIONAL = re.compile(r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<denom>\d+(?:_\d+)*)
+     |(?:\.(?P<decimal>\d*|\d+(?:_\d+)*))?
+      (?:[eE](?P<exp_sign>[-+]?)(?P<exp>\d+(?:_\d+)*))?
+    )\s*\Z
+""", re.VERBOSE)
 # Diagnostics quote at most this many characters of a rejected string.
 _QUOTE_CHARS = 40
 # Integers up to this many bits (at most 603 digits) print with str(), and
@@ -64,18 +72,34 @@ def as_fraction(value, field: str = "value") -> Fraction:
             if denominator == 0:
                 raise FormatError(field, f"zero denominator in {_quote(value)}")
             return Fraction(-numerator if sign == "-" else numerator, denominator)
-        exponent = _EXPONENT.search(value)
-        if exponent:
-            digits = exponent.group(1).replace("_", "").lstrip("0")
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
-                raise FormatError(field, f"exponent exceeds {MAX_EXPONENT} in magnitude")
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise FormatError(field, f"zero denominator in {_quote(value)}") from None
-        except ValueError:
-            raise FormatError(field, f"invalid rational {_quote(value)}") from None
+        return _read_rational(value, field)
     raise FormatError(field, f"expected rational string or integer, got {type(value).__name__}")
+
+
+def _read_rational(value: str, field: str) -> Fraction:
+    """A string in Fraction()'s grammar, every digit run read in pieces."""
+    form = _RATIONAL.match(value)
+    if not form:
+        raise FormatError(field, f"invalid rational {_quote(value)}")
+    numerator = _digits_int(form["num"].replace("_", "") or "0")
+    denominator = 1
+    if form["denom"]:
+        denominator = _digits_int(form["denom"].replace("_", ""))
+        if denominator == 0:
+            raise FormatError(field, f"zero denominator in {_quote(value)}")
+    if form["decimal"]:
+        decimal = form["decimal"].replace("_", "")
+        denominator = 10 ** len(decimal)
+        numerator = numerator * denominator + _digits_int(decimal)
+    if form["exp"]:
+        exponent = _digits_int(form["exp"].replace("_", ""))
+        if exponent > MAX_EXPONENT:
+            raise FormatError(field, f"exponent exceeds {MAX_EXPONENT} in magnitude")
+        if form["exp_sign"] == "-":
+            denominator *= 10 ** exponent
+        else:
+            numerator *= 10 ** exponent
+    return Fraction(-numerator if form["sign"] == "-" else numerator, denominator)
 
 
 def _digits_int(digits: str) -> int:

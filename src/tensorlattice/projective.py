@@ -45,6 +45,7 @@ from .elements import (
     SeminormFamily,
     UnsupportedSeminormKind,
 )
+from .hulls import _close, _report, _violation, random_element
 from .jsonio import FormatError, as_fraction, fraction_str, require_key
 from .rng import SplitStream
 from .simplex import InfeasibleLP, LinearProgram, UnboundedLP
@@ -52,11 +53,10 @@ from .tensor import (
     Membership,
     TensorElement,
     TensorNbhd,
-    _report,
-    _violation,
     dominating_rank_one,
     matrix_unit,
     nbhd_member,
+    random_tensor,
     rank_one,
     sample_tensor_box,
 )
@@ -522,10 +522,6 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
 # ---------------------------------------------------------------------------
 
 
-def _random_element(rng: SplitStream, dim: int, lo=-3, hi=3, denominator=4) -> LatticeElement:
-    return LatticeElement(tuple(rng.fraction(lo, hi, denominator) for _ in range(dim)))
-
-
 def cross_property_check(p: RieszSeminorm, q: RieszSeminorm, *, samples: int, seed: int,
                          budget: Budget | None = None) -> dict:
     """On rank-one elements the projective seminorm is the product seminorm.
@@ -542,8 +538,8 @@ def cross_property_check(p: RieszSeminorm, q: RieszSeminorm, *, samples: int, se
     pure = p.kind == q.kind
     for s in range(samples):
         srng = rng.split(s)
-        x0 = _random_element(srng.split("x"), p.dim)
-        y0 = _random_element(srng.split("y"), q.dim)
+        x0 = random_element(srng.split("x"), p.dim)
+        y0 = random_element(srng.split("y"), q.dim)
         if s == 0:
             x0 = LatticeElement.zero(p.dim)  # pin the trivial case
         u = rank_one(x0, y0)
@@ -557,13 +553,9 @@ def cross_property_check(p: RieszSeminorm, q: RieszSeminorm, *, samples: int, se
                 "lower": fraction_str(cert.lower),
                 "upper": fraction_str(cert.upper),
             })
-    rep["id"] = "cross-seminorm-identity"
-    rep["statement"] = (
-        "the projective seminorm of a rank-one element is the product of the "
-        "factor seminorms" + ("" if pure else " (mixed kinds: dual meets it exactly)")
-    )
-    rep["ok"] = rep["violations"] == 0
-    return rep
+    return _close(rep, "cross-seminorm-identity",
+                  "the projective seminorm of a rank-one element is the product of the "
+                  "factor seminorms" + ("" if pure else " (mixed kinds: dual meets it exactly)"))
 
 
 def gauge_equivalence_check(W: TensorNbhd, p: RieszSeminorm, q: RieszSeminorm,
@@ -634,12 +626,8 @@ def certificate_axiom_check(p: RieszSeminorm, q: RieszSeminorm, *, samples: int,
     n, m = p.dim, q.dim
     for s in range(samples):
         srng = rng.split(s)
-        u = TensorElement(tuple(
-            tuple(srng.fraction(-3, 3, 4) for _ in range(m)) for _ in range(n)
-        ))
-        v = TensorElement(tuple(
-            tuple(srng.fraction(-3, 3, 4) for _ in range(m)) for _ in range(n)
-        ))
+        u = random_tensor(srng, n, m)
+        v = random_tensor(srng, n, m)
         cu = seminorm_certify(p, q, u, budget)
         cv = seminorm_certify(p, q, v, budget)
         lam = srng.fraction(-2, 2, 8)
@@ -661,10 +649,8 @@ def certificate_axiom_check(p: RieszSeminorm, q: RieszSeminorm, *, samples: int,
             problems.append("dominated element certified above the dominating upper bound")
         if problems:
             _violation(rep, s, {"problems": problems})
-    rep["id"] = "certificate-axioms"
-    rep["statement"] = "subadditivity, balanced homogeneity, and solidity hold at certificate level"
-    rep["ok"] = rep["violations"] == 0
-    return rep
+    return _close(rep, "certificate-axioms",
+                  "subadditivity, balanced homogeneity, and solidity hold at certificate level")
 
 
 def hausdorff_check(P: SeminormFamily, Q: SeminormFamily, *, samples: int, seed: int) -> dict:
@@ -697,9 +683,7 @@ def hausdorff_check(P: SeminormFamily, Q: SeminormFamily, *, samples: int, seed:
     n, m = P.dim, Q.dim
     for s in range(samples):
         srng = rng.split(s)
-        u = TensorElement(tuple(
-            tuple(srng.fraction(-3, 3, 4) for _ in range(m)) for _ in range(n)
-        ))
+        u = random_tensor(srng, n, m)
         if s == 0 and dead_left:
             u = matrix_unit(n, m, dead_left[0], 0)  # forced failure witness
         elif s == 0 and dead_right:

@@ -8,8 +8,8 @@ and columns), which is exactly the regime where a dense rational tableau is
 the simplest correct tool.
 
 `solve_standard` handles min c.x s.t. Ax = b, x >= 0. `LinearProgram` is a
-small builder on top: named variables (optionally free), <=/>=/== rows, and
-translation of the answer back to the caller's variables.
+small builder on top: nonnegative variables, <=/>=/== rows turned into
+equalities with one slack column each, and the answer read back per variable.
 """
 
 from __future__ import annotations
@@ -121,14 +121,13 @@ class LinearProgram:
     """Incremental builder: variables, <=/>=/== rows, exact minimize."""
 
     def __init__(self):
-        self._free = []
         self._costs = []
         self._rows = []
 
-    def var(self, cost=0, free=False) -> int:
-        self._free.append(free)
+    def var(self, cost=0) -> int:
+        """A new variable x >= 0 with the given cost; returns its index."""
         self._costs.append(as_fraction(cost))
-        return len(self._free) - 1
+        return len(self._costs) - 1
 
     def add(self, coeffs: dict, sense: str, rhs):
         if sense not in ("<=", ">=", "=="):
@@ -137,49 +136,25 @@ class LinearProgram:
 
     def minimize(self):
         """Returns (value, assignment) or raises InfeasibleLP / UnboundedLP."""
-        columns = []  # per variable: (positive column, negative column or -1)
-        ncols = 0
-        for is_free in self._free:
-            if is_free:
-                columns.append((ncols, ncols + 1))
-                ncols += 2
-            else:
-                columns.append((ncols, -1))
-                ncols += 1
-        slack_of_row = []
-        for _, sense, _ in self._rows:
-            if sense == "==":
-                slack_of_row.append(0)
-            else:
-                slack_of_row.append(1 if sense == "<=" else -1)
-                ncols += 1
+        nvars = len(self._costs)
+        slack_of_row = [{"==": 0, "<=": 1, ">=": -1}[sense] for _, sense, _ in self._rows]
+        ncols = nvars + sum(1 for slack in slack_of_row if slack)
 
         rows, rhs = [], []
-        slack_col = ncols - sum(1 for s in slack_of_row if s)
-        for (coeffs, sense, b), slack in zip(self._rows, slack_of_row):
+        slack_col = nvars
+        for (coeffs, _, b), slack in zip(self._rows, slack_of_row):
             row = [Fraction(0)] * ncols
             for v, a in coeffs.items():
-                pos, neg = columns[v]
-                row[pos] += a
-                if neg >= 0:
-                    row[neg] -= a
+                row[v] = a
             if slack:
                 row[slack_col] = Fraction(slack)
                 slack_col += 1
             rows.append(row)
             rhs.append(b)
 
-        costs = [Fraction(0)] * ncols
-        for (pos, neg), c in zip(columns, self._costs):
-            costs[pos] += c
-            if neg >= 0:
-                costs[neg] -= c
-
+        costs = self._costs + [Fraction(0)] * (ncols - nvars)
         value, x = solve_standard(rows, rhs, costs)
-        assignment = []
-        for pos, neg in columns:
-            assignment.append(x[pos] - (x[neg] if neg >= 0 else Fraction(0)))
-        return value, assignment
+        return value, x[:nvars]
 
     def feasible(self) -> bool:
         saved = self._costs

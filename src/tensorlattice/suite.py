@@ -6,6 +6,10 @@ axioms, gauge/tri-state consistency, the rank-one cross property, the
 separation check, and the universal-property checks, and folds them into a
 single machine-readable report with one pass/fail line per statement.
 
+Every sampled check records through the report helpers of `hulls`
+(`_report`, `_violation`, `_count`, `_close`) and draws through the samplers
+`random_element`, `sample_box_point` and `tensor.random_tensor`.
+
 Determinism contract: the report is a function of (seed, sizes) only.
 Every sample draws from its own stream, derived from the seed, the statement
 and the sample index, and each hull law runs whole as one task, so the report
@@ -20,6 +24,7 @@ import multiprocessing
 from fractions import Fraction
 
 from . import hulls, projective, universal
+from .hulls import _close, _count, _report, _violation, random_element, sample_box_point
 from .elements import (
     LatticeElement,
     SeminormFamily,
@@ -33,12 +38,11 @@ from .rng import SplitStream
 from .tensor import (
     TensorElement,
     TensorNbhd,
-    _report,
-    _violation,
     base_axiom_check,
     dominating_rank_one,
     matrix_unit,
     nbhd_solidity_check,
+    random_tensor,
     rank_one,
     rank_one_sup_recover,
     sup_of_rank_ones,
@@ -57,12 +61,9 @@ def riesz_decomposition_check(*, samples: int, seed: int, dim_hi: int = 6) -> di
     for s in range(samples):
         srng = rng.split(s)
         dim = srng.randint(1, dim_hi)
-        x = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(dim)))
-        y = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(dim)))
-        bound = abs(x) + abs(y)
-        z = LatticeElement(tuple(
-            srng.fraction(-b, b, 4) if b != 0 else Fraction(0) for b in bound.coords
-        ))
+        x = random_element(srng, dim)
+        y = random_element(srng, dim)
+        z = sample_box_point(srng, abs(x) + abs(y))
         z1, z2 = riesz_decompose(z, x, y)
         formula = z.join(-abs(x)).meet(abs(x))
         good = (
@@ -73,12 +74,8 @@ def riesz_decomposition_check(*, samples: int, seed: int, dim_hi: int = 6) -> di
         )
         if not good:
             _violation(rep, s, {"z": z.to_json(), "x": x.to_json(), "y": y.to_json()})
-    rep["id"] = "riesz-decomposition"
-    rep["statement"] = (
-        "any z dominated by |x| + |y| splits exactly into parts dominated by |x| and |y|"
-    )
-    rep["ok"] = rep["violations"] == 0
-    return rep
+    return _close(rep, "riesz-decomposition",
+                  "any z dominated by |x| + |y| splits exactly into parts dominated by |x| and |y|")
 
 
 def disjointify_check(*, samples: int, seed: int, dim_hi: int = 6) -> dict:
@@ -88,8 +85,8 @@ def disjointify_check(*, samples: int, seed: int, dim_hi: int = 6) -> dict:
     for s in range(samples):
         srng = rng.split(s)
         dim = srng.randint(1, dim_hi)
-        x = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(dim)))
-        y = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(dim)))
+        x = random_element(srng, dim)
+        y = random_element(srng, dim)
         xp, yp = disjointify(x, y)
         ax, ay = abs(x), abs(y)
         common = ax.meet(ay)
@@ -105,13 +102,9 @@ def disjointify_check(*, samples: int, seed: int, dim_hi: int = 6) -> dict:
         )
         if not good:
             _violation(rep, s, {"x": x.to_json(), "y": y.to_json()})
-    rep["id"] = "disjointification"
-    rep["statement"] = (
-        "carving the common part of |x| and |y| leaves a disjoint pair whose join is "
-        "|x| v |y| minus |x| ^ |y|"
-    )
-    rep["ok"] = rep["violations"] == 0
-    return rep
+    return _close(rep, "disjointification",
+                  "carving the common part of |x| and |y| leaves a disjoint pair whose join is "
+                  "|x| v |y| minus |x| ^ |y|")
 
 
 def seminorm_axiom_check(*, samples: int, seed: int) -> dict:
@@ -131,12 +124,10 @@ def seminorm_axiom_check(*, samples: int, seed: int) -> dict:
             gens = [LatticeElement(tuple(Fraction(1) for _ in range(dim)))]
             gens.append(LatticeElement(tuple(srng.fraction(0, 2, 2) for _ in range(dim))))
             p = polyhedral_gauge(gens)
-        x = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(dim)))
-        y = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(dim)))
+        x = random_element(srng, dim)
+        y = random_element(srng, dim)
         lam = srng.fraction(-2, 2, 8)
-        v = LatticeElement(tuple(
-            srng.fraction(-c, c, 4) if c != 0 else Fraction(0) for c in abs(x).coords
-        ))
+        v = sample_box_point(srng, x)
         px = p(x)  # a gauge LP for the polyhedral kind, so evaluated once
         problems = []
         if px < 0:
@@ -151,12 +142,8 @@ def seminorm_axiom_check(*, samples: int, seed: int) -> dict:
             problems.append("solidity")
         if problems:
             _violation(rep, s, {"kind": p.kind, "problems": problems})
-    rep["id"] = "seminorm-axioms"
-    rep["statement"] = (
-        "every seminorm kind is positive, absolutely homogeneous, subadditive, and solid"
-    )
-    rep["ok"] = rep["violations"] == 0
-    return rep
+    return _close(rep, "seminorm-axioms",
+                  "every seminorm kind is positive, absolutely homogeneous, subadditive, and solid")
 
 
 def tensor_model_check(*, samples: int, seed: int) -> dict:
@@ -174,9 +161,7 @@ def tensor_model_check(*, samples: int, seed: int) -> dict:
     for s in range(samples):
         srng = rng.split(s)
         n, m = srng.randint(1, 3), srng.randint(1, 3)
-        c = abs(TensorElement(tuple(
-            tuple(srng.fraction(-3, 3, 4) for _ in range(m)) for _ in range(n)
-        )))
+        c = abs(random_tensor(srng, n, m))
         problems = []
         if sup_of_rank_ones(rank_one_sup_recover(c), c.shape) != c:
             problems.append("sup recovery")
@@ -189,8 +174,8 @@ def tensor_model_check(*, samples: int, seed: int) -> dict:
             LatticeElement.unit(n, i, val), LatticeElement.unit(m, j)
         ):
             problems.append("matrix unit as rank-one")
-        x = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(n)))
-        y = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(m)))
+        x = random_element(srng, n)
+        y = random_element(srng, m)
         if abs(rank_one(x, y)) != rank_one(abs(x), abs(y)):
             problems.append("abs through rank-one")
         diff = rank_one(x, y) - rank_one(x, y)
@@ -198,13 +183,9 @@ def tensor_model_check(*, samples: int, seed: int) -> dict:
             problems.append("self-approximation base case")
         if problems:
             _violation(rep, s, {"problems": problems})
-    rep["id"] = "tensor-model-density"
-    rep["statement"] = (
-        "rank-one elements generate the tensor model: matrix units, suprema, and "
-        "dominating bounds are all exact"
-    )
-    rep["ok"] = rep["violations"] == 0
-    return rep
+    return _close(rep, "tensor-model-density",
+                  "rank-one elements generate the tensor model: matrix units, suprema, and "
+                  "dominating bounds are all exact")
 
 
 # ---------------------------------------------------------------------------
@@ -247,44 +228,29 @@ def gauge_consistency_suite(*, samples: int, seed: int) -> dict:
     """
     rng = SplitStream(seed).split("gauge-consistency")
     pairs = _kind_pairs()
-    total = {"samples": 0, "probes": 0, "contradictions": 0, "witnesses": []}
+    # (witness tag, p, q, u, budget): the random instances, then the fixtures
+    instances = []
     for s in range(samples):
-        srng = rng.split(s)
         p, q = pairs[s % len(pairs)]
-        u = TensorElement(tuple(
-            tuple(srng.fraction(-3, 3, 4) for _ in range(q.dim)) for _ in range(p.dim)
-        ))
-        W = TensorNbhd.from_seminorms(p, q)
-        rep = projective.gauge_equivalence_check(W, p, q, u, seed=seed)
-        total["samples"] += 1
-        total["probes"] += len(rep["probes"])
-        if rep["contradictions"]:
-            total["contradictions"] += len(rep["contradictions"])
-            if len(total["witnesses"]) < 3:
-                total["witnesses"].append({"index": s, "contradictions": rep["contradictions"]})
+        instances.append(({"index": s}, p, q, random_tensor(rng.split(s), p.dim, q.dim), None))
     starved = projective.Budget(k_max=1, restarts=0)
-    gap_instances = [
-        (weighted_l1([1, 1]), weighted_order_unit([1, 2]),
-         TensorElement.make([[2, 0], [0, 1]])),
-        (weighted_order_unit([1, 2]), weighted_l1([1, 1]),
-         TensorElement.make([[0, 2], [1, 0]])),
+    instances += [
+        ({"fixture": 0}, weighted_l1([1, 1]), weighted_order_unit([1, 2]),
+         TensorElement.make([[2, 0], [0, 1]]), starved),
+        ({"fixture": 1}, weighted_order_unit([1, 2]), weighted_l1([1, 1]),
+         TensorElement.make([[0, 2], [1, 0]]), starved),
     ]
-    for k, (p, q, u) in enumerate(gap_instances):
+    total = {"samples": len(instances), "probes": 0, "contradictions": 0, "witnesses": []}
+    for tag, p, q, u, budget in instances:
         W = TensorNbhd.from_seminorms(p, q)
-        rep = projective.gauge_equivalence_check(W, p, q, u, seed=seed, budget=starved)
-        total["samples"] += 1
+        rep = projective.gauge_equivalence_check(W, p, q, u, seed=seed, budget=budget)
         total["probes"] += len(rep["probes"])
         if rep["contradictions"]:
-            total["contradictions"] += len(rep["contradictions"])
-            if len(total["witnesses"]) < 3:
-                total["witnesses"].append({"fixture": k, "contradictions": rep["contradictions"]})
-    total["id"] = "gauge-seminorm-consistency"
-    total["statement"] = (
-        "tri-state neighborhood membership never contradicts the certified seminorm "
-        "interval, at radii below, inside, and above it"
-    )
-    total["ok"] = total["contradictions"] == 0
-    return total
+            _count(total, {**tag, "contradictions": rep["contradictions"]},
+                   "contradictions", len(rep["contradictions"]))
+    return _close(total, "gauge-seminorm-consistency",
+                  "tri-state neighborhood membership never contradicts the certified seminorm "
+                  "interval, at radii below, inside, and above it", "contradictions")
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +275,10 @@ def run_suite(*, seed: int = 42, triples: int = 60, samples: int = 80,
             entry["expected_failure_demonstrated"] = rep["ok"]
         statements.append(entry)
 
+    def check_line(section, check, statement_id, statement):
+        """One sub-check of a report (samples, violations, witnesses) as its own line."""
+        line(section, _close(dict(check), statement_id, statement))
+
     # hull laws and solid closure
     for rep in hull_law_suite_sharded(triples=triples, seed=seed, workers=workers):
         line("hull-laws", rep)
@@ -327,20 +297,12 @@ def run_suite(*, seed: int = 42, triples: int = 60, samples: int = 80,
     W2 = TensorNbhd.from_seminorms(weighted_order_unit([2, 1]), weighted_l1([1, 1]))
     base = base_axiom_check(W1, W2, seed=seed, samples=samples)
     for axiom, sub in sorted(base["checks"].items()):
-        statements.append({
-            "section": "neighborhood-base",
-            "id": f"nbhd-base-{axiom}",
-            "statement": {
-                "additivity": "half-scaled neighborhoods sum into the original",
-                "balance": "neighborhoods absorb scalars of modulus at most one",
-                "translation": "interior points translate a shrunken neighborhood inside",
-                "intersection": "the intersected-factor neighborhood sits inside both factors",
-            }[axiom],
-            "samples": sub["samples"],
-            "violations": sub["violations"],
-            "witnesses": sub["witnesses"],
-            "ok": sub["violations"] == 0,
-        })
+        check_line("neighborhood-base", sub, f"nbhd-base-{axiom}", {
+            "additivity": "half-scaled neighborhoods sum into the original",
+            "balance": "neighborhoods absorb scalars of modulus at most one",
+            "translation": "interior points translate a shrunken neighborhood inside",
+            "intersection": "the intersected-factor neighborhood sits inside both factors",
+        }[axiom])
     line("neighborhood-base", nbhd_solidity_check(W1, seed=seed, samples=samples))
 
     # gauge consistency and the certified seminorm
@@ -382,15 +344,8 @@ def run_suite(*, seed: int = 42, triples: int = 60, samples: int = 80,
     # universal property
     phi = universal.LatticeBimorphism.canonical(2, 2)
     hom = universal.hom_property_report(phi, samples=samples, seed=seed)
-    statements.append({
-        "section": "universal-property",
-        "id": "factorization-identity",
-        "statement": "the induced map agrees with the bimorphism on every rank-one pair",
-        "samples": hom["checks"]["factorization"]["samples"],
-        "violations": hom["checks"]["factorization"]["violations"],
-        "witnesses": hom["checks"]["factorization"]["witnesses"],
-        "ok": hom["checks"]["factorization"]["violations"] == 0,
-    })
+    check_line("universal-property", hom["checks"]["factorization"], "factorization-identity",
+               "the induced map agrees with the bimorphism on every rank-one pair")
     line("universal-property", hom)
     broken = universal.LatticeBimorphism.unchecked([
         [LatticeElement.make([1]), LatticeElement.make([1])],

@@ -35,8 +35,13 @@ from .hulls import (
     CONV_B,
     SOL,
     GeneratedSet,
+    _close,
+    _report,
+    _violation,
     gauge,
     member,
+    random_element,
+    sample_box_point,
     sample_hull_point,
     scale_set,
 )
@@ -303,14 +308,15 @@ def nbhd_member(W: TensorNbhd, u: TensorElement, radius=1, budget=None) -> Membe
 # Everything is verified exactly; the sampler constructs such witnesses.
 
 
+def random_tensor(rng: SplitStream, n: int, m: int, lo=-3, hi=3) -> TensorElement:
+    """An n x m tensor with entries on the quarter grid of [lo, hi], drawn row by row."""
+    return TensorElement.from_flat(random_element(rng, n * m, lo, hi), (n, m))
+
+
 def sample_tensor_box(rng: SplitStream, bound: TensorElement, denominator: int = 4) -> TensorElement:
-    ab = abs(bound)
-    return TensorElement(
-        tuple(
-            tuple(rng.fraction(-c, c, denominator) if c != 0 else Fraction(0) for c in row)
-            for row in ab.entries
-        )
-    )
+    """A point of the box |u| <= |bound|, drawn row by row."""
+    flat = sample_box_point(rng, bound.flatten(), denominator)
+    return TensorElement.from_flat(flat, bound.shape)
 
 
 def sample_nbhd_point(W: TensorNbhd, rng: SplitStream, margin=Fraction(0), max_terms: int = 3):
@@ -385,21 +391,6 @@ def _signed_padded(witness):
 # ---------------------------------------------------------------------------
 
 
-# The per-statement report shape shared by every sampled property check
-# (here, in `projective` and in `suite`): at most three witnesses are kept.
-def _report(samples):
-    return {"samples": samples, "violations": 0, "witnesses": []}
-
-
-def _violation(rep, index, payload=None):
-    rep["violations"] += 1
-    if len(rep["witnesses"]) < 3:
-        entry = {"index": index}
-        if payload:
-            entry.update(payload)
-        rep["witnesses"].append(entry)
-
-
 def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int) -> dict:
     """Witness-level verification of the neighborhood-base axioms.
 
@@ -418,12 +409,11 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
         raise DimensionMismatch(f"neighborhoods over {W1.shape} vs {W2.shape}")
     rng = SplitStream(seed).split("nbhd-base")
     half = TensorNbhd(scale_set(W1.left, Fraction(1, 2)), W1.right)
-    report = {
-        "additivity": _report(samples),
-        "balance": _report(samples),
-        "translation": _report(samples),
-        "intersection": _report(samples),
-    }
+    # W1's factors pulled inside W2's, for the intersection axiom; built
+    # once, since it draws nothing and no sample changes it
+    inner = TensorNbhd(_shrink_into(W1.left, W2.left), _shrink_into(W1.right, W2.right))
+    report = {axiom: _report(samples)
+              for axiom in ("additivity", "balance", "translation", "intersection")}
 
     for s in range(samples):
         srng = rng.split(s)
@@ -465,12 +455,8 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
         if not verify_nbhd_witness(W1, z + w, product):
             _violation(report["translation"], s)
 
-        # intersection: pull W1's factors inside W2's and check both
-        irng = srng.split("intersect")
-        inner_left = _shrink_into(W1.left, W2.left)
-        inner_right = _shrink_into(W1.right, W2.right)
-        inner = TensorNbhd(inner_left, inner_right)
-        v, vwit = sample_nbhd_point(inner, irng)
+        # intersection: a point of the pulled-in neighborhood lies in W1 and W2
+        v, vwit = sample_nbhd_point(inner, srng.split("intersect"))
         ok = verify_nbhd_witness(W1, v, vwit) and verify_nbhd_witness(W2, v, vwit)
         if not ok:
             _violation(report["intersection"], s)
@@ -510,11 +496,7 @@ def nbhd_solidity_check(W: TensorNbhd, *, seed: int, samples: int, budget=None) 
     n, m = W.shape
     for s in range(samples):
         srng = rng.split(s)
-        u = TensorElement(
-            tuple(
-                tuple(srng.fraction(-2, 2, 4) for _ in range(m)) for _ in range(n)
-            )
-        )
+        u = random_tensor(srng, n, m, -2, 2)
         cert_u = projective.seminorm_certify(W.p, W.q, u, budget)
         if cert_u.upper > 1:
             # pull u onto the boundary so membership is certain
@@ -526,7 +508,5 @@ def nbhd_solidity_check(W: TensorNbhd, *, seed: int, samples: int, budget=None) 
         cert_v = projective.seminorm_certify(W.p, W.q, v, budget)
         if cert_v.lower > 1:
             _violation(rep, s, {"u": u.to_json(), "v": v.to_json()})
-    rep["id"] = "nbhd-solidity"
-    rep["statement"] = "certified neighborhood membership is solid (downward closed in |.|)"
-    rep["ok"] = rep["violations"] == 0
-    return rep
+    return _close(rep, "nbhd-solidity",
+                  "certified neighborhood membership is solid (downward closed in |.|)")

@@ -26,13 +26,13 @@ from .rng import SplitStream
 from .tensor import (
     TensorElement,
     TensorNbhd,
-    _report,
-    _violation,
+    random_tensor,
     rank_one,
     sample_nbhd_point,
     sample_tensor_box,
 )
 from . import hulls
+from .hulls import _report, _violation, random_element
 
 
 class BimorphismDefect(ValueError):
@@ -185,12 +185,6 @@ def induce_hom(phi: LatticeBimorphism) -> InducedHom:
     return InducedHom(phi)
 
 
-def _sample_tensor(rng: SplitStream, n: int, m: int, lo=-3, hi=3) -> TensorElement:
-    return TensorElement(tuple(
-        tuple(rng.fraction(lo, hi, 4) for _ in range(m)) for _ in range(n)
-    ))
-
-
 def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> dict:
     """Exact checks that the induced map is a lattice homomorphism.
 
@@ -210,10 +204,10 @@ def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> d
 
     for s in range(samples):
         srng = rng.split(s)
-        x = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(n)))
-        y = LatticeElement(tuple(srng.fraction(-3, 3, 4) for _ in range(m)))
-        u = _sample_tensor(srng.split("u"), n, m)
-        v = _sample_tensor(srng.split("v"), n, m)
+        x = random_element(srng, n)
+        y = random_element(srng, m)
+        u = random_tensor(srng.split("u"), n, m)
+        v = random_tensor(srng.split("v"), n, m)
         if T.apply(rank_one(x, y)) != phi(x, y):
             _violation(checks["factorization"], s, {"x": x.to_json(), "y": y.to_json()})
         if T.apply(u + v) != T.apply(u) + T.apply(v):
@@ -256,7 +250,7 @@ def hom_agreement_check(phi: LatticeBimorphism, psi: LatticeBimorphism, *,
     disagreements = 0
     witness = None
     for s in range(samples):
-        u = _sample_tensor(rng.split(s), n, m)
+        u = random_tensor(rng.split(s), n, m)
         if T.apply(u) != S.apply(u):
             disagreements += 1
             if witness is None:
@@ -356,9 +350,7 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
         "id": "continuity-constant",
         "statement": "the induced map is seminorm-continuous with an exact operator constant",
         "constant": "INFINITE" if C is INFINITE else fraction_str(C),
-        "samples": samples,
-        "violations": 0,
-        "witnesses": [],
+        **_report(samples),
     }
 
     if C is INFINITE:
@@ -387,21 +379,18 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
     rng = SplitStream(seed).split("continuity")
     n, m = phi.source_shape
     for s in range(samples):
-        u = _sample_tensor(rng.split(s), n, m)
+        u = random_tensor(rng.split(s), n, m)
         cert = projective.seminorm_certify(p, q, u, budget)
         val = r(T.apply(u))
         if val is INFINITE or val > C * cert.upper:
-            report["violations"] += 1
-            if len(report["witnesses"]) < 3:
-                report["witnesses"].append({
-                    "index": s,
-                    "u": u.to_json(),
-                    "image_seminorm": "INFINITE" if val is INFINITE else fraction_str(val),
-                    "bound": fraction_str(C * cert.upper),
-                })
+            _violation(report, s, {
+                "u": u.to_json(),
+                "image_seminorm": "INFINITE" if val is INFINITE else fraction_str(val),
+                "bound": fraction_str(C * cert.upper),
+            })
 
     W = TensorNbhd.from_seminorms(p, q)
-    hull_rep = {"samples": samples, "violations": 0, "witnesses": []}
+    hull_rep = _report(samples)
     for s in range(samples):
         srng = rng.split("hull", s)
         point, witness = sample_nbhd_point(W, srng)
@@ -415,14 +404,9 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
         image_set = hulls.GeneratedSet(tuple(gens), ("Sol", "Conv_b"))
         inside = hulls.member(image_set, T.apply(point))
         if not (termwise_ok and inside):
-            hull_rep["violations"] += 1
-            if len(hull_rep["witnesses"]) < 3:
-                hull_rep["witnesses"].append({
-                    "index": s,
-                    "point": point.to_json(),
-                    "termwise": termwise_ok,
-                    "member": inside,
-                })
+            _violation(hull_rep, s, {
+                "point": point.to_json(), "termwise": termwise_ok, "member": inside,
+            })
     report["hull_continuity"] = hull_rep
     report["ok"] = (
         report["violations"] == 0

@@ -310,6 +310,13 @@ class TestJson:
             assert as_fraction(fraction_str(value)) == value
         assert as_fraction(" -" + "9" * 5000 + " ") == -(10 ** 5000 - 1)
 
+    def test_decimal_forms_beyond_int_str_limit(self):
+        assert as_fraction("0." + "1" * 5000) == Fraction((10 ** 5000 - 1) // 9, 10 ** 5000)
+        mantissa = 10 ** 4999 + 5 * (10 ** 4999 - 1) // 9  # the digits 1555...5
+        assert as_fraction("1." + "5" * 4999 + "e2") == Fraction(mantissa, 10 ** 4997)
+        assert as_fraction("-" + "5" * 5000 + "E-2") == Fraction(-5 * (10 ** 5000 - 1) // 9, 100)
+        assert as_fraction("1_" + "0" * 5000 + ".5") == Fraction(2 * 10 ** 5000 + 1, 2)
+
     def test_digit_bound_names_the_count(self):
         for text in ("1" * (MAX_DIGITS + 1), f"{10 ** 4000}/{'3' * (MAX_DIGITS - 4000)}",
                      "0." + "5" * MAX_DIGITS):

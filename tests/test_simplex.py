@@ -56,19 +56,6 @@ def test_builder_inequalities():
     assert sol[x] == 3 and sol[y] == 1
 
 
-def test_free_variable():
-    # min |deviation|-style epigraph with a sign-free variable
-    lp = LinearProgram()
-    t = lp.var(cost=1)
-    z = lp.var(free=True)
-    lp.add({z: 1}, "==", Fraction(-5, 2))
-    lp.add({t: 1, z: 1}, ">=", 0)
-    lp.add({t: 1, z: -1}, ">=", 0)
-    value, sol = lp.minimize()
-    assert value == Fraction(5, 2)
-    assert sol[z] == Fraction(-5, 2)
-
-
 def test_exact_fractional_answer():
     lp = LinearProgram()
     x = lp.var(cost=1)

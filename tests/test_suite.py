@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+from tensorlattice import hulls
 from tensorlattice.hulls import LAW_EXPECTATIONS, hull_law_suite
 from tensorlattice.suite import (
     disjointify_check,
@@ -17,6 +18,11 @@ from tensorlattice.suite import (
 # triples=300, seed=42: more triples than the 250-sample shards the suite
 # once split each law into, so the pin spans their old boundary.
 LAW_REPORTS_SHA256 = "c576a20f8a5f28abb4bfb0c5b0dd7af09d0d0204a33242b755ea3c8e84635af0"
+# sha256 of json.dumps of every point `hulls.member` receives while
+# hull_law_suite(law, triples=40, seed=42) runs laws 3, 4, 6, 7 and 8, each
+# law's points headed by its number. The reports record a direction that
+# holds only as counts, so this pins the sampling streams behind them.
+MEMBER_POINTS_SHA256 = "a45911047f505cfde4cd00eab345fdd3247f22b7f085558612760d60f2fbd44b"
 # sha256 of the bytes `tensorlattice suite --seed 42` prints.
 SUITE_SEED42_SHA256 = "834fb63cfe7d17b2f7777b3a0efaf7a5b7dd560b91a329c1bec7fa06bfdffaed"
 
@@ -83,6 +89,20 @@ class TestPinnedReports:
     def test_law_reports(self):
         reports = [hull_law_suite(law, triples=300, seed=42) for law in (5, 7, 8, 9, 10, 11)]
         assert sha256(json.dumps(reports, sort_keys=True)) == LAW_REPORTS_SHA256
+
+    def test_member_point_streams(self, monkeypatch):
+        points = []
+        real_member = hulls.member
+
+        def recording_member(S, x):
+            points.append(x.to_json())
+            return real_member(S, x)
+
+        monkeypatch.setattr(hulls, "member", recording_member)
+        for law in (3, 4, 6, 7, 8):
+            points.append(law)
+            hull_law_suite(law, triples=40, seed=42)
+        assert sha256(json.dumps(points)) == MEMBER_POINTS_SHA256
 
     def test_seed42_suite_report(self):
         report = run_suite(seed=42)
