@@ -48,6 +48,13 @@ def _load_payload(arg: str, field: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(field, f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise FormatError(field, "invalid JSON: arrays or objects nested too deeply")
+    except ValueError:
+        # json raises a bare ValueError only for an integer literal past the
+        # interpreter's int-to-str digit limit
+        raise FormatError(field, "invalid JSON: an integer literal has too many digits; "
+                                 "write it as a string")
 
 
 def _emit(payload: dict, path: str | None):

@@ -88,31 +88,35 @@ class LatticeElement:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
 
+    def _like(self, coords) -> "LatticeElement":
+        """An element of the same lattice as self with the given coordinates."""
+        return LatticeElement(coords)
+
     def join(self, other: "LatticeElement") -> "LatticeElement":
         self._check(other)
-        return LatticeElement(tuple(max(a, b) for a, b in zip(self.coords, other.coords)))
+        return self._like(tuple(max(a, b) for a, b in zip(self.coords, other.coords)))
 
     def meet(self, other: "LatticeElement") -> "LatticeElement":
         self._check(other)
-        return LatticeElement(tuple(min(a, b) for a, b in zip(self.coords, other.coords)))
+        return self._like(tuple(min(a, b) for a, b in zip(self.coords, other.coords)))
 
     def __abs__(self) -> "LatticeElement":
-        return LatticeElement(tuple(abs(a) for a in self.coords))
+        return self._like(tuple(abs(a) for a in self.coords))
 
     def __add__(self, other: "LatticeElement") -> "LatticeElement":
         self._check(other)
-        return LatticeElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._like(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "LatticeElement") -> "LatticeElement":
         self._check(other)
-        return LatticeElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._like(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "LatticeElement":
-        return LatticeElement(tuple(-a for a in self.coords))
+        return self._like(tuple(-a for a in self.coords))
 
     def scale(self, alpha) -> "LatticeElement":
         alpha = as_fraction(alpha)
-        return LatticeElement(tuple(alpha * a for a in self.coords))
+        return self._like(tuple(alpha * a for a in self.coords))
 
     def le(self, other: "LatticeElement") -> bool:
         self._check(other)
@@ -120,9 +124,6 @@ class LatticeElement:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
-
-    def positive_part(self) -> "LatticeElement":
-        return LatticeElement(tuple(max(a, Fraction(0)) for a in self.coords))
 
     def to_json(self) -> list[str]:
         return fraction_list(self.coords)

@@ -225,14 +225,13 @@ def gauge(S: GeneratedSet, x: LatticeElement):
 # ---------------------------------------------------------------------------
 
 
-def _pairwise(A: GeneratedSet, B: GeneratedSet, combine) -> tuple[LatticeElement, ...]:
+def _distinct(gens) -> tuple[LatticeElement, ...]:
+    """The generators in first-seen order, each point once."""
     seen, out = set(), []
-    for a in A.generators:
-        for b in B.generators:
-            g = combine(a, b)
-            if g.coords not in seen:
-                seen.add(g.coords)
-                out.append(g)
+    for g in gens:
+        if g.coords not in seen:
+            seen.add(g.coords)
+            out.append(g)
     return tuple(out)
 
 
@@ -247,27 +246,12 @@ def _binary_pre(A: GeneratedSet, B: GeneratedSet):
 
 def sum_sets(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
     _binary_pre(A, B)
-    return GeneratedSet(_pairwise(A, B, lambda a, b: a + b), A.decoration)
-
-
-def join_sets(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
-    _binary_pre(A, B)
-    return GeneratedSet(_pairwise(A, B, lambda a, b: a.join(b)), A.decoration)
-
-
-def meet_sets(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
-    _binary_pre(A, B)
-    return GeneratedSet(_pairwise(A, B, lambda a, b: a.meet(b)), A.decoration)
+    return GeneratedSet(_distinct(a + b for a in A.generators for b in B.generators), A.decoration)
 
 
 def union_sets(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
     _binary_pre(A, B)
-    seen, out = set(), []
-    for g in A.generators + B.generators:
-        if g.coords not in seen:
-            seen.add(g.coords)
-            out.append(g)
-    return GeneratedSet(tuple(out), A.decoration)
+    return GeneratedSet(_distinct(A.generators + B.generators), A.decoration)
 
 
 def scale_set(A: GeneratedSet, alpha) -> GeneratedSet:

@@ -24,11 +24,15 @@ vertices of its positive unit ball (`RieszSeminorm.rays`), and B is
 dominated by p (x) q exactly when B(d, e) <= p(d) q(e) for every ray pair.
 For weighted kinds the supports supp(d) x supp(e) of the ray pairs
 partition the grid into blocks, so the optimal dual puts each block's
-budget p(d) q(e) on one cell. For the pure kind pairs (weighted l1 both
-sides, weighted order-unit both sides) the dual value is the exact value and
-the certificates close to gap 0; the mixed pairs also close in practice
-through row/column decompositions, but no closed-form claim is exported for
-them (`seminorm_closed_form` returns None).
+budget p(d) q(e) on one cell. Under the default budget every weighted pair
+closes to gap 0 on a structural candidate whose value equals the dual's
+block sum: for the pure kind pairs (weighted l1 both sides, weighted
+order-unit both sides) that sum is the closed form `seminorm_closed_form`
+exports; for l1 (x) ou the row candidate attains it
+(sum_i w_i max_j |u_ij| / v_j), and for ou (x) l1 the column candidate. No
+closed form is exported for the mixed pairs (`seminorm_closed_form` returns
+None). Alternating minimization runs only when a starved term budget
+(`Budget.k_max`, the CLI's `--kmax`) filters those candidates out.
 """
 
 from __future__ import annotations
@@ -180,11 +184,7 @@ class DualCertificate:
 
     def value(self, u: TensorElement) -> Fraction:
         self.matrix._check(u)
-        return sum(
-            (m * abs(c) for mr, ur in zip(self.matrix.entries, u.entries)
-             for m, c in zip(mr, ur)),
-            Fraction(0),
-        )
+        return sum((m * abs(c) for m, c in zip(self.matrix.coords, u.coords)), Fraction(0))
 
     def dominates(self, p: RieszSeminorm, q: RieszSeminorm) -> bool:
         """B(x,y) <= p(x)q(y) for all x,y >= 0, checked on the ray pairs.
@@ -197,9 +197,9 @@ class DualCertificate:
         n, m = self.matrix.shape
         if (p.dim, q.dim) != (n, m):
             raise DimensionMismatch(f"dual matrix {self.matrix.shape} vs seminorm dims ({p.dim},{q.dim})")
-        M = self.matrix.entries
+        M = self.matrix.coords
         return all(
-            sum((M[i][j] * c for i, j, c in cells), Fraction(0)) <= scale
+            sum((M[k] * c for k, c in cells), Fraction(0)) <= scale
             for scale, cells in _ray_blocks(p, q)
         )
 
@@ -260,28 +260,30 @@ class SeminormCertificate:
 
 def _ray_blocks(p: RieszSeminorm, q: RieszSeminorm):
     """For each ray pair (d, e): the scale p(d) q(e) and the cells
-    (i, j, d_i e_j) of the block supp(d) x supp(e), in row-major order.
+    (k, d_i e_j) of the block supp(d) x supp(e), in row-major order, where
+    k = i * m + j is the flat index of entry (i, j).
 
     For weighted kinds the blocks partition the grid.
     """
+    m = q.dim
     right = q.rays()
     return [
-        (pd * qe, [(i, j, di * ej) for i, di in d for j, ej in e])
+        (pd * qe, [(i * m + j, di * ej) for i, di in d for j, ej in e])
         for pd, d in p.rays()
         for qe, e in right
     ]
 
 
 def _block_maxima(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
-    """Per block: (scale, ratio, i, j, c) for the cell with the largest ratio
-    |u_ij| / c, the first in row-major order on ties."""
+    """Per block: (scale, ratio, k, c) for the cell k with the largest ratio
+    |u_k| / c, the first in row-major order on ties."""
     out = []
     for scale, cells in _ray_blocks(p, q):
         best = None
-        for i, j, c in cells:
-            ratio = abs(u.entries[i][j]) / c
+        for k, c in cells:
+            ratio = abs(u.coords[k]) / c
             if best is None or ratio > best[1]:
-                best = (scale, ratio, i, j, c)
+                best = (scale, ratio, k, c)
         out.append(best)
     return out
 
@@ -322,11 +324,10 @@ def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Du
     the criterion before returning.
     """
     _check_shapes(p, q, u)
-    n, m = u.shape
-    M = [[Fraction(0)] * m for _ in range(n)]
-    for scale, _, i, j, c in _block_maxima(p, q, u):
-        M[i][j] = scale / c
-    cert = DualCertificate(TensorElement(tuple(tuple(row) for row in M)))
+    M = [Fraction(0)] * u.dim
+    for scale, _, k, c in _block_maxima(p, q, u):
+        M[k] = scale / c
+    cert = DualCertificate(TensorElement(tuple(M), u.shape))
     if not cert.dominates(p, q):  # pragma: no cover - construction is tight
         raise RuntimeError("dual construction violated its own criterion")
     return cert
@@ -337,32 +338,21 @@ def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Du
 # ---------------------------------------------------------------------------
 
 
-def _entrywise_candidate(u: TensorElement) -> Decomposition:
-    n, m = u.shape
-    terms = [
-        (LatticeElement.unit(n, i, abs(c)), LatticeElement.unit(m, j))
-        for i, row in enumerate(u.entries)
-        for j, c in enumerate(row)
-        if c != 0
-    ]
-    return Decomposition(u.shape, tuple(terms))
-
-
 def _dominating_candidate(u: TensorElement) -> Decomposition:
     a, b = dominating_rank_one(abs(u))
     return Decomposition(u.shape, ((a, b),))
 
 
 def _scaled_unit_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Decomposition:
+    m = u.shape[1]
     c = Fraction(0)
-    for i, row in enumerate(u.entries):
-        for j, e in enumerate(row):
-            if e == 0:
-                continue
-            denom = p.weights[i] * q.weights[j]
-            if denom == 0:
-                return Decomposition(u.shape, ())  # no multiple of w (x) v covers this entry
-            c = max(c, abs(e) / denom)
+    for k, e in enumerate(u.coords):
+        if e == 0:
+            continue
+        denom = p.weights[k // m] * q.weights[k % m]
+        if denom == 0:
+            return Decomposition(u.shape, ())  # no multiple of w (x) v covers this entry
+        c = max(c, abs(e) / denom)
     if c == 0:
         return Decomposition(u.shape, ())
     w = LatticeElement(tuple(p.weights))
@@ -373,7 +363,8 @@ def _scaled_unit_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement)
 def _row_candidate(u: TensorElement) -> Decomposition:
     n, m = u.shape
     terms = []
-    for i, row in enumerate(u.entries):
+    for i in range(n):
+        row = u.coords[i * m:(i + 1) * m]
         if any(c != 0 for c in row):
             terms.append((LatticeElement.unit(n, i), LatticeElement(tuple(abs(c) for c in row))))
     return Decomposition(u.shape, tuple(terms))
@@ -383,7 +374,7 @@ def _col_candidate(u: TensorElement) -> Decomposition:
     n, m = u.shape
     terms = []
     for j in range(m):
-        col = [abs(u.entries[i][j]) for i in range(n)]
+        col = [abs(c) for c in u.coords[j::m]]
         if any(c != 0 for c in col):
             terms.append((LatticeElement(tuple(col)), LatticeElement.unit(m, j)))
     return Decomposition(u.shape, tuple(terms))
@@ -422,7 +413,7 @@ def _half_step(p: RieszSeminorm, fixed, u: TensorElement, left: bool):
                 if c != 0:
                     var = xs[t][i] if left else xs[t][j]
                     coeffs[var] = coeffs.get(var, Fraction(0)) + c
-            lp.add(coeffs, ">=", au.entries[i][j])
+            lp.add(coeffs, ">=", au.coords[i * m + j])
     value, assignment = lp.minimize()
     sides = [
         LatticeElement(tuple(assignment[xs[t][i]] for i in range(dim)))
@@ -463,9 +454,9 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
     """A certified interval for (p (x) q)(u).
 
     The lower bound is the closed-form optimal dual. The upper bound is the
-    best feasible decomposition among structural candidates (entrywise,
-    dominating rank-one, scaled unit rank-one, rows, columns, filtered by
-    the term budget) refined by exact alternating minimization when a gap
+    best feasible decomposition among structural candidates (dominating
+    rank-one, scaled unit rank-one, rows, columns, filtered by the term
+    budget) refined by exact alternating minimization when a gap
     remains. Every bound re-verifies exactly before the certificate is
     returned.
     """
@@ -486,7 +477,6 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
         _scaled_unit_candidate(p, q, u),
         _row_candidate(u),
         _col_candidate(u),
-        _entrywise_candidate(u),
     ]
     # The dominating rank-one always survives the filter (one term, u != 0),
     # so best is never left unset.
@@ -689,11 +679,10 @@ def hausdorff_check(P: SeminormFamily, Q: SeminormFamily, *, samples: int, seed:
         elif s == 0 and dead_right:
             u = matrix_unit(n, m, 0, dead_right[0])
         elif u.is_zero():
-            u = TensorElement.make([[1] + [0] * (m - 1)] + [[0] * m] * (n - 1))
-        (i, j), _ = _argmax(
-            (((i, j), abs(c)) for i, row in enumerate(u.entries) for j, c in enumerate(row))
-        )
-        x0 = LatticeElement.unit(n, i, abs(u.entries[i][j]))
+            u = matrix_unit(n, m, 0, 0)
+        k, top = _argmax((k, abs(c)) for k, c in enumerate(u.coords))
+        i, j = divmod(k, m)
+        x0 = LatticeElement.unit(n, i, top)
         y0 = LatticeElement.unit(m, j)
         separated = False
         for pp, qq in weighted:

@@ -1,7 +1,9 @@
 """The finite-dimensional tensor model: entrywise-ordered matrices.
 
 The tensor product of two coordinate lattices of dimensions n and m is
-realized as the lattice of n by m rational matrices with entrywise order;
+realized as the lattice of n by m rational matrices with entrywise order,
+which is the coordinate lattice on n*m coordinates: a `TensorElement` is a
+`LatticeElement` over the row-major entries that also carries its shape.
 ``rank_one`` is the outer product. This model supports the density facts the
 rest of the package leans on:
 
@@ -50,124 +52,88 @@ from .rng import SplitStream
 
 
 @dataclass(frozen=True)
-class TensorElement:
-    """An n x m matrix over Q with entrywise lattice order."""
+class TensorElement(LatticeElement):
+    """An n x m matrix over Q with entrywise lattice order.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    It is the coordinate lattice on n*m coordinates: `coords` holds the
+    entries row by row, so entry (i, j) is `coords[i * m + j]`, and every
+    lattice operation is the inherited one. `shape` only keeps n x m and
+    m x n apart.
+    """
+
+    shape: tuple[int, int]
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+        n, m = self.shape
+        if n < 1 or m < 1:
             raise ValueError("a tensor element needs a nonempty shape")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged rows in tensor element")
+        if len(self.coords) != n * m:
+            raise DimensionMismatch(f"cannot reshape dim {len(self.coords)} to {n}x{m}")
 
-    @staticmethod
-    def make(rows) -> "TensorElement":
-        return TensorElement(tuple(tuple(as_fraction(v) for v in row) for row in rows))
-
-    @staticmethod
-    def zero(n: int, m: int) -> "TensorElement":
-        return TensorElement(tuple((Fraction(0),) * m for _ in range(n)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.entries[0])
+    def _like(self, coords) -> "TensorElement":
+        return TensorElement(coords, self.shape)
 
     def _check(self, other: "TensorElement"):
         if self.shape != other.shape:
             raise DimensionMismatch(f"shape mismatch: {self.shape} vs {other.shape}")
 
-    def _map(self, fn) -> "TensorElement":
-        return TensorElement(tuple(tuple(fn(v) for v in row) for row in self.entries))
+    @staticmethod
+    def make(rows) -> "TensorElement":
+        rows = [tuple(as_fraction(v) for v in row) for row in rows]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged rows in tensor element")
+        return TensorElement(tuple(v for row in rows for v in row),
+                             (len(rows), len(rows[0]) if rows else 0))
 
-    def _zip(self, other: "TensorElement", fn) -> "TensorElement":
-        self._check(other)
-        return TensorElement(
-            tuple(
-                tuple(fn(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+    @staticmethod
+    def zero(n: int, m: int) -> "TensorElement":
+        return TensorElement((Fraction(0),) * (n * m), (n, m))
 
-    def join(self, other: "TensorElement") -> "TensorElement":
-        return self._zip(other, max)
-
-    def meet(self, other: "TensorElement") -> "TensorElement":
-        return self._zip(other, min)
-
-    def __abs__(self) -> "TensorElement":
-        return self._map(abs)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self._zip(other, lambda a, b: a - b)
-
-    def __neg__(self) -> "TensorElement":
-        return self._map(lambda a: -a)
-
-    def scale(self, alpha) -> "TensorElement":
-        alpha = as_fraction(alpha)
-        return self._map(lambda a: alpha * a)
-
-    def le(self, other: "TensorElement") -> bool:
-        self._check(other)
-        return all(
-            a <= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for row in self.entries for v in row)
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows, as a derived view of the row-major coordinates."""
+        m = self.shape[1]
+        return tuple(self.coords[k:k + m] for k in range(0, len(self.coords), m))
 
     def first_negative_entry(self):
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if v < 0:
-                    return i, j
+        for k, v in enumerate(self.coords):
+            if v < 0:
+                return divmod(k, self.shape[1])
         return None
 
     def flatten(self) -> LatticeElement:
-        return LatticeElement(tuple(v for row in self.entries for v in row))
+        return LatticeElement(self.coords)
 
     @staticmethod
     def from_flat(x: LatticeElement, shape: tuple[int, int]) -> "TensorElement":
-        n, m = shape
-        if x.dim != n * m:
-            raise DimensionMismatch(f"cannot reshape dim {x.dim} to {n}x{m}")
-        return TensorElement(
-            tuple(tuple(x.coords[i * m + j] for j in range(m)) for i in range(n))
-        )
+        return TensorElement(x.coords, tuple(shape))
 
     def to_json(self) -> dict:
-        n, m = self.shape
-        return {"shape": [n, m], "entries": [fraction_list(row) for row in self.entries]}
+        return {"shape": list(self.shape), "entries": [fraction_list(row) for row in self.entries]}
 
     @staticmethod
     def from_json(data, field: str = "tensor") -> "TensorElement":
         entries = require_key(data, "entries", field)
         if not isinstance(entries, list) or not entries:
             raise FormatError(f"{field}.entries", "expected a nonempty list of rows")
-        rows = []
+        coords = []
         for i, row in enumerate(entries):
             if not isinstance(row, list) or not row:
                 raise FormatError(f"{field}.entries[{i}]", "expected a nonempty row")
-            rows.append(tuple(as_fraction(v, f"{field}.entries[{i}][{j}]") for j, v in enumerate(row)))
-        u = TensorElement(tuple(rows))
+            if len(row) != len(entries[0]):
+                raise FormatError(f"{field}.entries[{i}]",
+                                  f"expected {len(entries[0])} entries like row 0, got {len(row)}")
+            coords.extend(as_fraction(v, f"{field}.entries[{i}][{j}]") for j, v in enumerate(row))
+        u = TensorElement(tuple(coords), (len(entries), len(entries[0])))
         if "shape" in data:
             shape = data["shape"]
             if not (isinstance(shape, list) and len(shape) == 2 and list(u.shape) == shape):
-                raise FormatError(f"{field}.shape", f"shape {shape!r} does not match entries {u.shape}")
+                raise FormatError(f"{field}.shape", f"does not match the entries' shape {list(u.shape)}")
         return u
 
 
 def rank_one(x: LatticeElement, y: LatticeElement) -> TensorElement:
-    return TensorElement(tuple(tuple(a * b for b in y.coords) for a in x.coords))
+    return TensorElement(tuple(a * b for a in x.coords for b in y.coords), (x.dim, y.dim))
 
 
 def matrix_unit(n: int, m: int, i: int, j: int, value=1) -> TensorElement:
@@ -176,12 +142,12 @@ def matrix_unit(n: int, m: int, i: int, j: int, value=1) -> TensorElement:
 
 def dominating_rank_one(u: TensorElement):
     """A rank-one upper bound a (x) b >= u for positive u: row maxima against ones."""
+    n, m = u.shape
     bad = u.first_negative_entry()
     if bad is not None:
         i, j = bad
-        raise ValueError(f"dominating_rank_one needs u >= 0; entry ({i},{j}) is {u.entries[i][j]}")
-    n, m = u.shape
-    a = LatticeElement(tuple(max(row) for row in u.entries))
+        raise ValueError(f"dominating_rank_one needs u >= 0; entry ({i},{j}) is {u.coords[i * m + j]}")
+    a = LatticeElement(tuple(max(u.coords[i * m:(i + 1) * m]) for i in range(n)))
     b = LatticeElement((Fraction(1),) * m)
     return a, b
 
@@ -193,15 +159,14 @@ def rank_one_sup_recover(c: TensorElement):
     products are pairwise disjoint matrix-unit multiples whose supremum is c.
     Empty family for c = 0 (supremum convention 0).
     """
+    n, m = c.shape
     bad = c.first_negative_entry()
     if bad is not None:
         i, j = bad
-        raise ValueError(f"rank_one_sup_recover needs c >= 0; entry ({i},{j}) is {c.entries[i][j]}")
-    n, m = c.shape
+        raise ValueError(f"rank_one_sup_recover needs c >= 0; entry ({i},{j}) is {c.coords[i * m + j]}")
     return [
-        (LatticeElement.unit(n, i, v), LatticeElement.unit(m, j))
-        for i, row in enumerate(c.entries)
-        for j, v in enumerate(row)
+        (LatticeElement.unit(n, k // m, v), LatticeElement.unit(m, k % m))
+        for k, v in enumerate(c.coords)
         if v != 0
     ]
 
@@ -315,8 +280,7 @@ def random_tensor(rng: SplitStream, n: int, m: int, lo=-3, hi=3) -> TensorElemen
 
 def sample_tensor_box(rng: SplitStream, bound: TensorElement, denominator: int = 4) -> TensorElement:
     """A point of the box |u| <= |bound|, drawn row by row."""
-    flat = sample_box_point(rng, bound.flatten(), denominator)
-    return TensorElement.from_flat(flat, bound.shape)
+    return TensorElement.from_flat(sample_box_point(rng, bound, denominator), bound.shape)
 
 
 def sample_nbhd_point(W: TensorNbhd, rng: SplitStream, margin=Fraction(0), max_terms: int = 3):
@@ -353,7 +317,7 @@ def verify_nbhd_witness(W: TensorNbhd, u: TensorElement, witness) -> bool:
         if not member(W.left, x) or not member(W.right, y):
             return False
         acc = acc + z.scale(lam)
-    return total <= 1 and acc.entries == u.entries
+    return total <= 1 and acc == u
 
 
 def _signed_padded(witness):

@@ -167,11 +167,11 @@ class InducedHom:
             raise DimensionMismatch(
                 f"induced map over {self.source_shape} applied to {u.shape}"
             )
+        m = self.source_shape[1]
         total = LatticeElement.zero(self.target_dim)
-        for i, row in enumerate(u.entries):
-            for j, c in enumerate(row):
-                if c != 0:
-                    total = total + self.bimorphism.images[i][j].scale(c)
+        for k, c in enumerate(u.coords):
+            if c != 0:
+                total = total + self.bimorphism.images[k // m][k % m].scale(c)
         return total
 
 

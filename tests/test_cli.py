@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tensorlattice.cli as cli
+from tensorlattice.jsonio import MAX_DIGITS
 
 L1 = '{"kind": "weighted_l1", "weights": ["1", "1"]}'
 OU12 = '{"kind": "weighted_order_unit", "weights": ["1", "2"]}'
@@ -86,6 +90,25 @@ class TestSeminorm:
         assert code == 1 and out == ""
         assert len(err) < 200
         assert "u.entries[0][0]" in err
+
+    def test_ragged_rows_name_the_row(self, capsys):
+        ragged = '{"entries": [["1", "2"], ["3"]]}'
+        code, out, err = run(capsys, ["seminorm", L1, L1, ragged])
+        assert code == 1 and out == ""
+        assert err.startswith("error: field 'u.entries[1]'")
+        assert "expected 2" in err and "got 1" in err
+
+    def test_deeply_nested_payload_is_diagnosed(self, capsys):
+        deep = '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        code, out, err = run(capsys, ["seminorm", L1, L1, deep])
+        assert code == 1 and out == ""
+        assert err.startswith("error: field 'u': invalid JSON")
+
+    def test_integer_literal_past_the_digit_limit_is_diagnosed(self, capsys):
+        long_int = '{"entries": [[' + "7" * 5000 + "]]}"
+        code, out, err = run(capsys, ["seminorm", L1, L1, long_int])
+        assert code == 1 and out == ""
+        assert err.startswith("error: field 'u': invalid JSON")
 
     def test_json_file_output_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -195,3 +218,71 @@ def test_entry_point_runs_as_subprocess(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["z1"] == ["2"]
+
+
+# ---------------------------------------------------------------------------
+# The tensor JSON boundary under generated payloads
+# ---------------------------------------------------------------------------
+
+_SCALARS = st.one_of(
+    st.fractions(max_denominator=9).map(str),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    # long digit strings on both sides of the digit bound
+    st.builds(lambda n, d: d * n, st.integers(1, MAX_DIGITS + 5_000), st.sampled_from("179")),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=1),
+)
+_ROWS = st.one_of(st.lists(_SCALARS, max_size=4), _SCALARS)
+_ENTRIES = st.one_of(st.lists(_ROWS, max_size=4), _SCALARS)
+_SHAPES = st.one_of(st.lists(st.integers(-1, 5), max_size=3), _SCALARS)
+
+
+@st.composite
+def _tensor_payloads(draw):
+    """A `u` argument as JSON text, with the factor dimensions that fit it."""
+    entries = draw(_ENTRIES)
+    rows = entries if isinstance(entries, list) else []
+    n = max(len(rows), 1)
+    m = max(len(rows[0]) if rows and isinstance(rows[0], list) else 1, 1)
+    form = draw(st.sampled_from(["entries", "shaped", "misshaped", "bare", "raw"]))
+    if form == "entries":
+        payload = {"entries": entries}
+    elif form == "shaped":
+        payload = {"shape": [len(rows), m], "entries": entries}
+    elif form == "misshaped":
+        payload = {"shape": draw(_SHAPES), "entries": entries}
+    elif form == "bare":
+        payload = entries
+    else:
+        depth = draw(st.integers(1, 50_000))
+        literal = "[" * depth + "]" * depth
+        digits = "9" * draw(st.integers(1, 6_000))
+        return draw(st.sampled_from([literal, f'{{"entries": [[{digits}]]}}'])), n, m
+    return json.dumps(payload), n, m
+
+
+class TestTensorPayloadFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(_tensor_payloads(), st.sampled_from(["seminorm", "member"]),
+           st.sampled_from(["weighted_l1", "weighted_order_unit"]))
+    def test_only_clean_outcomes(self, case, command, kind):
+        u, n, m = case
+        p = json.dumps({"kind": kind, "weights": ["1"] * n})
+        q = json.dumps({"kind": "weighted_order_unit", "weights": ["2"] * m})
+        if command == "seminorm":
+            argv = ["seminorm", p, q, u, "--kmax", "1"]
+        else:
+            argv = ["member", json.dumps({"p": json.loads(p), "q": json.loads(q)}), u]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                             and err.endswith("\n"))

@@ -5,6 +5,7 @@ import pytest
 from tensorlattice.elements import DimensionMismatch, LatticeElement, weighted_l1
 from tensorlattice.hulls import GeneratedSet
 from tensorlattice.jsonio import FormatError
+from tensorlattice.projective import DualCertificate
 from tensorlattice.rng import SplitStream
 from tensorlattice.tensor import (
     Membership,
@@ -53,12 +54,32 @@ class TestTensorElement:
     def test_le_and_nonnegative(self):
         u = TensorElement.make([[1, 0], [0, 1]])
         assert TensorElement.zero(2, 2).le(u)
-        assert u.is_nonnegative()
-        assert not TensorElement.make([[1, -1], [0, 0]]).is_nonnegative()
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             TensorElement.make([[1]]).join(TensorElement.make([[1, 2]]))
+
+    def test_transposed_shape_mismatch(self):
+        # 2x3 and 3x2 have six coordinates each; only the shape tells them apart
+        u = TensorElement.make([[1, 2, 3], [4, 5, 6]])
+        v = TensorElement.make([[1, 2], [3, 4], [5, 6]])
+        assert u.dim == v.dim
+        for op in (u.join, u.__add__, u.le, DualCertificate(abs(u)).value):
+            with pytest.raises(DimensionMismatch):
+                op(v)
+
+    def test_lattice_operations_are_inherited(self):
+        assert issubclass(TensorElement, LatticeElement)
+        ops = {"join", "meet", "__abs__", "__add__", "__sub__", "__neg__", "scale", "le", "is_zero"}
+        assert not ops & set(vars(TensorElement))
+        u = TensorElement.make([[1, -2], [3, 0]])
+        assert (-u).shape == abs(u).shape == u.scale(2).shape == (2, 2)
+        assert u.flatten() == LatticeElement.make([1, -2, 3, 0])
+        assert u.entries == ((1, -2), (3, 0))
+
+    def test_make_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged"):
+            TensorElement.make([[1, 2], [3]])
 
     def test_flatten_round_trip(self):
         u = TensorElement.make([[1, -2], [3, 4]])
@@ -71,6 +92,8 @@ class TestTensorElement:
     def test_json_rejects_ragged(self):
         with pytest.raises(FormatError):
             TensorElement.from_json([["1", "2"], ["3"]])
+        with pytest.raises(FormatError, match=r"u\.entries\[1\]'.* 2 .* got 1"):
+            TensorElement.from_json({"entries": [["1", "2"], ["3"]]}, "u")
 
 
 class TestRankOne:
