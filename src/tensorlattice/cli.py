@@ -31,7 +31,7 @@ from .elements import (
     UnsupportedSeminormKind,
     riesz_decompose,
 )
-from .jsonio import FormatError, as_fraction, fraction_str
+from .jsonio import FormatError, _quote, as_fraction, fraction_str
 from .tensor import Membership, TensorElement, TensorNbhd, nbhd_member
 
 
@@ -43,7 +43,7 @@ def _load_payload(arg: str, field: str):
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise FormatError(field, f"cannot read file {arg!r}: {exc.strerror}")
+            raise FormatError(field, f"cannot read file {_quote(arg)}: {exc.strerror}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -94,7 +94,11 @@ def _cmd_member(args) -> int:
         x = LatticeElement.from_json(_load_payload(args.point, "point"), "point")
         if radius != 1:
             S = hulls.scale_set(S, radius)
-        verdict = Membership.MEMBER if hulls.member(S, x) else Membership.NON_MEMBER
+        try:
+            inside = hulls.member(S, x)
+        except hulls.UnsupportedDecoration as exc:
+            raise FormatError("target.decoration", str(exc)) from None
+        verdict = Membership.MEMBER if inside else Membership.NON_MEMBER
     else:
         W = TensorNbhd.from_json(target, "target")
         u = TensorElement.from_json(_load_payload(args.point, "point"), "point")

@@ -18,7 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jsonio import FormatError, as_fraction, fraction_list, parse_fraction_list, require_key
+from .jsonio import (
+    FormatError,
+    _quote,
+    as_fraction,
+    fraction_list,
+    fraction_str,
+    parse_fraction_list,
+    require_key,
+)
 
 
 class DimensionMismatch(ValueError):
@@ -147,7 +155,7 @@ def riesz_decompose(z: LatticeElement, x: LatticeElement, y: LatticeElement):
         if abs(zi) > bi:
             raise ValueError(
                 f"riesz_decompose precondition |z| <= |x|+|y| fails at coordinate {i}: "
-                f"|{zi}| > {bi}"
+                f"|{_quote(fraction_str(zi))}| > {_quote(fraction_str(bi))}"
             )
     ax = abs(x)
     z1 = z.join(-ax).meet(ax)
@@ -201,7 +209,7 @@ class RieszSeminorm:
 
     def __post_init__(self):
         if self.kind not in SEMINORM_KINDS:
-            raise UnsupportedSeminormKind(f"unknown seminorm kind {self.kind!r}")
+            raise UnsupportedSeminormKind(f"unknown seminorm kind {_quote(self.kind)}")
         if self.kind == POLYHEDRAL_GAUGE:
             if not self.generators:
                 raise ValueError("polyhedral gauge needs at least one generator")
@@ -213,7 +221,7 @@ class RieszSeminorm:
                 raise ValueError("weighted seminorm needs at least one weight")
             for i, w in enumerate(self.weights):
                 if w < 0:
-                    raise ValueError(f"weight {i} is negative: {w}")
+                    raise ValueError(f"weight {i} is negative: {_quote(fraction_str(w))}")
                 if self.kind == WEIGHTED_ORDER_UNIT and w == 0:
                     raise ValueError(f"order-unit weight {i} must be strictly positive")
 
@@ -233,6 +241,18 @@ class RieszSeminorm:
         from . import hulls  # deferred: single gauge implementation lives there
 
         return hulls.gauge(self.unit_ball(), x)
+
+    def in_unit_ball(self, x: LatticeElement) -> bool:
+        """Whether p(x) <= 1.
+
+        A polyhedral gauge's unit ball is its generated set, decided by hull
+        membership: a box scan before any LP, where p(x) would solve a gauge LP.
+        """
+        if self.kind == POLYHEDRAL_GAUGE:
+            from . import hulls
+
+            return hulls.member(self.unit_ball(), x)
+        return self(x) <= 1
 
     def rays(self):
         """The rays d >= 0 whose multiples d / p(d) are the maximal vertices of
@@ -284,17 +304,19 @@ class RieszSeminorm:
             gens = require_key(data, "generators", field)
             if not isinstance(gens, list) or not gens:
                 raise FormatError(f"{field}.generators", "expected a nonempty list")
-            return RieszSeminorm(
-                kind,
-                generators=tuple(
-                    LatticeElement.from_json(g, f"{field}.generators[{i}]")
-                    for i, g in enumerate(gens)
-                ),
-            )
-        if kind in (WEIGHTED_L1, WEIGHTED_ORDER_UNIT):
-            weights = parse_fraction_list(require_key(data, "weights", field), f"{field}.weights")
-            return RieszSeminorm(kind, weights=weights)
-        raise FormatError(f"{field}.kind", f"unknown seminorm kind {kind!r}")
+            parts = {"generators": tuple(
+                LatticeElement.from_json(g, f"{field}.generators[{i}]")
+                for i, g in enumerate(gens)
+            )}
+        elif kind in (WEIGHTED_L1, WEIGHTED_ORDER_UNIT):
+            parts = {"weights": parse_fraction_list(require_key(data, "weights", field),
+                                                    f"{field}.weights")}
+        else:
+            raise FormatError(f"{field}.kind", f"unknown seminorm kind {_quote(kind)}")
+        try:
+            return RieszSeminorm(kind, **parts)
+        except ValueError as exc:  # a weight or dimension the seminorm rejects
+            raise FormatError(field, str(exc)) from None
 
 
 def weighted_l1(weights) -> RieszSeminorm:

@@ -41,7 +41,7 @@ from .elements import (
     LatticeHom,
     riesz_decompose,
 )
-from .jsonio import FormatError, require_key
+from .jsonio import FormatError, _quote, require_key
 from .rng import SplitStream
 from .simplex import InfeasibleLP, LinearProgram
 
@@ -68,7 +68,7 @@ class GeneratedSet:
             raise DimensionMismatch("generators must share a dimension")
         for d in self.decoration:
             if d not in _DECORATIONS:
-                raise UnsupportedDecoration(f"unknown hull operator {d!r}")
+                raise UnsupportedDecoration(f"unknown hull operator {_quote(d)}")
 
     @property
     def dim(self) -> int:
@@ -91,6 +91,9 @@ class GeneratedSet:
         deco = data.get("decoration", [])
         if not isinstance(deco, list):
             raise FormatError(f"{field}.decoration", "expected a list of hull names")
+        for i, d in enumerate(deco):
+            if d not in _DECORATIONS:
+                raise FormatError(f"{field}.decoration[{i}]", f"unknown hull operator {_quote(d)}")
         return GeneratedSet(
             tuple(
                 LatticeElement.from_json(g, f"{field}.generators[{i}]")
@@ -194,7 +197,7 @@ def member(S: GeneratedSet, x: LatticeElement) -> bool:
         lp = _box_program(S.generators, x, objective=False,
                           convex_row="==" if deco == (SOL, CONV) else "<=")
         return lp is not None and lp.feasible()
-    raise UnsupportedDecoration(f"membership not implemented for decoration {deco}")
+    raise UnsupportedDecoration(f"membership not implemented for decoration {_quote(deco)}")
 
 
 def gauge(S: GeneratedSet, x: LatticeElement):
@@ -206,7 +209,7 @@ def gauge(S: GeneratedSet, x: LatticeElement):
     _check_dim(S, x)
     if S.decoration not in ((SOL, CONV), (SOL, CONV_B)):
         raise UnsupportedDecoration(
-            f"gauge needs a convex solid decoration, got {S.decoration}"
+            f"gauge needs a convex solid decoration, got {_quote(S.decoration)}"
         )
     if x.is_zero():
         return Fraction(0)
@@ -353,7 +356,7 @@ def sample_hull_point(rng: SplitStream, S: GeneratedSet, margin=Fraction(0), wit
             weights = rng.balanced_weights(len(gens), ceiling=1 - margin)
         terms = [(w, sample_box_point(rng, g)) for w, g in zip(weights, gens)]
     else:
-        raise UnsupportedDecoration(f"sampling not implemented for decoration {deco}")
+        raise UnsupportedDecoration(f"sampling not implemented for decoration {_quote(deco)}")
     point = LatticeElement.zero(S.dim)
     for w, u in terms:
         point = point + u.scale(w)

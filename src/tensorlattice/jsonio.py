@@ -8,6 +8,7 @@ to round it. These helpers are the single place that parses and prints them.
 from __future__ import annotations
 
 import re
+import reprlib
 from fractions import Fraction
 
 # Scientific notation may not describe a number longer than Python accepts
@@ -29,8 +30,10 @@ _RATIONAL = re.compile(r"""
       (?:[eE](?P<exp_sign>[-+]?)(?P<exp>\d+(?:_\d+)*))?
     )\s*\Z
 """, re.VERBOSE)
-# Diagnostics quote at most this many characters of a rejected string.
+# Diagnostics quote at most this many characters of a rejected value.
 _QUOTE_CHARS = 40
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 3
 # Integers up to this many bits (at most 603 digits) print with str(), and
 # digit strings up to _INT_DIGITS long read with int(), under any int-to-str
 # digit limit the interpreter allows (the least is 640).
@@ -47,8 +50,16 @@ class FormatError(ValueError):
         super().__init__(f"field '{field}': {message}")
 
 
-def _quote(value: str) -> str:
-    """A short quotation of untrusted input: the whole string, or a prefix and its length."""
+def _quote(value) -> str:
+    """A short quotation of untrusted input: the whole string, or a prefix and its length.
+
+    Any other value is quoted by its repr, bounded in depth and width before
+    it is built (a decoded JSON list may be too deep for plain repr) and cut
+    to the same length.
+    """
+    if not isinstance(value, str):
+        text = _REPR.repr(value)
+        return text if len(text) <= _QUOTE_CHARS else f"{text[:_QUOTE_CHARS]}..."
     if len(value) <= _QUOTE_CHARS:
         return repr(value)
     return f"{value[:_QUOTE_CHARS]!r}... ({len(value)} characters)"

@@ -18,7 +18,9 @@ On top of the model sit the canonical zero neighborhoods
 W(U, V) = Conv_b(Sol(U ⊗ V)) for convex-solid U, V (`TensorNbhd`), with
 
 * a sampler producing points of W together with explicit witnesses,
-* an exact witness verifier,
+* an exact witness verifier, which decides a factor point of a
+  seminorm-backed neighborhood by p(x) <= 1 (no LP for the weighted kinds)
+  and one of a generator-built neighborhood by hull membership,
 * a tri-state membership test backed by seminorm certificates, and
 * `base_axiom_check`, the witness-level verification that the W(U, V) form a
   neighborhood base of a locally convex-solid topology (additivity, balance,
@@ -47,7 +49,7 @@ from .hulls import (
     sample_hull_point,
     scale_set,
 )
-from .jsonio import FormatError, as_fraction, fraction_list, require_key
+from .jsonio import FormatError, _quote, as_fraction, fraction_list, fraction_str, require_key
 from .rng import SplitStream
 
 
@@ -191,8 +193,13 @@ _CONVEX_SOLID = ((SOL, CONV_B), (SOL, CONV))
 class TensorNbhd:
     """W(U, V) = Conv_b(Sol(U (x) V)) for convex-solid balanced U, V.
 
-    `p` and `q` are carried along when the neighborhood came from seminorm
-    unit balls; tri-state membership needs them (see `nbhd_member`).
+    When `p` and `q` are present (`from_seminorms`, `from_json`), they
+    define U = {p <= 1} and V = {q <= 1} for both membership paths: the
+    certificates of `nbhd_member` and the witness checks of
+    `verify_nbhd_witness`. `left` and `right` are then their unit balls,
+    used for sampling; a unit ball misses the directions on which its
+    seminorm vanishes. Without p and q, U and V are the generated sets
+    `left` and `right`, and only the witness checks apply.
     """
 
     left: GeneratedSet
@@ -205,7 +212,7 @@ class TensorNbhd:
             if side.decoration not in _CONVEX_SOLID:
                 raise ValueError(
                     f"{name} factor must be convex-solid (decoration Sol then Conv/Conv_b), "
-                    f"got {side.decoration}"
+                    f"got {_quote(side.decoration)}"
                 )
 
     @staticmethod
@@ -230,7 +237,10 @@ class TensorNbhd:
             )
         left = GeneratedSet.from_json(require_key(data, "left", field), f"{field}.left")
         right = GeneratedSet.from_json(require_key(data, "right", field), f"{field}.right")
-        return TensorNbhd(left, right)
+        try:
+            return TensorNbhd(left, right)
+        except ValueError as exc:
+            raise FormatError(field, str(exc)) from None
 
 
 def nbhd_member(W: TensorNbhd, u: TensorElement, radius=1, budget=None) -> Membership:
@@ -246,7 +256,7 @@ def nbhd_member(W: TensorNbhd, u: TensorElement, radius=1, budget=None) -> Membe
         raise DimensionMismatch(f"neighborhood over {W.shape} probed with {u.shape}")
     radius = as_fraction(radius)
     if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+        raise ValueError(f"radius must be positive, got {_quote(fraction_str(radius))}")
     if u.is_zero():
         return Membership.MEMBER
     if W.p is None or W.q is None:
@@ -306,7 +316,20 @@ def sample_nbhd_point(W: TensorNbhd, rng: SplitStream, margin=Fraction(0), max_t
     return u, witness
 
 
+def _factors_member(W: TensorNbhd, x: LatticeElement, y: LatticeElement) -> bool:
+    """x in U and y in V: by p and q when W carries them, else by hull membership."""
+    if W.p is not None and W.q is not None:
+        return W.p.in_unit_ball(x) and W.q.in_unit_ball(y)
+    return member(W.left, x) and member(W.right, y)
+
+
 def verify_nbhd_witness(W: TensorNbhd, u: TensorElement, witness) -> bool:
+    """Exact check of a witness for u in W(U, V) (format above).
+
+    When W carries p and q, U = {p <= 1} and V = {q <= 1}, and each factor
+    point is checked against the seminorm, as `nbhd_member` does; otherwise
+    against the generated sets `W.left` and `W.right`.
+    """
     total = Fraction(0)
     acc = TensorElement.zero(*W.shape)
     for lam, z, x, y in witness:
@@ -314,7 +337,7 @@ def verify_nbhd_witness(W: TensorNbhd, u: TensorElement, witness) -> bool:
         total += abs(lam)
         if not abs(z).le(rank_one(abs(x), abs(y))):
             return False
-        if not member(W.left, x) or not member(W.right, y):
+        if not _factors_member(W, x, y):
             return False
         acc = acc + z.scale(lam)
     return total <= 1 and acc == u

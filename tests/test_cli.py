@@ -22,6 +22,18 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_clean_outcome(argv):
+    """Exit 0, 1 or 2 with no traceback; an error is one short `error: ` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                         and err.endswith("\n") and len(err) <= 1000), err[:200]
+
+
 class TestSeminorm:
     def test_closed_pair_exits_zero(self, capsys):
         code, out, err = run(capsys, ["seminorm", L1, L1, U_FIXTURE])
@@ -173,6 +185,48 @@ class TestMember:
         assert json.loads(out)["membership"] == "member"
 
 
+def _long_decoration_set(decoration):
+    return json.dumps({"generators": [["1", "0"]], "decoration": decoration})
+
+
+_NEGATIVE = "-" + "9" * 4000
+_NBHD_POINT = '{"entries": [["1", "0"], ["0", "1"]]}'
+
+
+class TestBoundedDiagnostics:
+    """Hostile payloads exit 1 with one short line that names the field."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["seminorm", json.dumps({"kind": "k" * 100_000, "weights": ["1"]}), L1, U_FIXTURE],
+         "p.kind"),
+        (["seminorm", L1, json.dumps({"kind": ["k"] * 100_000, "weights": ["1"]}), U_FIXTURE],
+         "q.kind"),
+        (["seminorm", json.dumps({"kind": "weighted_l1", "weights": [_NEGATIVE, "1"]}), L1,
+          U_FIXTURE], "'p'"),
+        (["member", _long_decoration_set(["y" * 100_000]), '["1", "0"]'],
+         "target.decoration[0]"),
+        (["member", _long_decoration_set(["Sol", {"op": "y" * 100_000}]), '["1", "0"]'],
+         "target.decoration[1]"),
+        (["member", _long_decoration_set(["Sol"] * 100_000), '["1", "0"]'],
+         "target.decoration"),
+        (["member", json.dumps({"left": json.loads(_long_decoration_set(["Sol"] * 100_000)),
+                                "right": json.loads(DIAMOND)}), _NBHD_POINT],
+         "left factor"),
+        (["decompose", "--", json.dumps([_NEGATIVE]), '["1"]', '["1"]'], "'z'"),
+        (["member", "--radius", _NEGATIVE, "--", json.dumps({"p": json.loads(L1),
+                                                              "q": json.loads(L1)}),
+          _NBHD_POINT], "radius"),
+        (["decompose", '"' + "x" * 100_000 + '"', '["1"]', '["1"]'], "'z'"),
+    ], ids=["kind", "kind-list", "negative-weight", "operator", "operator-object",
+            "decoration", "nbhd-factor", "decompose-precondition", "radius", "file-name"])
+    def test_short_line_names_the_field(self, capsys, argv, field):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200, err[:200]
+        assert field in err
+
+
 class TestDecompose:
     def test_fixture(self, capsys):
         code, out, _ = run(capsys, ["decompose", '["3"]', '["2"]', '["2"]'])
@@ -278,11 +332,93 @@ class TestTensorPayloadFuzz:
             argv = ["seminorm", p, q, u, "--kmax", "1"]
         else:
             argv = ["member", json.dumps({"p": json.loads(p), "q": json.loads(q)}), u]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        err = err.getvalue()
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
-                             and err.endswith("\n"))
+        assert_clean_outcome(argv)
+
+
+# ---------------------------------------------------------------------------
+# The seminorm, generated-set and element JSON boundary
+# ---------------------------------------------------------------------------
+
+_RATIONALS = st.one_of(st.fractions(max_denominator=9).map(str), st.integers(-3, 3))
+_WEIGHTS = st.fractions(0, 3, max_denominator=9).map(str)
+_KIND_NAMES = ["weighted_l1", "weighted_order_unit", "polyhedral_gauge"]
+
+
+def _mostly(valid, hostile):
+    """Three draws in four from `valid`, so most payloads get past the parser."""
+    return st.integers(0, 3).flatmap(lambda i: hostile if i == 3 else valid)
+
+
+# long numbers of either sign, for the diagnostics that print a value
+_LONG_NUMBERS = st.builds(lambda sign, n: sign + "9" * n, st.sampled_from(["", "-"]),
+                          st.integers(1, 5_000))
+
+
+def _elements(dim, values=_RATIONALS):
+    return _mostly(st.lists(values, min_size=dim, max_size=dim), st.one_of(
+        st.lists(st.one_of(_RATIONALS, _LONG_NUMBERS, _SCALARS), min_size=dim, max_size=dim),
+        st.lists(_SCALARS, max_size=3),
+        _SCALARS,
+    ))
+
+
+def _generator_lists(dim):
+    return _mostly(st.lists(_elements(dim), min_size=1, max_size=3), _SCALARS)
+
+
+_KINDS = _mostly(st.sampled_from(_KIND_NAMES), st.one_of(
+    st.builds(lambda n: "k" * n, st.integers(1, 100_000)),
+    _SCALARS,
+))
+_DECORATIONS = _mostly(
+    st.sampled_from([["Sol", "Conv_b"], ["Sol", "Conv"], ["Conv_b"], ["Conv"], ["Sol"], []]),
+    st.one_of(
+        st.lists(st.one_of(st.sampled_from(["Sol", "Conv", "Conv_b"]), _SCALARS), max_size=3),
+        st.builds(lambda name, n: [name] * n, st.sampled_from(["Sol", "x" * 50]),
+                  st.integers(1, 50_000)),
+        _SCALARS,
+    ))
+
+
+@st.composite
+def _seminorm_payloads(draw, dim=2):
+    kind = draw(_KINDS)
+    key = "generators" if kind == "polyhedral_gauge" else "weights"
+    key = draw(_mostly(st.just(key), st.sampled_from(["weights", "generators"])))
+    return {"kind": kind,
+            key: draw(_elements(dim, _WEIGHTS) if key == "weights" else _generator_lists(dim))}
+
+
+@st.composite
+def _set_payloads(draw, dim=2):
+    return {"generators": draw(_generator_lists(dim)), "decoration": draw(_DECORATIONS)}
+
+
+@st.composite
+def _argvs(draw):
+    """One CLI invocation with generated p, q, target, point or decompose payloads."""
+    # "--" ends the options, so a payload such as -1e+16 reaches the command
+    command = draw(st.sampled_from(["seminorm", "nbhd", "set", "decompose"]))
+    dim = draw(st.integers(1, 2))
+    if command == "decompose":
+        return ["decompose", "--"] + [json.dumps(draw(_elements(dim))) for _ in range(3)]
+    if command == "set":
+        return ["member", "--", json.dumps(draw(_set_payloads(dim))),
+                json.dumps(draw(_elements(dim)))]
+    p, q = draw(_seminorm_payloads()), draw(_seminorm_payloads())
+    u = json.dumps({"entries": [["1", "-1/2"], ["0", "2"]]})
+    if command == "seminorm":
+        return ["seminorm", "--kmax", "1", "--", json.dumps(p), json.dumps(q), u]
+    target = {"p": p, "q": q}
+    if draw(st.booleans()):
+        target = {"left": draw(_set_payloads()), "right": draw(_set_payloads())}
+    radius = draw(_mostly(_WEIGHTS, _LONG_NUMBERS))
+    return ["member", "--radius", radius, "--", json.dumps(target), u]
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(_argvs())
+    def test_only_clean_outcomes(self, argv):
+        assert_clean_outcome(argv)

@@ -222,6 +222,15 @@ class TestSeminorms:
         with pytest.raises(ValueError, match="zero seminorm"):
             weighted_l1([0, 0]).unit_ball()
 
+    @given(element_pairs())
+    @settings(max_examples=40)
+    def test_in_unit_ball_is_p_at_most_one(self, xy):
+        x, y = xy
+        halves = [Fraction(i, 2) for i in range(x.dim)]  # weight 0 on e_1
+        for p in (weighted_l1(halves), weighted_order_unit([w + 1 for w in halves]),
+                  polyhedral_gauge([y, LatticeElement.unit(x.dim, 0)])):
+            assert p.in_unit_ball(x) == (p(x) <= 1)
+
     def test_rays_are_sparse_and_read_from_the_weights(self):
         one = Fraction(1)
         assert weighted_l1([2, 0]).rays() == [(2, ((0, one),)), (0, ((1, one),))]

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from tensorlattice.elements import DimensionMismatch, LatticeElement, weighted_l1
+from tensorlattice import hulls, tensor
+from tensorlattice.elements import (
+    DimensionMismatch,
+    LatticeElement,
+    weighted_l1,
+    weighted_order_unit,
+)
 from tensorlattice.hulls import GeneratedSet
 from tensorlattice.jsonio import FormatError
 from tensorlattice.projective import DualCertificate
@@ -222,6 +228,34 @@ def test_sample_nbhd_point_certified_member():
         assert nbhd_member(W, u) is Membership.MEMBER
 
 
+class TestSeminormFactors:
+    """A seminorm-backed neighborhood checks witness factors by p(x) <= 1."""
+
+    def test_zero_weight_direction_agrees_with_certificates(self):
+        # p vanishes on e_2, so (0, 5) lies in {p <= 1}, though p's unit
+        # ball, Sol Conv_b({e_1}), has no extent along e_2
+        W = TensorNbhd.from_seminorms(weighted_l1([1, 0]), weighted_l1([1, 1]))
+        x, y = el(0, 5), el(1, 0)
+        z = rank_one(x, y)
+        witness = [(Fraction(1), z, x, y)]
+        assert verify_nbhd_witness(W, z, witness)
+        assert nbhd_member(W, z) is Membership.MEMBER
+        generated = TensorNbhd(W.left, W.right)
+        assert not verify_nbhd_witness(generated, z, witness)
+
+    def test_weighted_factors_solve_no_lp(self, monkeypatch):
+        def no_member(*args):
+            raise AssertionError("witness check called hulls.member")
+
+        W = TensorNbhd.from_seminorms(weighted_l1([1, 2]), weighted_order_unit([1, 1]))
+        rng = SplitStream(67).split("no-lp")
+        points = [sample_nbhd_point(W, rng.split(t)) for t in range(20)]
+        monkeypatch.setattr(tensor, "member", no_member)
+        monkeypatch.setattr(hulls, "LinearProgram", no_member)
+        for u, witness in points:
+            assert verify_nbhd_witness(W, u, witness)
+
+
 def test_verify_nbhd_witness_rejects_wrong_point():
     W = unit_l1_nbhd()
     rng = SplitStream(61).split("wrong")
@@ -231,7 +265,6 @@ def test_verify_nbhd_witness_rejects_wrong_point():
 
 
 def test_base_axiom_check_small_run():
-    from tensorlattice.elements import weighted_order_unit
     W1 = unit_l1_nbhd()
     q = weighted_order_unit([1, 1])
     ball = GeneratedSet([el(1, 1)], ("Sol", "Conv_b"))
