@@ -23,7 +23,7 @@ from .elements import (
     weighted_l1,
     weighted_order_unit,
 )
-from .hulls import GeneratedSet, gauge, hull_law_check, member
+from .hulls import GeneratedSet, gauge, member
 from .projective import (
     Budget,
     Decomposition,
@@ -84,7 +84,6 @@ __all__ = [
     "gauge_equivalence_check",
     "hausdorff_check",
     "hom_property_report",
-    "hull_law_check",
     "induce_hom",
     "member",
     "nbhd_member",

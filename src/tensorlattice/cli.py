@@ -13,8 +13,9 @@ Four subcommands:
   lands as expected.
 
 Payload arguments accept inline JSON or a path to a JSON file. Malformed
-input exits 1 with a field diagnostic on stderr. All output is JSON with
-sorted keys and no timestamps, so identical invocations are byte-identical.
+input and malformed options exit 1 with one ``error: `` line on stderr. All
+output is JSON with sorted keys and no timestamps, so identical invocations
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ import json
 import sys
 
 from . import hulls, projective, suite
-from .elements import (
-    DimensionMismatch,
-    LatticeElement,
-    RieszSeminorm,
-    UnsupportedSeminormKind,
-    riesz_decompose,
-)
+from .elements import LatticeElement, RieszSeminorm, riesz_decompose
 from .jsonio import FormatError, _quote, as_fraction, fraction_str
 from .tensor import Membership, TensorElement, TensorNbhd, nbhd_member
 
@@ -89,6 +84,8 @@ def _cmd_member(args) -> int:
     if not isinstance(target, dict):
         raise FormatError("target", "expected a JSON object")
     radius = as_fraction(args.radius, "radius")
+    if radius <= 0:
+        raise FormatError("radius", f"must be positive, got {_quote(fraction_str(radius))}")
     if "generators" in target:
         S = hulls.GeneratedSet.from_json(target, "target")
         x = LatticeElement.from_json(_load_payload(args.point, "point"), "point")
@@ -132,8 +129,23 @@ def _cmd_suite(args) -> int:
     return 0 if report["all_ok"] else 1
 
 
+# An argparse error line is cut to this many characters: it may echo
+# unrecognized arguments in full.
+_USAGE_CHARS = 900
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a bad command line, where argparse would exit 2 with a usage block."""
+
+    def error(self, message):
+        message = " ".join(message.splitlines())
+        if len(message) > _USAGE_CHARS:
+            message = f"{message[:_USAGE_CHARS]}... ({len(message)} characters)"
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensorlattice",
         description="Certified computations in tensor products of coordinate vector lattices.",
     )
@@ -188,14 +200,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (DimensionMismatch, UnsupportedSeminormKind,
-            hulls.UnsupportedDecoration, ValueError) as exc:
+    except ValueError as exc:  # FormatError and every library error class are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

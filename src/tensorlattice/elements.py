@@ -274,10 +274,11 @@ class RieszSeminorm:
     def unit_ball(self):
         """Conv_b(Sol(G)), with G the vertices d / p(d) of the rays with p(d) > 0.
 
-        For a polyhedral gauge G is its generator list. This is the set
-        {p <= 1} unless p vanishes on a ray: for a weighted l1 seminorm with
-        a zero weight w_i, {p <= 1} contains every multiple of e_i, while
-        this set has no extent along e_i (its gauge there is INFINITE).
+        For a polyhedral gauge G is its generator list, and when no ray has
+        p(d) > 0 (the zero seminorm) G is {0}. This is the set {p <= 1}
+        unless p vanishes on a ray: for a weighted l1 seminorm with a zero
+        weight w_i, {p <= 1} contains every multiple of e_i, while this set
+        has no extent along e_i (its gauge there is INFINITE).
         """
         from . import hulls
 
@@ -287,9 +288,7 @@ class RieszSeminorm:
             gens = tuple(
                 LatticeElement.sparse(self.dim, ((i, c / pd) for i, c in ray))
                 for pd, ray in self.rays() if pd > 0
-            )
-            if not gens:
-                raise ValueError("unit ball of the zero seminorm is not generated")
+            ) or (LatticeElement.zero(self.dim),)
         return hulls.GeneratedSet(tuple(gens), ("Sol", "Conv_b"))
 
     def to_json(self) -> dict:

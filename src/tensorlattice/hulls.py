@@ -16,9 +16,12 @@ Membership is exact and tries the cheap decisions first:
 3. span check: a convex-solid point outside every box that is nonzero where
    all boxes vanish is rejected;
 4. LP: what is left is one rational feasibility program. ``Conv`` and
-   ``Conv_b`` of bare generators go straight to it, and ``Conv_b(Sol(G))`` (a
-   union of boxes, convexified) is one program whose gauge is the same
-   program with the mass row turned into the objective.
+   ``Conv_b`` of bare generators go straight to it. ``Conv(Sol(G))`` and
+   ``Conv_b(Sol(G))`` are one set: every box is symmetric and contains 0, so
+   a combination of total weight below 1 puts the rest of its mass on 0.
+   Both are decided by one program with the mass row ``sum lam_k == 1``, and
+   the gauge is the same program with the mass row turned into the
+   objective.
 
 The second half of the module is the law suite: eleven identities and
 inclusions relating hulls to pointwise set algebra, each checked by sampling
@@ -73,9 +76,6 @@ class GeneratedSet:
     @property
     def dim(self) -> int:
         return self.generators[0].dim
-
-    def member(self, x: LatticeElement) -> bool:
-        return member(self, x)
 
     def to_json(self) -> dict:
         return {
@@ -143,8 +143,11 @@ def _sum_hull_member(blocks, x, balanced: bool) -> bool:
     return lp.feasible()
 
 
-def _box_program(gens, x, objective: bool, convex_row: str | None):
-    """Shared LP for Conv_b(Sol(G)) / Conv(Sol(G)): x = sum z_k, |z_k| <= lam_k |g_k|."""
+def _box_program(gens, x, objective: bool):
+    """Shared LP for Conv(Sol(G)) = Conv_b(Sol(G)): x = sum z_k, |z_k| <= lam_k |g_k|.
+
+    Membership fixes the mass, sum lam_k == 1; the gauge minimizes it.
+    """
     bounds = [abs(g) for g in gens]
     for i in range(x.dim):
         if x.coords[i] != 0 and all(b.coords[i] == 0 for b in bounds):
@@ -168,10 +171,8 @@ def _box_program(gens, x, objective: bool, convex_row: str | None):
                 coeffs[v] = -1
         if coeffs or x.coords[i] != 0:
             lp.add(coeffs, "==", x.coords[i])
-    if convex_row == "==":
+    if not objective:
         lp.add({v: 1 for v in lam}, "==", 1)
-    elif convex_row == "<=":
-        lp.add({v: 1 for v in lam}, "<=", 1)
     return lp
 
 
@@ -194,8 +195,7 @@ def member(S: GeneratedSet, x: LatticeElement) -> bool:
     if deco in ((SOL, CONV), (SOL, CONV_B)):
         if _in_one_box(S.generators, x):
             return True  # Sol(G) lies inside both convex-solid hulls
-        lp = _box_program(S.generators, x, objective=False,
-                          convex_row="==" if deco == (SOL, CONV) else "<=")
+        lp = _box_program(S.generators, x, objective=False)
         return lp is not None and lp.feasible()
     raise UnsupportedDecoration(f"membership not implemented for decoration {_quote(deco)}")
 
@@ -213,7 +213,7 @@ def gauge(S: GeneratedSet, x: LatticeElement):
         )
     if x.is_zero():
         return Fraction(0)
-    lp = _box_program(S.generators, x, objective=True, convex_row=None)
+    lp = _box_program(S.generators, x, objective=True)
     if lp is None:
         return INFINITE
     try:
@@ -319,48 +319,34 @@ def solid_intersect_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) 
 # ---------------------------------------------------------------------------
 
 
-def sample_box_point(rng: SplitStream, bound: LatticeElement, denominator: int = 4) -> LatticeElement:
+def sample_box_point(rng: SplitStream, bound: LatticeElement) -> LatticeElement:
+    """A point of the box |x| <= |bound| on the quarter grid."""
     ab = abs(bound)
     return LatticeElement(
-        tuple(rng.fraction(-c, c, denominator) if c != 0 else Fraction(0) for c in ab.coords)
+        tuple(rng.fraction(-c, c, 4) if c != 0 else Fraction(0) for c in ab.coords)
     )
 
 
-def sample_hull_point(rng: SplitStream, S: GeneratedSet, margin=Fraction(0), with_witness=False):
-    """A random point of the decorated set, built constructively.
-
-    For balanced decorations `margin` shrinks the total mass to 1 - margin,
-    yielding interior points. The witness (when requested) is the list of
-    (weight, box point) pairs proving membership.
-    """
+def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
+    """A random point of the decorated set, built constructively."""
     gens = S.generators
     deco = S.decoration
-    margin = Fraction(margin)
     if deco == ():
-        point = rng.choice(gens)
-        return (point, [(Fraction(1), point)]) if with_witness else point
+        return rng.choice(gens)
     if deco == (SOL,):
-        g = rng.choice(gens)
-        point = sample_box_point(rng, g)
-        return (point, [(Fraction(1), point)]) if with_witness else point
-    if deco == (CONV,):
+        return sample_box_point(rng, rng.choice(gens))
+    if deco in ((CONV,), (SOL, CONV)):
         weights = rng.convex_weights(len(gens))
-        terms = list(zip(weights, gens))
-    elif deco == (CONV_B,):
-        weights = rng.balanced_weights(len(gens), ceiling=1 - margin)
-        terms = list(zip(weights, gens))
-    elif deco in ((SOL, CONV), (SOL, CONV_B)):
-        if deco == (SOL, CONV):
-            weights = rng.convex_weights(len(gens))
-        else:
-            weights = rng.balanced_weights(len(gens), ceiling=1 - margin)
-        terms = [(w, sample_box_point(rng, g)) for w, g in zip(weights, gens)]
+    elif deco in ((CONV_B,), (SOL, CONV_B)):
+        weights = rng.balanced_weights(len(gens))
     else:
         raise UnsupportedDecoration(f"sampling not implemented for decoration {_quote(deco)}")
+    if deco[0] == SOL:
+        gens = [sample_box_point(rng, g) for g in gens]  # drawn after the weights
     point = LatticeElement.zero(S.dim)
-    for w, u in terms:
+    for w, u in zip(weights, gens):
         point = point + u.scale(w)
-    return (point, terms) if with_witness else point
+    return point
 
 
 def random_element(rng: SplitStream, dim: int, lo=-3, hi=3) -> LatticeElement:
@@ -368,10 +354,11 @@ def random_element(rng: SplitStream, dim: int, lo=-3, hi=3) -> LatticeElement:
     return LatticeElement(tuple(rng.fraction(lo, hi, 4) for _ in range(dim)))
 
 
-def random_bare_set(rng: SplitStream, dim: int, max_gens: int = 4, lo: int = -5, hi: int = 5) -> GeneratedSet:
+def random_bare_set(rng: SplitStream, dim: int, max_gens: int = 4) -> GeneratedSet:
+    """Up to `max_gens` integer generators with coordinates in [-5, 5]."""
     count = rng.randint(1, max_gens)
     gens = tuple(
-        LatticeElement.make([rng.randint(lo, hi) for _ in range(dim)]) for _ in range(count)
+        LatticeElement.make([rng.randint(-5, 5) for _ in range(dim)]) for _ in range(count)
     )
     return GeneratedSet(gens)
 
@@ -660,8 +647,8 @@ _LAW_CHECKS = {
 }
 
 
-def _random_instance(law: int, rng: SplitStream, dim_lo=1, dim_hi=5) -> dict:
-    dim = rng.randint(dim_lo, dim_hi)
+def _random_instance(law: int, rng: SplitStream) -> dict:
+    dim = rng.randint(1, 5)
     A = random_bare_set(rng, dim)
     inst = {"A": A}
     if law in (4, 8) and rng.randint(0, 2):
@@ -768,43 +755,17 @@ def _tally(directions: dict, direction: str, status: str, witness):
         _count(d, witness)
 
 
-def hull_law_check(law: int, A: GeneratedSet | None, B: GeneratedSet | None,
-                   samples: int, seed: int, *, alpha=None, hom: LatticeHom | None = None) -> dict:
-    """Check one law on one operand pair, `samples` sampled points per direction."""
-    if law not in _LAW_CHECKS:
-        raise ValueError(f"law must be 1..11, got {law}")
-    rng = SplitStream(seed).split("hull-law", law)
-    if A is None:
-        raise ValueError("operand A is required")
-    inst = {"A": A, "B": B if B is not None else A}
-    if law == 6:
-        inst["alpha"] = Fraction(alpha) if alpha is not None else Fraction(2)
-    if law == 11:
-        inst["hom"] = hom if hom is not None else LatticeHom.make(
-            [[1 if i == j else 0 for i in range(A.dim)] for j in range(A.dim)]
-        )
-    directions: dict[str, dict] = {}
-    for s in range(samples):
-        for outcome in _LAW_CHECKS[law](inst, rng.split(s)):
-            _tally(directions, *outcome)
-    return {
-        "law": law,
-        "id": f"hull-law-{law}",
-        "statement": LAW_STATEMENTS[law],
-        "directions": directions,
-    }
-
-
-def hull_law_suite(law: int, *, triples: int, seed: int, dim_lo: int = 1, dim_hi: int = 5) -> dict:
+def hull_law_suite(law: int, *, triples: int, seed: int) -> dict:
     """Run one law over `triples` random (A, B, point) instances, then its fixtures.
 
-    The stream of instance i depends only on the seed, the law and i.
+    Instances have dims 1..5. The stream of instance i depends only on the
+    seed, the law and i.
     """
     rng = SplitStream(seed).split("hull-law-suite", law)
     directions: dict[str, dict] = {}
     for s in range(triples):
         srng = rng.split(s)
-        inst = _random_instance(law, srng.split("instance"), dim_lo, dim_hi)
+        inst = _random_instance(law, srng.split("instance"))
         for direction, status, witness in _LAW_CHECKS[law](inst, srng.split("points")):
             _tally(directions, direction, status, witness and {**witness, "index": s})
     for direction, A, B, pt, is_counterexample in _fixtures(law):
@@ -850,8 +811,8 @@ def law_verdict(law: int, directions: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def solid_closure_check(*, samples: int, seed: int, dim_lo: int = 1, dim_hi: int = 4) -> dict:
-    """For solid operands, which pointwise operations stay solid?
+def solid_closure_check(*, samples: int, seed: int) -> dict:
+    """For solid operands of dims 1..4, which pointwise operations stay solid?
 
     sum/union/intersection do; join/meet do not (they are only solid on the
     positive cone), and the suite records witnesses for the failures.
@@ -870,7 +831,7 @@ def solid_closure_check(*, samples: int, seed: int, dim_lo: int = 1, dim_hi: int
     }
     for s in range(samples):
         srng = rng.split(s)
-        dim = srng.randint(dim_lo, dim_hi)
+        dim = srng.randint(1, 4)
         A = random_bare_set(srng, dim, max_gens=3)
         B = random_bare_set(srng, dim, max_gens=3)
         for name, (oracle, combine) in ops.items():

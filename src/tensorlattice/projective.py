@@ -50,7 +50,7 @@ from .elements import (
     UnsupportedSeminormKind,
 )
 from .hulls import _close, _report, _violation, random_element
-from .jsonio import FormatError, as_fraction, fraction_str, require_key
+from .jsonio import FormatError, _quote, as_fraction, fraction_str, require_key
 from .rng import SplitStream
 from .simplex import InfeasibleLP, LinearProgram, UnboundedLP
 from .tensor import (
@@ -84,13 +84,19 @@ def _check_shapes(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
         )
 
 
+# Each restart may run for every term count up to k_max, so the count is
+# bounded: a gap that cannot close would otherwise keep the search going.
+MAX_RESTARTS = 64
+
+
 @dataclass(frozen=True)
 class Budget:
     """Search effort knobs for `seminorm_certify`.
 
     k_max bounds the number of decomposition terms (default: the entrywise
-    count n*m, which is always sufficient for feasibility); restarts is the
-    number of random alternating-minimization starts per term count.
+    count n*m, which is always sufficient for feasibility); restarts, at
+    most MAX_RESTARTS, is the number of random alternating-minimization
+    starts per term count.
     """
 
     k_max: int | None = None
@@ -99,9 +105,10 @@ class Budget:
 
     def __post_init__(self):
         if self.k_max is not None and self.k_max < 1:
-            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
+            raise FormatError("k_max", f"must be at least 1, got {_quote(fraction_str(self.k_max))}")
+        if not 0 <= self.restarts <= MAX_RESTARTS:
+            raise FormatError("restarts", f"must be between 0 and {MAX_RESTARTS}, "
+                                          f"got {_quote(fraction_str(self.restarts))}")
 
     def resolve_k(self, shape: tuple[int, int]) -> int:
         return self.k_max if self.k_max is not None else shape[0] * shape[1]
@@ -135,11 +142,8 @@ class Decomposition:
     def value(self, p: RieszSeminorm, q: RieszSeminorm) -> Fraction:
         return sum((p(x) * q(y) for x, y in self.terms), Fraction(0))
 
-    def verify(self, p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
-               claimed_value=None) -> bool:
-        if not self.dominates(u):
-            return False
-        return claimed_value is None or self.value(p, q) == as_fraction(claimed_value)
+    def verify(self, p: RieszSeminorm, q: RieszSeminorm, u: TensorElement, claimed_value) -> bool:
+        return self.dominates(u) and self.value(p, q) == as_fraction(claimed_value)
 
     def concat(self, other: "Decomposition") -> "Decomposition":
         if self.shape != other.shape:
@@ -422,8 +426,8 @@ def _half_step(p: RieszSeminorm, fixed, u: TensorElement, left: bool):
     return value, sides
 
 
-def _alternating_minimization(p, q, u, k: int, rng: SplitStream, iterations: int = 8):
-    """Exact alternating LP descent over k-term decompositions."""
+def _alternating_minimization(p, q, u, k: int, rng: SplitStream):
+    """Exact alternating LP descent over k-term decompositions, at most eight rounds."""
     n, m = u.shape
     ys = []
     for t in range(k):
@@ -431,7 +435,7 @@ def _alternating_minimization(p, q, u, k: int, rng: SplitStream, iterations: int
             tuple(rng.fraction(0, 2, 4) + Fraction(1, 8) for _ in range(m))
         ))
     best = None
-    for _ in range(iterations):
+    for _ in range(8):
         try:
             fixed_y = [(y, q(y)) for y in ys]
             _, xs = _half_step(p, fixed_y, u, left=True)

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Weights are drawn on the grid of multiples of 1/_WEIGHT_GRID.
+_WEIGHT_GRID = 16
 
 
 def _mix(z: int) -> int:
@@ -85,18 +87,18 @@ class SplitStream:
             return lo  # interval thinner than the grid
         return Fraction(self.randint(lo_num, hi_num), d)
 
-    def convex_weights(self, count: int, total=1, granularity: int = 16) -> list[Fraction]:
+    def convex_weights(self, count: int, total=1) -> list[Fraction]:
         """Nonnegative rationals summing exactly to `total`."""
         total = Fraction(total)
-        raw = [self.randint(0, granularity) for _ in range(count)]
+        raw = [self.randint(0, _WEIGHT_GRID) for _ in range(count)]
         if sum(raw) == 0:
             raw[self.randint(0, count - 1)] = 1
         s = sum(raw)
         return [Fraction(r, s) * total for r in raw]
 
-    def balanced_weights(self, count: int, ceiling=1, granularity: int = 16) -> list[Fraction]:
+    def balanced_weights(self, count: int, ceiling=1) -> list[Fraction]:
         """Signed rationals with sum of absolute values <= ceiling (often <)."""
-        mass = Fraction(self.randint(0, granularity), granularity) * Fraction(ceiling)
+        mass = Fraction(self.randint(0, _WEIGHT_GRID), _WEIGHT_GRID) * Fraction(ceiling)
         if mass == 0:
             return [Fraction(0)] * count
         return [w * self.sign() for w in self.convex_weights(count, total=mass)]

@@ -54,13 +54,13 @@ from .tensor import (
 # ---------------------------------------------------------------------------
 
 
-def riesz_decomposition_check(*, samples: int, seed: int, dim_hi: int = 6) -> dict:
-    """z = z1 + z2 with |z1| <= |x| and |z2| <= |y| whenever |z| <= |x| + |y|."""
+def riesz_decomposition_check(*, samples: int, seed: int) -> dict:
+    """z = z1 + z2 with |z1| <= |x| and |z2| <= |y| whenever |z| <= |x| + |y|, in dims 1..6."""
     rng = SplitStream(seed).split("riesz-decomposition")
     rep = _report(samples)
     for s in range(samples):
         srng = rng.split(s)
-        dim = srng.randint(1, dim_hi)
+        dim = srng.randint(1, 6)
         x = random_element(srng, dim)
         y = random_element(srng, dim)
         z = sample_box_point(srng, abs(x) + abs(y))
@@ -78,13 +78,13 @@ def riesz_decomposition_check(*, samples: int, seed: int, dim_hi: int = 6) -> di
                   "any z dominated by |x| + |y| splits exactly into parts dominated by |x| and |y|")
 
 
-def disjointify_check(*, samples: int, seed: int, dim_hi: int = 6) -> dict:
-    """The carved pair is disjoint, dominated, and sums to |x| v |y| - |x| ^ |y|."""
+def disjointify_check(*, samples: int, seed: int) -> dict:
+    """The carved pair is disjoint, dominated, and sums to |x| v |y| - |x| ^ |y|, in dims 1..6."""
     rng = SplitStream(seed).split("disjointify")
     rep = _report(samples)
     for s in range(samples):
         srng = rng.split(s)
-        dim = srng.randint(1, dim_hi)
+        dim = srng.randint(1, 6)
         x = random_element(srng, dim)
         y = random_element(srng, dim)
         xp, yp = disjointify(x, y)
@@ -193,12 +193,9 @@ def tensor_model_check(*, samples: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def hull_law_suite_sharded(*, triples: int, seed: int, dim_lo: int = 1, dim_hi: int = 5,
-                           workers: int = 1) -> list[dict]:
+def hull_law_suite_sharded(*, triples: int, seed: int, workers: int = 1) -> list[dict]:
     """All eleven hull laws, each run whole; the worker count never changes the reports."""
-    run_law = functools.partial(
-        hulls.hull_law_suite, triples=triples, seed=seed, dim_lo=dim_lo, dim_hi=dim_hi,
-    )
+    run_law = functools.partial(hulls.hull_law_suite, triples=triples, seed=seed)
     laws = sorted(hulls.LAW_EXPECTATIONS)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:

@@ -257,13 +257,13 @@ def nbhd_member(W: TensorNbhd, u: TensorElement, radius=1, budget=None) -> Membe
     radius = as_fraction(radius)
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {_quote(fraction_str(radius))}")
-    if u.is_zero():
-        return Membership.MEMBER
     if W.p is None or W.q is None:
         raise ValueError(
             "tri-state membership needs a seminorm-backed neighborhood; "
             "build it with TensorNbhd.from_seminorms"
         )
+    if u.is_zero():
+        return Membership.MEMBER
     from . import projective  # deferred: projective builds on this module
 
     cert = projective.seminorm_certify(W.p, W.q, u, budget)
@@ -288,20 +288,20 @@ def random_tensor(rng: SplitStream, n: int, m: int, lo=-3, hi=3) -> TensorElemen
     return TensorElement.from_flat(random_element(rng, n * m, lo, hi), (n, m))
 
 
-def sample_tensor_box(rng: SplitStream, bound: TensorElement, denominator: int = 4) -> TensorElement:
-    """A point of the box |u| <= |bound|, drawn row by row."""
-    return TensorElement.from_flat(sample_box_point(rng, bound, denominator), bound.shape)
+def sample_tensor_box(rng: SplitStream, bound: TensorElement) -> TensorElement:
+    """A point of the box |u| <= |bound| on the quarter grid, drawn row by row."""
+    return TensorElement.from_flat(sample_box_point(rng, bound), bound.shape)
 
 
-def sample_nbhd_point(W: TensorNbhd, rng: SplitStream, margin=Fraction(0), max_terms: int = 3):
-    """A point of (1 - margin) * W(U, V) with its membership witness.
+def sample_nbhd_point(W: TensorNbhd, rng: SplitStream, margin=Fraction(0)):
+    """A point of (1 - margin) * W(U, V) with its membership witness of 1 to 3 terms.
 
     With margin > 0 the factor points are also pulled into the interior
     ((1 - margin) * U and (1 - margin) * V), which the translation axiom
     needs.
     """
     margin = Fraction(margin)
-    count = rng.randint(1, max_terms)
+    count = rng.randint(1, 3)
     lams = rng.balanced_weights(count, ceiling=1 - margin)
     shrink = 1 - margin
     witness = []

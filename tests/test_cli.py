@@ -156,6 +156,30 @@ class TestMember:
         assert code == 0
         assert json.loads(out)["membership"] == "member"
 
+    @pytest.mark.parametrize("radius", ["-1", "0"])
+    def test_hull_radius_must_be_positive(self, capsys, radius):
+        # radius -1 would mirror Conv{(1, 0)} onto (-1, 0), radius 0 shrink it to {0}
+        segment = '{"generators": [["1", "0"]], "decoration": ["Conv"]}'
+        code, out, err = run(capsys, ["member", segment, '["-1", "0"]', "--radius", radius])
+        assert code == 1 and out == ""
+        assert err.startswith("error: field 'radius': must be positive")
+
+    def test_zero_seminorm_nbhd_is_decided(self, capsys):
+        # p = 0 certifies (p (x) q)(u) = 0, so u lies in W
+        zero = '{"kind": "weighted_l1", "weights": ["0", "0"]}'
+        target = json.dumps({"p": json.loads(zero), "q": json.loads(L1)})
+        code, out, err = run(capsys, ["member", target, U_FIXTURE])
+        assert code == 0 and err == ""
+        assert json.loads(out)["membership"] == "member"
+
+    @pytest.mark.parametrize("point", [GAP_U, '{"entries": [["0", "0"], ["0", "0"]]}'])
+    def test_nbhd_without_seminorms_exits_one(self, capsys, point):
+        # tri-state membership needs p and q, even for the zero tensor
+        target = json.dumps({"left": json.loads(DIAMOND), "right": json.loads(DIAMOND)})
+        code, out, err = run(capsys, ["member", target, point])
+        assert code == 1 and out == ""
+        assert err.startswith("error: tri-state membership needs a seminorm-backed neighborhood")
+
     def test_nbhd_tri_state_undecided_exits_two(self, capsys):
         target = json.dumps({
             "left": {"generators": [["1", "0"], ["0", "1"]],
@@ -225,6 +249,39 @@ class TestBoundedDiagnostics:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 200, err[:200]
         assert field in err
+
+
+class TestOptions:
+    """A bad command line exits 1 with one `error: ` line, never argparse's exit 2."""
+
+    def test_bad_option_value_exits_one(self, capsys):
+        code, out, err = run(capsys, ["member", "S", "x", "--kmax", "x"])
+        assert code == 1 and out == ""
+        assert err == "error: argument --kmax: invalid int value: 'x'\n"
+
+    def test_unrecognized_arguments_are_cut(self, capsys):
+        code, _, err = run(capsys, ["member", "S", "x", "--" + "y" * 100_000, "a\nb"])
+        assert code == 1
+        assert err.startswith("error: unrecognized arguments: --yyy")
+        assert err.count("\n") == 1 and len(err) <= 1000
+
+    def test_restarts_are_bounded(self, capsys):
+        # with one term the l1 (x) l1 identity never closes its gap, so every
+        # restart would run
+        identity = '{"entries": [["1", "0"], ["0", "1"]]}'
+        started = time.monotonic()
+        code, out, err = run(capsys, ["seminorm", L1, L1, identity,
+                                      "--kmax", "1", "--restarts", "1000000"])
+        assert time.monotonic() - started < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: field 'restarts': must be between 0 and 64")
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.sampled_from(["--kmax", "--restarts", "--seed"]),
+           st.one_of(st.text(max_size=8), st.integers().map(str)))
+    def test_only_clean_outcomes(self, option, value):
+        one = '{"kind": "weighted_l1", "weights": ["1"]}'
+        assert_clean_outcome(["seminorm", one, one, '{"entries": [["2"]]}', option, value])
 
 
 class TestDecompose:

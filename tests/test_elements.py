@@ -219,8 +219,10 @@ class TestSeminorms:
         # the rays scaled to p = 1; zero-weight l1 rays generate nothing
         assert weighted_l1([2, 0, 4]).unit_ball().generators == (el("1/2", 0, 0), el(0, 0, "1/4"))
         assert weighted_order_unit([2, 1]).unit_ball().generators == (el(2, 1),)
-        with pytest.raises(ValueError, match="zero seminorm"):
-            weighted_l1([0, 0]).unit_ball()
+        # the zero seminorm has no such ray: its ball is generated by 0
+        zero_ball = weighted_l1([0, 0]).unit_ball()
+        assert zero_ball.generators == (el(0, 0),)
+        assert zero_ball.decoration == ("Sol", "Conv_b")
 
     @given(element_pairs())
     @settings(max_examples=40)

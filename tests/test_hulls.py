@@ -11,7 +11,6 @@ from tensorlattice.hulls import (
     GeneratedSet,
     UnsupportedDecoration,
     gauge,
-    hull_law_check,
     hull_law_suite,
     member,
     random_bare_set,
@@ -208,26 +207,40 @@ class TestSetAlgebra:
         assert not solid_meet_member(A, B, el(2, 0))
 
 
+def check_law(law, A, B=None, *, samples, seed, **operands):
+    """The direction tallies of one law over `samples` draws on fixed operands.
+
+    B defaults to A; law 6 takes `alpha` and law 11 takes `hom`.
+    """
+    inst = {"A": A, "B": A if B is None else B, **operands}
+    rng = SplitStream(seed).split("hull-law", law)
+    directions = {}
+    for s in range(samples):
+        for outcome in hulls._LAW_CHECKS[law](inst, rng.split(s)):
+            hulls._tally(directions, *outcome)
+    return directions
+
+
 class TestHullLaws:
     def test_law5_split_fixture(self):
         A = GeneratedSet([el(2, 0)], ("Sol",))
         B = GeneratedSet([el(0, 2)], ("Sol",))
-        rep = hull_law_check(5, A, B, samples=50, seed=3)
-        assert rep["directions"]["printed"]["violations"] == 0
+        directions = check_law(5, A, B, samples=50, seed=3)
+        assert directions["printed"]["violations"] == 0
 
     def test_law6_scaling_equality(self):
         A = GeneratedSet([el(1, 2)], ("Sol",))
-        rep = hull_law_check(6, A, None, samples=100, seed=3, alpha=Fraction(-3))
-        for d in rep["directions"].values():
+        directions = check_law(6, A, samples=100, seed=3, alpha=Fraction(-3))
+        for d in directions.values():
             assert d["violations"] == 0
 
     def test_law2_absorb_direction_fails_on_fixture(self):
         # unit axes: (1,-1) lies in Conv_b(A)+Conv_b(B) but not Conv_b(A+B)
         A = GeneratedSet([el(1, 0)], ())
         B = GeneratedSet([el(0, 1)], ())
-        rep = hull_law_check(2, A, B, samples=40, seed=11)
-        assert rep["directions"]["sum-splits"]["violations"] == 0
-        assert rep["directions"]["sum-absorbs"]["violations"] > 0
+        directions = check_law(2, A, B, samples=40, seed=11)
+        assert directions["sum-splits"]["violations"] == 0
+        assert directions["sum-absorbs"]["violations"] > 0
 
     def test_law2_suite_carries_fixture_witness(self):
         rep = hull_law_suite(2, triples=6, seed=5)
@@ -238,14 +251,14 @@ class TestHullLaws:
     def test_law9_printed_fails_positive_cone_holds(self):
         A = GeneratedSet([el(2, 1)], ("Sol",))
         B = GeneratedSet([el(1, 3)], ("Sol",))
-        rep = hull_law_check(9, A, B, samples=60, seed=5)
-        assert rep["directions"]["positive-cone"]["violations"] == 0
+        directions = check_law(9, A, B, samples=60, seed=5)
+        assert directions["positive-cone"]["violations"] == 0
 
     def test_law11_with_hom(self):
         A = GeneratedSet([el(1, -2)], ("Sol",))
         hom = LatticeHom.make([[2, 0], [0, 1], [0, "1/2"]])
-        rep = hull_law_check(11, A, None, samples=60, seed=7, hom=hom)
-        assert rep["directions"]["printed"]["violations"] == 0
+        directions = check_law(11, A, samples=60, seed=7, hom=hom)
+        assert directions["printed"]["violations"] == 0
 
     def test_suite_observed_matches_expectations(self):
         for law in (1, 2, 5, 9):
@@ -260,8 +273,8 @@ class TestHullLaws:
         assert a == b
 
     def test_invalid_law_number(self):
-        with pytest.raises(ValueError):
-            hull_law_check(12, DIAMOND, None, samples=1, seed=0)
+        with pytest.raises(KeyError):
+            hull_law_suite(12, triples=1, seed=0)
 
 
 def test_solid_closure_check():
@@ -285,25 +298,6 @@ def test_sample_hull_point_lands_inside():
         S = GeneratedSet(S.generators, ("Sol", "Conv_b"))
         x = sample_hull_point(r.split("pt"), S)
         assert member(S, x)
-
-
-def test_sample_hull_point_witness_verifies():
-    rng = SplitStream(23).split("witness")
-    S = DIAMOND
-    x, witness = sample_hull_point(rng, S, with_witness=True)
-    assert member(S, x)
-    # witness pairs (lam_k, y_k) align with the generators: each y_k lives in
-    # the box of |g_k| and x = sum lam_k * y_k with sum lam_k <= 1
-    assert len(witness) == len(S.generators)
-    total = LatticeElement.zero(2)
-    budget = Fraction(0)
-    for (lam, y), g in zip(witness, S.generators):
-        assert lam >= 0
-        assert abs(y).le(abs(g))
-        total = total + y.scale(lam)
-        budget += lam
-    assert total == x
-    assert budget <= 1
 
 
 def test_generated_set_json_round_trip():
