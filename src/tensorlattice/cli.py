@@ -117,6 +117,15 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    for field in ("triples", "samples"):
+        value = getattr(args, field)
+        if value < 1:
+            raise FormatError(field, f"must be at least 1, got {_quote(fraction_str(value))}")
+    # one worker per hull law; more would only start idle processes
+    laws = len(hulls.LAW_EXPECTATIONS)
+    if not 1 <= args.workers <= laws:
+        raise FormatError("workers", f"must be between 1 and {laws}, "
+                                     f"got {_quote(fraction_str(args.workers))}")
     report = suite.run_suite(
         seed=args.seed,
         triples=args.triples,
@@ -188,11 +197,12 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("suite", help="run the full property suite")
     sp.add_argument("--triples", type=int, default=60,
-                    help="random instances per hull law (default 60)")
+                    help="random instances per hull law, at least 1 (default 60)")
     sp.add_argument("--samples", type=int, default=80,
-                    help="samples per property check (default 80)")
+                    help="samples per property check, at least 1 (default 80)")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes for the hull laws; output is identical for any count")
+                    help="worker processes for the hull laws, 1 to 11 (one per law); "
+                         "output is identical for any count")
     common(sp)
     sp.set_defaults(func=_cmd_suite)
 

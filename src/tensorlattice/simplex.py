@@ -5,7 +5,9 @@ floating point anywhere: feasibility answers and optima are exact, and with
 the fixed variable order the pivot sequence (hence the returned basic
 solution) is fully deterministic. Problem sizes here are small (tens of rows
 and columns), which is exactly the regime where a dense rational tableau is
-the simplest correct tool.
+the simplest correct tool. The tableaux of the hull programs are mostly
+zeros, so a pivot updates each row only over the nonzero columns of the
+pivot row; the arithmetic, and so every pivot, is that of the dense update.
 
 `solve_standard` handles min c.x s.t. Ax = b, x >= 0. `LinearProgram` is a
 small builder on top: nonnegative variables, <=/>=/== rows turned into
@@ -28,16 +30,19 @@ class UnboundedLP(Exception):
 
 
 def _pivot(tableau, obj, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
     pivot_row = tableau[row]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, pivot_row)]
-    if obj[col] != 0:
-        f = obj[col]
-        obj[:] = [a - f * b for a, b in zip(obj, pivot_row)]
+    piv = pivot_row[col]
+    support = [j for j, v in enumerate(pivot_row) if v]
+    if piv != 1:
+        for j in support:
+            pivot_row[j] /= piv
+    # A zero of the pivot row leaves its column unchanged in every other row.
+    entries = [(j, pivot_row[j]) for j in support]
+    for r in [*tableau, obj]:
+        f = r[col]
+        if f and r is not pivot_row:
+            for j, b in entries:
+                r[j] -= f * b
     basis[row] = col
 
 

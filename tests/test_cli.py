@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tensorlattice.cli as cli
+from tensorlattice import suite
 from tensorlattice.jsonio import MAX_DIGITS
 
 L1 = '{"kind": "weighted_l1", "weights": ["1", "1"]}'
@@ -317,6 +319,46 @@ class TestSuite:
         _, out_a, _ = run(capsys, ["suite", "--triples", "2", "--samples", "4"])
         _, out_b, _ = run(capsys, ["suite", "--triples", "2", "--samples", "4"])
         assert out_a == out_b
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        """No test starts a process: a worker pool raises."""
+        def pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--samples", "-1", "--triples", "0"], "triples"),
+        (["--samples", "0"], "samples"),
+        (["--triples", "-5"], "triples"),
+        (["--workers", "0"], "workers"),
+        (["--workers", "-3"], "workers"),
+        (["--workers", "12"], "workers"),
+        (["--workers", "9" * 4000], "workers"),
+    ])
+    def test_counts_are_bounded_before_any_work(self, capsys, monkeypatch, no_pool, argv, field):
+        ran = []
+        monkeypatch.setattr(suite, "run_suite", lambda **kwargs: ran.append(kwargs))
+        code, out, err = run(capsys, ["suite", *argv])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: field '{field}': must be ")
+        assert err.count("\n") == 1 and len(err) <= 200, err[:200]
+        assert ran == []
+
+    @pytest.mark.parametrize("workers", ["1", "11"])
+    def test_worker_bounds_are_inclusive(self, capsys, monkeypatch, no_pool, workers):
+        ran = []
+
+        def fake_run_suite(**kwargs):
+            ran.append(kwargs)
+            return {"all_ok": True}
+
+        monkeypatch.setattr(suite, "run_suite", fake_run_suite)
+        code, _, err = run(capsys, ["suite", "--workers", workers, "--triples", "1",
+                                    "--samples", "1"])
+        assert code == 0 and err == ""
+        assert [(r["workers"], r["triples"], r["samples"]) for r in ran] == [(int(workers), 1, 1)]
 
 
 def test_entry_point_runs_as_subprocess(tmp_path):

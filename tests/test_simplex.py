@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tensorlattice import simplex
 from tensorlattice.rng import SplitStream
 from tensorlattice.simplex import (
     InfeasibleLP,
@@ -124,3 +125,148 @@ def test_agrees_with_scipy_on_random_programs():
         assert abs(float(value) - res.fun) < 1e-7, (value, res.fun)
         checked += 1
     assert checked == 40
+
+
+# ---------------------------------------------------------------------------
+# The sparse row update against the dense one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _dense_pivot(tableau, obj, basis, row, col):
+    """The dense row update: every cell of every row the pivot touches."""
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    pivot_row = tableau[row]
+    for i, r in enumerate(tableau):
+        if i != row and r[col] != 0:
+            f = r[col]
+            tableau[i] = [a - f * b for a, b in zip(r, pivot_row)]
+    if obj[col] != 0:
+        f = obj[col]
+        obj[:] = [a - f * b for a, b in zip(obj, pivot_row)]
+    basis[row] = col
+
+
+_SPARSE_PIVOT = simplex._pivot
+
+
+def _entry(r, lo=-3, hi=3):
+    return r.fraction(lo, hi, denominator=4)
+
+
+def _box_shaped(r):
+    """Like `hulls._box_program`: |z_k| <= lam_k |g_k| split into u + v - c lam_k <= 0.
+
+    The point is a generator scaled by 0 (a zero right-hand side), inside, or
+    stretched past the generators' bounding box; the gauge form minimizes the
+    mass and the membership form fixes it with an == row.
+    """
+    dim, count = r.randint(2, 4), r.randint(2, 4)
+    gens = [[_entry(r) for _ in range(dim)] for _ in range(count)]
+    scale = r.choice([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5)])
+    x = [scale * c for c in r.choice(gens)]
+    objective = r.randint(0, 1) == 1
+    lp = LinearProgram()
+    lam = [lp.var(cost=1 if objective else 0) for _ in gens]
+    split = {}
+    for k, g in enumerate(gens):
+        for i, c in enumerate(g):
+            if c != 0:
+                u, v = lp.var(), lp.var()
+                split[k, i] = (u, v)
+                lp.add({u: 1, v: 1, lam[k]: -abs(c)}, "<=", 0)
+    for i in range(dim):
+        coeffs = {}
+        for k in range(count):
+            if (k, i) in split:
+                u, v = split[k, i]
+                coeffs[u], coeffs[v] = 1, -1
+        if coeffs or x[i] != 0:
+            lp.add(coeffs, "==", x[i])
+    if not objective:
+        lp.add({v: 1 for v in lam}, "==", 1)
+    return lp
+
+
+def _sum_hull_shaped(r):
+    """Like `hulls._sum_hull_member`: one mass row per block, then x coordinate-wise.
+
+    Balanced blocks get +/- columns under a <= 1 mass row, convex blocks an
+    == 1 mass row; random costs add a phase 2.
+    """
+    dim, balanced = r.randint(1, 3), r.randint(0, 1) == 1
+    lp = LinearProgram()
+    columns = [[] for _ in range(dim)]
+    for _ in range(r.randint(1, 3)):
+        gens = [[_entry(r) for _ in range(dim)] for _ in range(r.randint(1, 3))]
+        block = []
+        for g in gens:
+            signs = (1, -1) if balanced else (1,)
+            for sign in signs:
+                var = lp.var(cost=r.randint(0, 3))
+                block.append(var)
+                for i, c in enumerate(g):
+                    if c != 0:
+                        columns[i].append((var, sign * c))
+        lp.add({v: 1 for v in block}, "<=" if balanced else "==", 1)
+    for col in columns:
+        lp.add(dict(col), "==", _entry(r, -2, 2))
+    return lp
+
+
+def _degenerate(r):
+    """Rows with zero right-hand sides, some repeated, and costs of either sign."""
+    nvars = r.randint(2, 5)
+    lp = LinearProgram()
+    xs = [lp.var(cost=r.randint(-2, 3)) for _ in range(nvars)]
+    rows = [({x: _entry(r) for x in xs if r.randint(0, 2)}, r.choice(["<=", ">=", "=="]))
+            for _ in range(r.randint(1, 4))]
+    for coeffs, sense in rows + rows[: r.randint(0, 1)]:
+        lp.add(coeffs, sense, 0)
+    if r.randint(0, 1):
+        for x in xs:
+            lp.add({x: 1}, "<=", r.randint(1, 4))
+    return lp
+
+
+def _general(r):
+    """Mixed senses and right-hand sides; infeasible and unbounded ones occur."""
+    nvars = r.randint(1, 5)
+    lp = LinearProgram()
+    xs = [lp.var(cost=r.randint(-3, 3)) for _ in range(nvars)]
+    for _ in range(r.randint(1, 5)):
+        coeffs = {x: _entry(r) for x in xs if r.randint(0, 1)}
+        lp.add(coeffs, r.choice(["<=", ">=", "=="]), _entry(r, -4, 4))
+    return lp
+
+
+def _solve_with(monkeypatch, pivot, lp):
+    """The (row, col) of every pivot, then (value, solution) or the exception class."""
+    trail = []
+
+    def recording(tableau, obj, basis, row, col):
+        trail.append((row, col))
+        assert len(trail) <= 1000, "the simplex cycles"  # Bland's rule terminates
+        pivot(tableau, obj, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    try:
+        outcome = lp.minimize()
+    except (InfeasibleLP, UnboundedLP) as exc:
+        outcome = type(exc)
+    return trail, outcome
+
+
+def test_sparse_pivot_takes_the_dense_pivots(monkeypatch):
+    rng = SplitStream(2024).split("sparse-pivot")
+    outcomes = set()
+    for name, build in (("box", _box_shaped), ("sum-hull", _sum_hull_shaped),
+                        ("degenerate", _degenerate), ("general", _general)):
+        for t in range(60):
+            lp = build(rng.split(name, t))
+            sparse = _solve_with(monkeypatch, _SPARSE_PIVOT, lp)
+            dense = _solve_with(monkeypatch, _dense_pivot, lp)
+            assert sparse == dense, (name, t)
+            outcomes.add(sparse[1] if isinstance(sparse[1], type) else "optimal")
+    # every outcome of the simplex is compared, not only the optimal one
+    assert outcomes == {"optimal", InfeasibleLP, UnboundedLP}
