@@ -32,7 +32,10 @@ exports; for l1 (x) ou the row candidate attains it
 (sum_i w_i max_j |u_ij| / v_j), and for ou (x) l1 the column candidate. No
 closed form is exported for the mixed pairs (`seminorm_closed_form` returns
 None). Alternating minimization runs only when a starved term budget
-(`Budget.k_max`, the CLI's `--kmax`) filters those candidates out.
+(`Budget.k_max`, the CLI's `--kmax`) filters those candidates out. Its
+half-steps use the same rays: with one side fixed, the other side of each
+term is a nonnegative combination of the rays of its seminorm, so one LP
+with a column per term and ray, at cost p(d), finds the best side.
 """
 
 from __future__ import annotations
@@ -385,43 +388,37 @@ def _col_candidate(u: TensorElement) -> Decomposition:
 
 
 def _half_step(p: RieszSeminorm, fixed, u: TensorElement, left: bool):
-    """Optimal x-side (or y-side) given the other side, as one exact LP.
+    """Optimal x-side (or y-side) given the other side, as one exact LP over
+    the ray cone of p.
 
-    Minimizes sum_k p(x_k) * coeff_k subject to sum_k x_k (x) y_k >= |u| and
-    x_k >= 0, where coeff_k is the fixed side's seminorm value. For weighted
-    l1 the objective is already linear; weighted order-unit goes through one
-    epigraph variable per term.
+    Minimizes sum_t p(x_t) * coeff_t subject to sum_t x_t (x) y_t >= |u|,
+    where coeff_t is the fixed side's seminorm value. Each x_t is a
+    combination sum_d a_td d of the rays (p(d), d) of p with a_td >= 0, at
+    cost sum_d a_td p(d). Every x >= 0 lies below such a combination of cost
+    p(x) and the coverage only grows with x, so the optimum is that of the
+    half-step. For weighted l1 the rays are the unit vectors and a_td is x_t's
+    own coordinate; for the weighted order unit each term has one column, and
+    x_t comes back as a multiple of w.
     """
     n, m = u.shape
-    dim = n if left else m
-    k = len(fixed)
+    rays = [(pd, LatticeElement.sparse(p.dim, d)) for pd, d in p.rays()]
     lp = LinearProgram()
-    xs = []
-    for t in range(k):
-        coeff = fixed[t][1]
-        if p.kind == WEIGHTED_L1:
-            xs.append([lp.var(cost=p.weights[i] * coeff) for i in range(dim)])
-        else:
-            tv = lp.var(cost=coeff)
-            xs.append([lp.var() for _ in range(dim)])
-            for i in range(dim):
-                # epigraph of max_i x_i / w_i: x_{t,i} <= w_i * tv
-                lp.add({xs[t][i]: 1, tv: -p.weights[i]}, "<=", 0)
+    cols = [[lp.var(cost=pd * coeff) for pd, _ in rays] for _, coeff in fixed]
     au = abs(u)
     for i in range(n):
         for j in range(m):
-            coeffs = {}
-            for t in range(k):
-                other = fixed[t][0]
-                c = other.coords[j] if left else other.coords[i]
-                if c != 0:
-                    var = xs[t][i] if left else xs[t][j]
-                    coeffs[var] = coeffs.get(var, Fraction(0)) + c
+            free, at = (i, j) if left else (j, i)
+            coeffs = {
+                a_d: d.coords[free] * other.coords[at]
+                for (other, _), a in zip(fixed, cols)
+                for a_d, (_, d) in zip(a, rays)
+            }
             lp.add(coeffs, ">=", au.coords[i * m + j])
     value, assignment = lp.minimize()
     sides = [
-        LatticeElement(tuple(assignment[xs[t][i]] for i in range(dim)))
-        for t in range(k)
+        sum((d.scale(assignment[a_d]) for a_d, (_, d) in zip(a, rays)),
+            LatticeElement.zero(p.dim))
+        for a in cols
     ]
     return value, sides
 

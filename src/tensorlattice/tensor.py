@@ -103,9 +103,6 @@ class TensorElement(LatticeElement):
                 return divmod(k, self.shape[1])
         return None
 
-    def flatten(self) -> LatticeElement:
-        return LatticeElement(self.coords)
-
     @staticmethod
     def from_flat(x: LatticeElement, shape: tuple[int, int]) -> "TensorElement":
         return TensorElement(x.coords, tuple(shape))
@@ -222,11 +219,6 @@ class TensorNbhd:
     @property
     def shape(self) -> tuple[int, int]:
         return self.left.dim, self.right.dim
-
-    def to_json(self) -> dict:
-        if self.p is not None and self.q is not None:
-            return {"p": self.p.to_json(), "q": self.q.to_json()}
-        return {"left": self.left.to_json(), "right": self.right.to_json()}
 
     @staticmethod
     def from_json(data, field: str = "nbhd") -> "TensorNbhd":

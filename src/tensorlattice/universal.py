@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm
-from .jsonio import FormatError, fraction_str, require_key
+from .jsonio import fraction_str
 from .rng import SplitStream
 from .tensor import (
     TensorElement,
@@ -118,34 +118,6 @@ class LatticeBimorphism:
                     continue
                 total = total + self.images[i][j].scale(xi * yj)
         return total
-
-    def to_json(self) -> dict:
-        return {
-            "target_dim": self.target_dim,
-            "images": [[g.to_json() for g in row] for row in self.images],
-        }
-
-    @staticmethod
-    def from_json(data, field: str = "bimorphism") -> "LatticeBimorphism":
-        target_dim = require_key(data, "target_dim", field)
-        rows = require_key(data, "images", field)
-        if not isinstance(rows, list) or not rows:
-            raise FormatError(f"{field}.images", "expected a nonempty list of rows")
-        images = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise FormatError(f"{field}.images[{i}]", "expected a list")
-            images.append(tuple(
-                LatticeElement.from_json(g, f"{field}.images[{i}][{j}]")
-                for j, g in enumerate(row)
-            ))
-        phi = LatticeBimorphism(tuple(images))
-        if phi.target_dim != target_dim:
-            raise FormatError(
-                f"{field}.target_dim",
-                f"declared {target_dim} but images live in dimension {phi.target_dim}",
-            )
-        return phi
 
 
 @dataclass(frozen=True)

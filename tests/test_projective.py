@@ -4,6 +4,7 @@ import pytest
 
 from oracles import dual_lower_bound_lp, grid_decomposition_value
 from tensorlattice.elements import (
+    WEIGHTED_L1,
     LatticeElement,
     SeminormFamily,
     UnsupportedSeminormKind,
@@ -17,6 +18,7 @@ from tensorlattice.projective import (
     Decomposition,
     DualCertificate,
     SeminormCertificate,
+    _half_step,
     certificate_axiom_check,
     cross_property_check,
     dual_lower_bound,
@@ -26,6 +28,7 @@ from tensorlattice.projective import (
     seminorm_closed_form,
 )
 from tensorlattice.rng import SplitStream
+from tensorlattice.simplex import LinearProgram
 from tensorlattice.tensor import TensorElement, TensorNbhd
 
 
@@ -203,6 +206,111 @@ class TestAlternatingMinimization:
         assert cert.lower == cert.upper == Fraction(3, 2)
         assert len(cert.decomposition.terms) == 1
         assert cert.verify(self.P, self.Q, self.U)
+
+    def test_order_unit_side_on_its_ray_closes_a_starved_gap(self):
+        # The order-unit half-step returns x = a * w, so one restart reaches
+        # the dual's 2 with one term; the structural candidates stop at 3.
+        p = weighted_order_unit([2, 2])
+        q = weighted_l1([2, 1])
+        u = TensorElement.make([[-1, -1], [0, 2]])
+        cert = seminorm_certify(p, q, u, Budget(k_max=1, restarts=1))
+        assert (cert.lower, cert.upper) == (2, 2)
+        assert len(cert.decomposition.terms) == 1
+        assert cert.verify(p, q, u)
+        starved = seminorm_certify(p, q, u, Budget(k_max=1, restarts=0))
+        assert (starved.lower, starved.upper) == (2, 3)
+
+
+def branching_half_step(p, fixed, u, left):
+    """The half-step LP written per seminorm kind: one column per coordinate
+    for weighted l1, and for the weighted order unit `dim` columns plus one
+    epigraph column tv per term, with the rows x_{t,i} <= w_i * tv."""
+    n, m = u.shape
+    dim = n if left else m
+    k = len(fixed)
+    lp = LinearProgram()
+    xs = []
+    for t in range(k):
+        coeff = fixed[t][1]
+        if p.kind == WEIGHTED_L1:
+            xs.append([lp.var(cost=p.weights[i] * coeff) for i in range(dim)])
+        else:
+            tv = lp.var(cost=coeff)
+            xs.append([lp.var() for _ in range(dim)])
+            for i in range(dim):
+                lp.add({xs[t][i]: 1, tv: -p.weights[i]}, "<=", 0)
+    au = abs(u)
+    for i in range(n):
+        for j in range(m):
+            coeffs = {}
+            for t in range(k):
+                other = fixed[t][0]
+                c = other.coords[j] if left else other.coords[i]
+                if c != 0:
+                    var = xs[t][i] if left else xs[t][j]
+                    coeffs[var] = coeffs.get(var, Fraction(0)) + c
+            lp.add(coeffs, ">=", au.coords[i * m + j])
+    value, assignment = lp.minimize()
+    sides = [
+        LatticeElement(tuple(assignment[xs[t][i]] for i in range(dim)))
+        for t in range(k)
+    ]
+    return value, sides
+
+
+def _outcome(half_step, *args):
+    try:
+        return half_step(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestHalfStep:
+    """The ray-cone half-step against the kind-branching LP."""
+
+    @staticmethod
+    def instances():
+        rng = SplitStream(89).split("half-step")
+        for case in range(160):
+            r = rng.split(case)
+            n, m = r.randint(1, 4), r.randint(1, 4)
+            left = case % 2 == 0
+            dim, other_dim = (n, m) if left else (m, n)
+            if case % 4 < 2:
+                p = weighted_l1([r.randint(0, 3) for _ in range(dim)])
+            else:
+                p = weighted_order_unit([r.fraction(1, 3) for _ in range(dim)])
+            # fixed sides with zero coordinates, some of them all zero
+            fixed = [
+                (LatticeElement(tuple(r.fraction(0, 2) if r.randint(0, 2) else Fraction(0)
+                                      for _ in range(other_dim))),
+                 r.fraction(0, 3))
+                for _ in range(r.randint(1, 3))
+            ]
+            u = random_tensor(r, n, m)
+            yield p, fixed, u, left
+
+    def test_same_optimum_as_the_branching_lp(self):
+        kinds = set()
+        solved = 0
+        for p, fixed, u, left in self.instances():
+            got = _outcome(_half_step, p, fixed, u, left)
+            ref = _outcome(branching_half_step, p, fixed, u, left)
+            if isinstance(ref, type):
+                assert got is ref
+                continue
+            assert not isinstance(got, type), got
+            solved += 1
+            kinds.add((p.kind, left))
+            (value, sides), (ref_value, ref_sides) = got, ref
+            assert value == ref_value
+            assert len(sides) == len(fixed)
+            if p.kind == WEIGHTED_L1:
+                assert sides == ref_sides
+            else:
+                w = LatticeElement(p.weights)
+                assert all(x == w.scale(p(x)) for x in sides)
+        assert len(kinds) == 4 and solved >= 80
 
 
 class TestCertificateObjects:

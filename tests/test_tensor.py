@@ -80,7 +80,7 @@ class TestTensorElement:
         assert not ops & set(vars(TensorElement))
         u = TensorElement.make([[1, -2], [3, 0]])
         assert (-u).shape == abs(u).shape == u.scale(2).shape == (2, 2)
-        assert u.flatten() == LatticeElement.make([1, -2, 3, 0])
+        assert LatticeElement(u.coords) == LatticeElement.make([1, -2, 3, 0])
         assert u.entries == ((1, -2), (3, 0))
 
     def test_make_rejects_ragged_rows(self):
@@ -89,7 +89,7 @@ class TestTensorElement:
 
     def test_flatten_round_trip(self):
         u = TensorElement.make([[1, -2], [3, 4]])
-        assert TensorElement.from_flat(u.flatten(), (2, 2)) == u
+        assert TensorElement.from_flat(LatticeElement(u.coords), (2, 2)) == u
 
     def test_json_round_trip(self):
         u = TensorElement.make([["1/3", -2], [0, 5]])

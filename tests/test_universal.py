@@ -61,11 +61,6 @@ class TestBimorphism:
         with pytest.raises(BimorphismDefect):
             induce_hom(broken)
 
-    def test_json_round_trip(self):
-        back = LatticeBimorphism.from_json(CANON.to_json())
-        assert back.images == CANON.images
-        assert back.target_dim == CANON.target_dim
-
 
 class TestInducedHom:
     def test_factorization_identity(self):
