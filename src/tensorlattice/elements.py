@@ -7,7 +7,7 @@ the element type this module provides:
 * the constructive Riesz decomposition and disjointification used by the
   hull identities,
 * Riesz seminorms of three kinds (weighted l1, weighted order-unit, and
-  gauges of polyhedral convex-solid sets),
+  gauges of polyhedral convex-solid sets), each read through its rays,
 * seminorm families with a computed separating flag,
 * lattice homomorphisms between coordinate lattices (nonnegative matrices
   with pairwise disjoint columns).
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import add
 
 from .jsonio import (
     FormatError,
@@ -201,6 +203,8 @@ class RieszSeminorm:
     * ``weighted_order_unit`` p(x) = max_i |x_i| / w_i, weights w_i > 0
     * ``polyhedral_gauge``  gauge of the convex-solid-balanced hull of a
       finite generator set (may be INFINITE off the generators' span)
+
+    The kind only builds `rays`, which every computation on p reads.
     """
 
     kind: str
@@ -216,6 +220,8 @@ class RieszSeminorm:
             dims = {g.dim for g in self.generators}
             if len(dims) != 1:
                 raise DimensionMismatch("polyhedral gauge generators must share a dimension")
+            if dims == {0}:  # as a weighted seminorm needs a weight
+                raise ValueError("polyhedral gauge generators need at least one coordinate")
         else:
             if not self.weights:
                 raise ValueError("weighted seminorm needs at least one weight")
@@ -231,65 +237,74 @@ class RieszSeminorm:
             return self.generators[0].dim
         return len(self.weights)
 
+    @cached_property
+    def rays(self) -> tuple:
+        """The rays d >= 0 of p as (cost, ((i, d_i), ...)) over d_i != 0: every
+        x >= 0 lies below some sum_d a_d d, a_d >= 0, of cost sum_d a_d cost_d
+        = p(x), and cost_d >= p(d), with equality at the unit ball's vertices.
+
+        Weighted l1 has the e_i at cost w_i (a zero weight makes e_i a free
+        direction), the weighted order unit the one ray w at cost 1, and a
+        polyhedral gauge its nonzero |g_k| at cost 1.
+        """
+        if self.kind == WEIGHTED_L1:
+            return tuple((w, ((i, Fraction(1)),)) for i, w in enumerate(self.weights))
+        if self.kind == WEIGHTED_ORDER_UNIT:
+            return ((Fraction(1), tuple(enumerate(self.weights))),)
+        return tuple(
+            (Fraction(1), tuple((i, abs(c)) for i, c in enumerate(g.coords) if c != 0))
+            for g in self.generators if not g.is_zero()
+        )
+
+    @cached_property
+    def rays_partition(self) -> bool:
+        """Whether the ray supports partition the coordinates. Then every cost
+        is p(d), p(x) = sum_d p(d) max_{i in supp d} |x_i| / d_i, and
+        `projective` certifies p (x) q exactly."""
+        covered = [i for _, d in self.rays for i, _ in d]
+        return len(covered) == self.dim == len(set(covered))
+
+    @cached_property
+    def _ray_scales(self) -> tuple:
+        # (i, p(d) / d_i) for the one-coordinate rays, then a tuple per longer ray
+        scales = [tuple((i, pd / di) for i, di in d) for pd, d in self.rays]
+        return (tuple(ray[0] for ray in scales if len(ray) == 1),
+                tuple(ray for ray in scales if len(ray) > 1))
+
     def __call__(self, x: LatticeElement):
         if x.dim != self.dim:
             raise DimensionMismatch(f"seminorm over dim {self.dim} applied to dim {x.dim}")
-        if self.kind == WEIGHTED_L1:
-            return sum((w * abs(c) for w, c in zip(self.weights, x.coords)), Fraction(0))
-        if self.kind == WEIGHTED_ORDER_UNIT:
-            return max(abs(c) / w for w, c in zip(self.weights, x.coords))
+        if self.rays_partition:
+            c = x.coords
+            units, blocks = self._ray_scales
+            return reduce(add, [abs(c[i]) * s for i, s in units]
+                          + [max(abs(c[i]) * s for i, s in ray) for ray in blocks])
         from . import hulls  # deferred: single gauge implementation lives there
 
         return hulls.gauge(self.unit_ball(), x)
 
     def in_unit_ball(self, x: LatticeElement) -> bool:
-        """Whether p(x) <= 1.
+        """Whether p(x) <= 1; without partitioning rays by hull membership, a box
+        scan before any LP, where p(x) would solve a gauge LP."""
+        from . import hulls
 
-        A polyhedral gauge's unit ball is its generated set, decided by hull
-        membership: a box scan before any LP, where p(x) would solve a gauge LP.
-        """
-        if self.kind == POLYHEDRAL_GAUGE:
-            from . import hulls
-
-            return hulls.member(self.unit_ball(), x)
-        return self(x) <= 1
-
-    def rays(self):
-        """The rays d >= 0 whose multiples d / p(d) are the maximal vertices of
-        the positive unit ball, each as (p(d), ((i, d_i), ...)) over d_i != 0.
-
-        Weighted l1 has the unit vectors e_i with p(e_i) = w_i (a zero weight
-        makes e_i an unbounded direction); the weighted order unit has the one
-        ray w with p(w) = 1. Polyhedral gauges have no ray set here.
-        """
-        if self.kind == WEIGHTED_L1:
-            return [(w, ((i, Fraction(1)),)) for i, w in enumerate(self.weights)]
-        if self.kind == WEIGHTED_ORDER_UNIT:
-            return [(Fraction(1), tuple(enumerate(self.weights)))]
-        raise UnsupportedSeminormKind(
-            f"{self.kind!r} has no ray set; certificates need weighted l1 or "
-            f"weighted order-unit seminorms"
-        )
+        return self(x) <= 1 if self.rays_partition else hulls.member(self.unit_ball(), x)
 
     def unit_ball(self):
         """Conv_b(Sol(G)), with G the vertices d / p(d) of the rays with p(d) > 0.
 
-        For a polyhedral gauge G is its generator list, and when no ray has
-        p(d) > 0 (the zero seminorm) G is {0}. This is the set {p <= 1}
-        unless p vanishes on a ray: for a weighted l1 seminorm with a zero
-        weight w_i, {p <= 1} contains every multiple of e_i, while this set
-        has no extent along e_i (its gauge there is INFINITE).
+        When no ray has p(d) > 0 (the zero seminorm) G is {0}. This is the set
+        {p <= 1} unless p vanishes on a ray: for a weighted l1 seminorm with a
+        zero weight w_i, {p <= 1} contains every multiple of e_i, while this
+        set has no extent along e_i (its gauge there is INFINITE).
         """
         from . import hulls
 
-        if self.kind == POLYHEDRAL_GAUGE:
-            gens = self.generators
-        else:
-            gens = tuple(
-                LatticeElement.sparse(self.dim, ((i, c / pd) for i, c in ray))
-                for pd, ray in self.rays() if pd > 0
-            ) or (LatticeElement.zero(self.dim),)
-        return hulls.GeneratedSet(tuple(gens), ("Sol", "Conv_b"))
+        gens = tuple(
+            LatticeElement.sparse(self.dim, ((i, c / pd) for i, c in ray))
+            for pd, ray in self.rays if pd > 0
+        ) or (LatticeElement.zero(self.dim),)
+        return hulls.GeneratedSet(gens, ("Sol", "Conv_b"))
 
     def to_json(self) -> dict:
         if self.kind == POLYHEDRAL_GAUGE:

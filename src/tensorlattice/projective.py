@@ -18,20 +18,20 @@ a bare number for it. The contract is a `SeminormCertificate`: an interval
 
 Both witnesses re-verify exactly in rational arithmetic.
 
-One criterion decides domination for every weighted kind pair. Each factor
-seminorm lists the rays d >= 0 whose multiples d / p(d) are the maximal
-vertices of its positive unit ball (`RieszSeminorm.rays`), and B is
-dominated by p (x) q exactly when B(d, e) <= p(d) q(e) for every ray pair.
-For weighted kinds the supports supp(d) x supp(e) of the ray pairs
-partition the grid into blocks, so the optimal dual puts each block's
-budget p(d) q(e) on one cell. Under the default budget every weighted pair
-closes to gap 0 on a structural candidate whose value equals the dual's
-block sum: for the pure kind pairs (weighted l1 both sides, weighted
-order-unit both sides) that sum is the closed form `seminorm_closed_form`
-exports; for l1 (x) ou the row candidate attains it
-(sum_i w_i max_j |u_ij| / v_j), and for ou (x) l1 the column candidate. No
-closed form is exported for the mixed pairs (`seminorm_closed_form` returns
-None). Alternating minimization runs only when a starved term budget
+One criterion decides domination: with the rays (p(d), d) of each factor
+(`RieszSeminorm.rays`), B is dominated by p (x) q when B(d, e) <= p(d) q(e)
+for every ray pair. Certificates need each factor's ray supports to
+partition its coordinates (`RieszSeminorm.rays_partition`): weighted l1,
+the weighted order unit, and l1-of-l-infinity block seminorms (polyhedral
+gauges of generators with disjoint supports). The blocks supp(d) x supp(e)
+then partition the grid, the optimal dual puts each block's budget
+p(d) q(e) on one cell, and the block candidate sum_de lam_de d (x) e, with
+lam_de the block's largest |u_ij| / (d_i e_j), meets it, so every such pair
+closes to gap 0 under the default budget. It is built only when the four
+structural candidates leave a gap, as they never do for the weighted kinds:
+the pure pairs meet `seminorm_closed_form` (exported for pairs of one kind
+only), l1 (x) ou the row candidate, ou (x) l1 the column candidate.
+Alternating minimization runs only when a starved term budget
 (`Budget.k_max`, the CLI's `--kmax`) filters those candidates out. Its
 half-steps use the same rays: with one side fixed, the other side of each
 term is a nonnegative combination of the rays of its seminorm, so one LP
@@ -44,8 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elements import (
-    WEIGHTED_L1,
-    WEIGHTED_ORDER_UNIT,
     DimensionMismatch,
     LatticeElement,
     RieszSeminorm,
@@ -68,15 +66,12 @@ from .tensor import (
     sample_tensor_box,
 )
 
-_WEIGHTED = (WEIGHTED_L1, WEIGHTED_ORDER_UNIT)
-
-
 def _require_weighted(p: RieszSeminorm, q: RieszSeminorm):
+    """Raise unless both ray lists partition their coordinates (the oracles import this name)."""
     for name, s in (("p", p), ("q", q)):
-        if s.kind not in _WEIGHTED:
+        if not s.rays_partition:
             raise UnsupportedSeminormKind(
-                f"{name} has kind {s.kind!r}; certificates need weighted l1 or "
-                f"weighted order-unit seminorms"
+                f"certificates need ray supports that partition the coordinates; {name}'s do not"
             )
 
 
@@ -197,9 +192,10 @@ class DualCertificate:
         """B(x,y) <= p(x)q(y) for all x,y >= 0, checked on the ray pairs.
 
         Every x >= 0 lies below a combination sum_d a_d d of the rays with
-        a_d >= 0 and sum_d a_d p(d) = p(x), and B is nonnegative and bilinear,
-        so B(d, e) <= p(d) q(e) on every ray pair (d, e) is the whole
-        criterion.
+        a_d >= 0 and sum_d a_d p(d) = p(x), p(d) being the ray's cost, and B
+        is nonnegative and bilinear, so B(d, e) <= p(d) q(e) on every ray pair
+        (d, e) suffices; it is the whole criterion when every cost is the
+        seminorm's value, as for rays that partition the coordinates.
         """
         n, m = self.matrix.shape
         if (p.dim, q.dim) != (n, m):
@@ -270,14 +266,14 @@ def _ray_blocks(p: RieszSeminorm, q: RieszSeminorm):
     (k, d_i e_j) of the block supp(d) x supp(e), in row-major order, where
     k = i * m + j is the flat index of entry (i, j).
 
-    For weighted kinds the blocks partition the grid.
+    When the rays of p and of q partition their coordinates, the blocks
+    partition the grid.
     """
     m = q.dim
-    right = q.rays()
     return [
         (pd * qe, [(i * m + j, di * ej) for i, di in d for j, ej in e])
-        for pd, d in p.rays()
-        for qe, e in right
+        for pd, d in p.rays
+        for qe, e in q.rays
     ]
 
 
@@ -296,21 +292,17 @@ def _block_maxima(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
 
 
 def seminorm_closed_form(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
-    """Exact value for the pure kind pairs; None when no closed form is exported.
+    """Exact value for pairs of one kind whose rays partition; None otherwise.
 
     The value is the sum over ray blocks of p(d) q(e) max |u_ij| / (d_i e_j):
     sum_ij w_i v_j |u_ij| for weighted l1 both sides, max_ij |u_ij| / (w_i v_j)
-    for the weighted order unit both sides. Mixed and polyhedral pairs get
-    None.
+    for the weighted order unit both sides, an l1 sum of block maxima for
+    polyhedral block seminorms. Pairs of different kinds get None.
     """
     _check_shapes(p, q, u)
-    if p.kind != q.kind:
+    if p.kind != q.kind or not (p.rays_partition and q.rays_partition):
         return None
-    try:
-        maxima = _block_maxima(p, q, u)
-    except UnsupportedSeminormKind:
-        return None
-    return sum((scale * ratio for scale, ratio, *_ in maxima), Fraction(0))
+    return sum((scale * ratio for scale, ratio, *_ in _block_maxima(p, q, u)), Fraction(0))
 
 
 def _argmax(pairs):
@@ -325,11 +317,12 @@ def _argmax(pairs):
 def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> DualCertificate:
     """The optimal entrywise-nonnegative dual form, built in closed form.
 
-    The ray blocks partition the grid and each block carries one budget
-    p(d) q(e), so the optimum spends each budget on the block's cell with
-    the largest |u_ij| / (d_i e_j). The construction is re-verified against
-    the criterion before returning.
+    The ray blocks partition the grid (the gate of `_require_weighted`) and
+    each block carries one budget p(d) q(e), so the optimum spends each
+    budget on the block's cell with the largest |u_ij| / (d_i e_j). The
+    construction is re-verified against the criterion before returning.
     """
+    _require_weighted(p, q)
     _check_shapes(p, q, u)
     M = [Fraction(0)] * u.dim
     for scale, _, k, c in _block_maxima(p, q, u):
@@ -352,18 +345,19 @@ def _dominating_candidate(u: TensorElement) -> Decomposition:
 
 def _scaled_unit_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Decomposition:
     m = u.shape[1]
+    # sum_d p(d) d over the disjoint rays: the weights for l1, w for the order unit
+    w, v = (LatticeElement.sparse(s.dim, ((i, pd * di) for pd, d in s.rays for i, di in d))
+            for s in (p, q))
     c = Fraction(0)
     for k, e in enumerate(u.coords):
         if e == 0:
             continue
-        denom = p.weights[k // m] * q.weights[k % m]
+        denom = w.coords[k // m] * v.coords[k % m]
         if denom == 0:
             return Decomposition(u.shape, ())  # no multiple of w (x) v covers this entry
         c = max(c, abs(e) / denom)
     if c == 0:
         return Decomposition(u.shape, ())
-    w = LatticeElement(tuple(p.weights))
-    v = LatticeElement(tuple(q.weights))
     return Decomposition(u.shape, ((w.scale(c), v),))
 
 
@@ -387,6 +381,18 @@ def _col_candidate(u: TensorElement) -> Decomposition:
     return Decomposition(u.shape, tuple(terms))
 
 
+def _block_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Decomposition:
+    """sum_de lam_de d (x) e, with lam_de the block maximum of |u_ij| / (d_i e_j):
+    its value sum_de lam_de p(d) q(e) is the dual's block sum."""
+    n, m = u.shape
+    pairs = [(d, e) for _, d in p.rays for _, e in q.rays]
+    return Decomposition(u.shape, tuple(
+        (LatticeElement.sparse(n, ((i, ratio * di) for i, di in d)), LatticeElement.sparse(m, e))
+        for (d, e), (_, ratio, _, _) in zip(pairs, _block_maxima(p, q, u))
+        if ratio > 0
+    ))
+
+
 def _half_step(p: RieszSeminorm, fixed, u: TensorElement, left: bool):
     """Optimal x-side (or y-side) given the other side, as one exact LP over
     the ray cone of p.
@@ -401,7 +407,7 @@ def _half_step(p: RieszSeminorm, fixed, u: TensorElement, left: bool):
     x_t comes back as a multiple of w.
     """
     n, m = u.shape
-    rays = [(pd, LatticeElement.sparse(p.dim, d)) for pd, d in p.rays()]
+    rays = [(pd, LatticeElement.sparse(p.dim, d)) for pd, d in p.rays]
     lp = LinearProgram()
     cols = [[lp.var(cost=pd * coeff) for pd, _ in rays] for _, coeff in fixed]
     au = abs(u)
@@ -457,9 +463,9 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
     The lower bound is the closed-form optimal dual. The upper bound is the
     best feasible decomposition among structural candidates (dominating
     rank-one, scaled unit rank-one, rows, columns, filtered by the term
-    budget) refined by exact alternating minimization when a gap
-    remains. Every bound re-verifies exactly before the certificate is
-    returned.
+    budget), then, while a gap remains, the block candidate and exact
+    alternating minimization. Every bound re-verifies exactly before the
+    certificate is returned.
     """
     budget = budget or Budget()
     _require_weighted(p, q)
@@ -473,16 +479,17 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
     lower = dual.value(u)
 
     k_max = budget.resolve_k(u.shape)
-    candidates = [
-        _dominating_candidate(u),
-        _scaled_unit_candidate(p, q, u),
-        _row_candidate(u),
-        _col_candidate(u),
-    ]
+
+    def candidates():  # the block candidate only when the first four leave a gap
+        yield from (_dominating_candidate(u), _scaled_unit_candidate(p, q, u),
+                    _row_candidate(u), _col_candidate(u))
+        if best[0] > lower:
+            yield _block_candidate(p, q, u)
+
     # The dominating rank-one always survives the filter (one term, u != 0),
     # so best is never left unset.
     best: tuple[Fraction, Decomposition] | None = None
-    for dec in candidates:
+    for dec in candidates():
         if not dec.terms or len(dec.terms) > k_max:
             continue
         value = dec.value(p, q)
@@ -523,7 +530,6 @@ def cross_property_check(p: RieszSeminorm, q: RieszSeminorm, *, samples: int, se
     mixed cases; in this model the row/column decompositions close the upper
     bound to the same value, and the check records that too.
     """
-    _require_weighted(p, q)
     rng = SplitStream(seed).split("cross-property")
     rep = _report(samples)
     pure = p.kind == q.kind
@@ -611,7 +617,6 @@ def certificate_axiom_check(p: RieszSeminorm, q: RieszSeminorm, *, samples: int,
       and the dual value scales the same way;
     * solidity/monotonicity: |v| <= |u| implies lower(v) <= upper(u).
     """
-    _require_weighted(p, q)
     rng = SplitStream(seed).split("certificate-axioms")
     rep = _report(samples)
     n, m = p.dim, q.dim
@@ -663,13 +668,13 @@ def hausdorff_check(P: SeminormFamily, Q: SeminormFamily, *, samples: int, seed:
         "right": [f"coordinate {j}" for j in dead_right],
     }
     rng = SplitStream(seed).split("hausdorff")
-    weighted = [
+    certifiable = [
         (pp, qq) for pp in P.members for qq in Q.members
-        if pp.kind in _WEIGHTED and qq.kind in _WEIGHTED
+        if pp.rays_partition and qq.rays_partition
     ]
-    if not weighted:
+    if not certifiable:
         raise UnsupportedSeminormKind(
-            "separation certificates need at least one weighted member on each side"
+            "separation certificates need a member on each side with partitioning rays"
         )
     n, m = P.dim, Q.dim
     for s in range(samples):
@@ -686,7 +691,7 @@ def hausdorff_check(P: SeminormFamily, Q: SeminormFamily, *, samples: int, seed:
         x0 = LatticeElement.unit(n, i, top)
         y0 = LatticeElement.unit(m, j)
         separated = False
-        for pp, qq in weighted:
+        for pp, qq in certifiable:
             target = pp(x0) * qq(y0)
             if target > 0 and dual_lower_bound(pp, qq, u).value(u) >= target:
                 separated = True

@@ -15,12 +15,13 @@ rest of the package leans on:
   everything.
 
 On top of the model sit the canonical zero neighborhoods
-W(U, V) = Conv_b(Sol(U ⊗ V)) for convex-solid U, V (`TensorNbhd`), with
+W(U, V) = Conv_b(Sol(U ⊗ V)) with U = {p <= 1} and V = {q <= 1} for Riesz
+seminorms p, q (`TensorNbhd`; a generated factor Conv_b(Sol(G)) is the
+polyhedral gauge of G), with
 
 * a sampler producing points of W together with explicit witnesses,
-* an exact witness verifier, which decides a factor point of a
-  seminorm-backed neighborhood by p(x) <= 1 (no LP for the weighted kinds)
-  and one of a generator-built neighborhood by hull membership,
+* an exact witness verifier, which decides each factor point by
+  p(x) <= 1 (no LP when the rays of p partition the coordinates),
 * a tri-state membership test backed by seminorm certificates, and
 * `base_axiom_check`, the witness-level verification that the W(U, V) form a
   neighborhood base of a locally convex-solid topology (additivity, balance,
@@ -43,7 +44,6 @@ from .hulls import (
     _report,
     _violation,
     gauge,
-    member,
     random_element,
     sample_box_point,
     sample_hull_point,
@@ -188,21 +188,20 @@ _CONVEX_SOLID = ((SOL, CONV_B), (SOL, CONV))
 
 @dataclass(frozen=True)
 class TensorNbhd:
-    """W(U, V) = Conv_b(Sol(U (x) V)) for convex-solid balanced U, V.
+    """W(U, V) = Conv_b(Sol(U (x) V)) with U = {p <= 1} and V = {q <= 1}.
 
-    When `p` and `q` are present (`from_seminorms`, `from_json`), they
-    define U = {p <= 1} and V = {q <= 1} for both membership paths: the
-    certificates of `nbhd_member` and the witness checks of
-    `verify_nbhd_witness`. `left` and `right` are then their unit balls,
-    used for sampling; a unit ball misses the directions on which its
-    seminorm vanishes. Without p and q, U and V are the generated sets
-    `left` and `right`, and only the witness checks apply.
+    `p` and `q` decide both membership paths: the certificates of
+    `nbhd_member` and the witness checks of `verify_nbhd_witness`. `left`
+    and `right` are convex-solid sets inside U and V used only for
+    sampling; `from_seminorms` takes the unit balls, which miss the
+    directions on which a seminorm vanishes. A neighborhood of generated
+    factors is `from_seminorms(polyhedral_gauge(G), polyhedral_gauge(H))`.
     """
 
     left: GeneratedSet
     right: GeneratedSet
-    p: RieszSeminorm | None = None
-    q: RieszSeminorm | None = None
+    p: RieszSeminorm
+    q: RieszSeminorm
 
     def __post_init__(self):
         for name, side in (("left", self.left), ("right", self.right)):
@@ -218,42 +217,30 @@ class TensorNbhd:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.left.dim, self.right.dim
+        return self.p.dim, self.q.dim
 
     @staticmethod
     def from_json(data, field: str = "nbhd") -> "TensorNbhd":
-        if isinstance(data, dict) and "p" in data and "q" in data:
-            return TensorNbhd.from_seminorms(
-                RieszSeminorm.from_json(data["p"], f"{field}.p"),
-                RieszSeminorm.from_json(data["q"], f"{field}.q"),
-            )
-        left = GeneratedSet.from_json(require_key(data, "left", field), f"{field}.left")
-        right = GeneratedSet.from_json(require_key(data, "right", field), f"{field}.right")
-        try:
-            return TensorNbhd(left, right)
-        except ValueError as exc:
-            raise FormatError(field, str(exc)) from None
+        return TensorNbhd.from_seminorms(
+            RieszSeminorm.from_json(require_key(data, "p", field), f"{field}.p"),
+            RieszSeminorm.from_json(require_key(data, "q", field), f"{field}.q"),
+        )
 
 
 def nbhd_member(W: TensorNbhd, u: TensorElement, radius=1, budget=None) -> Membership:
     """Tri-state membership of u in radius * W, decided by certificates.
 
     Member when the certified upper bound is at most the radius, non-member
-    when the certified lower bound exceeds it, undecided otherwise. Requires
-    a neighborhood built from seminorms (`TensorNbhd.from_seminorms`);
-    general polyhedral factors are handled by the witness-based checks, not
-    by this decision procedure.
+    when the certified lower bound exceeds it, undecided otherwise. The
+    certificates need seminorms whose ray supports partition the
+    coordinates; other factors raise `UnsupportedSeminormKind` here and are
+    handled by the witness-based checks.
     """
     if W.shape != u.shape:
         raise DimensionMismatch(f"neighborhood over {W.shape} probed with {u.shape}")
     radius = as_fraction(radius)
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {_quote(fraction_str(radius))}")
-    if W.p is None or W.q is None:
-        raise ValueError(
-            "tri-state membership needs a seminorm-backed neighborhood; "
-            "build it with TensorNbhd.from_seminorms"
-        )
     if u.is_zero():
         return Membership.MEMBER
     from . import projective  # deferred: projective builds on this module
@@ -285,7 +272,7 @@ def sample_tensor_box(rng: SplitStream, bound: TensorElement) -> TensorElement:
     return TensorElement.from_flat(sample_box_point(rng, bound), bound.shape)
 
 
-def sample_nbhd_point(W: TensorNbhd, rng: SplitStream, margin=Fraction(0)):
+def sample_nbhd_point(U: GeneratedSet, V: GeneratedSet, rng: SplitStream, margin=Fraction(0)):
     """A point of (1 - margin) * W(U, V) with its membership witness of 1 to 3 terms.
 
     With margin > 0 the factor points are also pulled into the interior
@@ -297,30 +284,22 @@ def sample_nbhd_point(W: TensorNbhd, rng: SplitStream, margin=Fraction(0)):
     lams = rng.balanced_weights(count, ceiling=1 - margin)
     shrink = 1 - margin
     witness = []
-    u = TensorElement.zero(*W.shape)
+    u = TensorElement.zero(U.dim, V.dim)
     for k in range(count):
         trng = rng.split("term", k)
-        x = sample_hull_point(trng.split("x"), W.left).scale(shrink)
-        y = sample_hull_point(trng.split("y"), W.right).scale(shrink)
+        x = sample_hull_point(trng.split("x"), U).scale(shrink)
+        y = sample_hull_point(trng.split("y"), V).scale(shrink)
         z = sample_tensor_box(trng.split("z"), rank_one(x, y))
         witness.append((lams[k], z, x, y))
         u = u + z.scale(lams[k])
     return u, witness
 
 
-def _factors_member(W: TensorNbhd, x: LatticeElement, y: LatticeElement) -> bool:
-    """x in U and y in V: by p and q when W carries them, else by hull membership."""
-    if W.p is not None and W.q is not None:
-        return W.p.in_unit_ball(x) and W.q.in_unit_ball(y)
-    return member(W.left, x) and member(W.right, y)
-
-
 def verify_nbhd_witness(W: TensorNbhd, u: TensorElement, witness) -> bool:
     """Exact check of a witness for u in W(U, V) (format above).
 
-    When W carries p and q, U = {p <= 1} and V = {q <= 1}, and each factor
-    point is checked against the seminorm, as `nbhd_member` does; otherwise
-    against the generated sets `W.left` and `W.right`.
+    Each factor point is checked against U = {p <= 1} and V = {q <= 1}, as
+    `nbhd_member` does.
     """
     total = Fraction(0)
     acc = TensorElement.zero(*W.shape)
@@ -329,7 +308,7 @@ def verify_nbhd_witness(W: TensorNbhd, u: TensorElement, witness) -> bool:
         total += abs(lam)
         if not abs(z).le(rank_one(abs(x), abs(y))):
             return False
-        if not _factors_member(W, x, y):
+        if not (W.p.in_unit_ball(x) and W.q.in_unit_ball(y)):
             return False
         acc = acc + z.scale(lam)
     return total <= 1 and acc == u
@@ -387,10 +366,10 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
     if W1.shape != W2.shape:
         raise DimensionMismatch(f"neighborhoods over {W1.shape} vs {W2.shape}")
     rng = SplitStream(seed).split("nbhd-base")
-    half = TensorNbhd(scale_set(W1.left, Fraction(1, 2)), W1.right)
-    # W1's factors pulled inside W2's, for the intersection axiom; built
-    # once, since it draws nothing and no sample changes it
-    inner = TensorNbhd(_shrink_into(W1.left, W2.left), _shrink_into(W1.right, W2.right))
+    # factor pairs to sample from: W(U/2, V), and W1's factors pulled inside
+    # W2's for the intersection axiom; built once, since they draw nothing
+    half = (scale_set(W1.left, Fraction(1, 2)), W1.right)
+    inner = (_shrink_into(W1.left, W2.left), _shrink_into(W1.right, W2.right))
     report = {axiom: _report(samples)
               for axiom in ("additivity", "balance", "translation", "intersection")}
 
@@ -399,8 +378,8 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
 
         # additivity: u1 + u2 with u1, u2 in W(U/2, V)
         arng = srng.split("add")
-        u1, wit1 = sample_nbhd_point(half, arng.split(0))
-        u2, wit2 = sample_nbhd_point(half, arng.split(1))
+        u1, wit1 = sample_nbhd_point(*half, arng.split(0))
+        u2, wit2 = sample_nbhd_point(*half, arng.split(1))
         combined = [
             (lam / 2, z.scale(2), x.scale(2), y)
             for lam, z, x, y in wit1 + wit2
@@ -410,7 +389,7 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
 
         # balance: lam * u for |lam| <= 1
         brng = srng.split("balance")
-        u, wit = sample_nbhd_point(W1, brng.split("point"))
+        u, wit = sample_nbhd_point(W1.left, W1.right, brng.split("point"))
         lam = brng.choice([Fraction(-1), Fraction(1), brng.fraction(-1, 1, 8)])
         scaled = [(lam * c, z, x, y) for c, z, x, y in wit]
         if not verify_nbhd_witness(W1, u.scale(lam), scaled):
@@ -419,11 +398,9 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
         # translation: interior z plus a small neighborhood
         trng = srng.split("translate")
         eta = Fraction(1, 4)
-        z, zwit = sample_nbhd_point(W1, trng.split("z"), margin=eta)
-        small = TensorNbhd(
-            scale_set(W1.left, eta), scale_set(W1.right, eta)
-        )
-        w, wwit = sample_nbhd_point(small, trng.split("w"))
+        z, zwit = sample_nbhd_point(W1.left, W1.right, trng.split("z"), margin=eta)
+        w, wwit = sample_nbhd_point(scale_set(W1.left, eta), scale_set(W1.right, eta),
+                                    trng.split("w"))
         zs = _signed_padded(zwit)
         ws = _signed_padded(wwit)
         product = [
@@ -435,7 +412,7 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
             _violation(report["translation"], s)
 
         # intersection: a point of the pulled-in neighborhood lies in W1 and W2
-        v, vwit = sample_nbhd_point(inner, srng.split("intersect"))
+        v, vwit = sample_nbhd_point(*inner, srng.split("intersect"))
         ok = verify_nbhd_witness(W1, v, vwit) and verify_nbhd_witness(W2, v, vwit)
         if not ok:
             _violation(report["intersection"], s)

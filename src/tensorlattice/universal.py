@@ -25,7 +25,6 @@ from .jsonio import fraction_str
 from .rng import SplitStream
 from .tensor import (
     TensorElement,
-    TensorNbhd,
     random_tensor,
     rank_one,
     sample_nbhd_point,
@@ -269,7 +268,8 @@ def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSemino
 
     The maximum of r(Phi(d, e)) / (p(d) q(e)) over the ray pairs (d, e) of
     the factor seminorms (`RieszSeminorm.rays`), attained at d (x) e: for
-    l1 (x) l1 the matrix units, for order-unit both sides w (x) v.
+    l1 (x) l1 the matrix units, for order-unit both sides w (x) v. A ray's
+    cost is at least p(d), with equality at the vertices, so every kind fits.
 
     INFINITE signals an unbounded direction: a tensor with projective
     seminorm zero whose image has positive target seminorm.
@@ -283,9 +283,9 @@ def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSemino
         raise DimensionMismatch(
             f"target seminorm dim {r.dim} does not match the bimorphism target {phi.target_dim}"
         )
-    right = [(qe, LatticeElement.sparse(m, e)) for qe, e in q.rays()]
+    right = [(qe, LatticeElement.sparse(m, e)) for qe, e in q.rays]
     candidates = []
-    for pd, d in p.rays():
+    for pd, d in p.rays:
         d = LatticeElement.sparse(n, d)
         for qe, e in right:
             candidates.append((_ratio(r(phi(d, e)), pd * qe), rank_one(d, e)))
@@ -361,11 +361,11 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
                 "bound": fraction_str(C * cert.upper),
             })
 
-    W = TensorNbhd.from_seminorms(p, q)
+    U, V = p.unit_ball(), q.unit_ball()
     hull_rep = _report(samples)
     for s in range(samples):
         srng = rng.split("hull", s)
-        point, witness = sample_nbhd_point(W, srng)
+        point, witness = sample_nbhd_point(U, V, srng)
         gens = []
         termwise_ok = True
         for lam, z, xk, yk in witness:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tensorlattice.cli as cli
-from tensorlattice import suite
+from tensorlattice import projective, suite
+from tensorlattice.rng import SplitStream
 from tensorlattice.jsonio import MAX_DIGITS
 
 L1 = '{"kind": "weighted_l1", "weights": ["1", "1"]}'
@@ -64,6 +65,39 @@ class TestSeminorm:
         assert code == 0
         payload = json.loads(out)
         assert payload["lower"] == payload["upper"] == "5/2"
+
+    def test_block_seminorm_pair_has_a_closed_form(self, capsys):
+        # disjoint generators on both sides: l1 sums of block maxima
+        p = '{"kind": "polyhedral_gauge", "generators": [["1", "0", "2"], ["0", "1", "0"]]}'
+        q = '{"kind": "polyhedral_gauge", "generators": [["-2", "1"]]}'
+        u = '{"entries": [["1", "-2"], ["3", "0"], ["4", "1"]]}'
+        code, out, err = run(capsys, ["seminorm", p, q, u])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        # block {0, 2} x {0, 1}: max(1/2, 2, 1, 1/2) = 2; block {1} x {0, 1}: 3/2
+        assert payload["lower"] == payload["upper"] == payload["closed_form"] == "7/2"
+
+    def test_weighted_queries_never_build_the_block_candidate(self, monkeypatch, capsys):
+        # the structural candidates close every weighted pair under the
+        # default budget, so the block candidate is never reached
+        def refuse(*args):
+            raise AssertionError("block candidate built for a weighted pair")
+
+        monkeypatch.setattr(projective, "_block_candidate", refuse)
+        rng = SplitStream(107).split("weighted-cli")
+        kinds = ("weighted_l1", "weighted_order_unit")
+        for t in range(200):
+            r = rng.split(t)
+            n, m = r.randint(1, 4), r.randint(1, 4)
+            # l1 weights may vanish; order-unit weights may not
+            p, q = (json.dumps({"kind": kind, "weights": [
+                str(r.fraction(0 if kind == "weighted_l1" else 1, 3, 4)) for _ in range(dim)]})
+                for kind, dim in ((kinds[t % 2], n), (kinds[t // 2 % 2], m)))
+            u = json.dumps({"entries": [[str(r.fraction(-3, 3, 4)) for _ in range(m)]
+                                        for _ in range(n)]})
+            code, out, err = run(capsys, ["seminorm", p, q, u])
+            assert code == 0 and err == "", (p, q, u, err)
+            assert json.loads(out)["gap"] == "0"
 
     def test_missing_key_is_diagnosed(self, capsys):
         bad_p = '{"kind": "weighted_l1"}'
@@ -176,11 +210,22 @@ class TestMember:
 
     @pytest.mark.parametrize("point", [GAP_U, '{"entries": [["0", "0"], ["0", "0"]]}'])
     def test_nbhd_without_seminorms_exits_one(self, capsys, point):
-        # tri-state membership needs p and q, even for the zero tensor
+        # a neighborhood is its pair of seminorms, even for the zero tensor
         target = json.dumps({"left": json.loads(DIAMOND), "right": json.loads(DIAMOND)})
         code, out, err = run(capsys, ["member", target, point])
         assert code == 1 and out == ""
-        assert err.startswith("error: tri-state membership needs a seminorm-backed neighborhood")
+        assert err == "error: field 'target.p': missing required key\n"
+
+    def test_nbhd_of_block_seminorms_is_decided(self, capsys):
+        # l1 of l-infinity blocks: max(|x_0|, |x_1|) + |x_2| on the left
+        p = {"kind": "polyhedral_gauge", "generators": [["1", "1", "0"], ["0", "0", "1"]]}
+        target = json.dumps({"p": p, "q": json.loads(OU12)})
+        u = '{"entries": [["1", "0"], ["0", "2"], ["3", "0"]]}'
+        # (p (x) q)(u) = max(1, 1) + 3 = 4, each block's largest |u_ij| / v_j
+        for radius, verdict in (("4", "member"), ("7/2", "non-member")):
+            code, out, err = run(capsys, ["member", target, u, "--radius", radius])
+            assert code == 0 and err == ""
+            assert json.loads(out)["membership"] == verdict
 
     def test_nbhd_tri_state_undecided_exits_two(self, capsys):
         target = json.dumps({
@@ -237,7 +282,7 @@ class TestBoundedDiagnostics:
          "target.decoration"),
         (["member", json.dumps({"left": json.loads(_long_decoration_set(["Sol"] * 100_000)),
                                 "right": json.loads(DIAMOND)}), _NBHD_POINT],
-         "left factor"),
+         "target.p"),
         (["decompose", "--", json.dumps([_NEGATIVE]), '["1"]', '["1"]'], "'z'"),
         (["member", "--radius", _NEGATIVE, "--", json.dumps({"p": json.loads(L1),
                                                               "q": json.loads(L1)}),

@@ -9,14 +9,14 @@ from tensorlattice.elements import (
     LatticeHom,
     RieszSeminorm,
     SeminormFamily,
-    UnsupportedSeminormKind,
     disjointify,
     polyhedral_gauge,
     riesz_decompose,
     weighted_l1,
     weighted_order_unit,
 )
-from tensorlattice.hulls import INFINITE
+from tensorlattice import hulls
+from tensorlattice.hulls import INFINITE, GeneratedSet
 from tensorlattice.jsonio import MAX_DIGITS, MAX_EXPONENT, FormatError, as_fraction, fraction_str
 
 
@@ -188,6 +188,11 @@ class TestSeminorms:
             weighted_order_unit([1, 0])
         # zero l1 weights are allowed: they make the seminorm degenerate
         assert weighted_l1([1, 0])(el(0, 7)) == 0
+        # a seminorm lives on at least one coordinate, whatever its kind
+        with pytest.raises(ValueError):
+            weighted_l1([])
+        with pytest.raises(ValueError):
+            polyhedral_gauge([el()])
 
     @given(element_pairs(), st.sampled_from(["l1", "ou"]))
     @settings(max_examples=60)
@@ -233,12 +238,29 @@ class TestSeminorms:
                   polyhedral_gauge([y, LatticeElement.unit(x.dim, 0)])):
             assert p.in_unit_ball(x) == (p(x) <= 1)
 
-    def test_rays_are_sparse_and_read_from_the_weights(self):
+    def test_rays_of_every_kind_and_their_partition(self):
         one = Fraction(1)
-        assert weighted_l1([2, 0]).rays() == [(2, ((0, one),)), (0, ((1, one),))]
-        assert weighted_order_unit([2, 1]).rays() == [(one, ((0, 2), (1, 1)))]
-        with pytest.raises(UnsupportedSeminormKind):
-            polyhedral_gauge([el(1, 0)]).rays()
+        assert weighted_l1([2, 0]).rays == ((2, ((0, one),)), (0, ((1, one),)))
+        assert weighted_order_unit([2, 1]).rays == ((one, ((0, 2), (1, 1))),)
+        # a gauge's rays are its nonzero |g_k| at cost 1, sparse
+        gauge = polyhedral_gauge([el(-1, 0, 2), el(0, 0, 0), el(0, 3, 0)])
+        assert gauge.rays == ((one, ((0, 1), (2, 2))), (one, ((1, 3),)))
+        assert gauge.rays_partition
+        assert weighted_l1([2, 0]).rays_partition
+        assert weighted_order_unit([2, 1]).rays_partition
+        # overlapping supports, or a coordinate outside every support
+        assert not polyhedral_gauge([el(1, 1), el(0, 1)]).rays_partition
+        assert not polyhedral_gauge([el(1, 0)]).rays_partition
+        assert not polyhedral_gauge([el(0, 0)]).rays_partition
+
+    def test_block_gauge_closed_form(self):
+        # l1 of l-infinity blocks: max(|x_0|, |x_2| / 2) + |x_1| / 3
+        p = polyhedral_gauge([el(1, 0, 2), el(0, 3, 0)])
+        x = el(-1, 6, 3)
+        assert p(x) == Fraction(3, 2) + 2
+        assert p(x) == hulls.gauge(GeneratedSet([el(1, 0, 2), el(0, 3, 0)], ("Sol", "Conv_b")), x)
+        assert p.in_unit_ball(x.scale(Fraction(2, 7)))
+        assert not p.in_unit_ball(x.scale(Fraction(1, 3)))
 
 
 class TestSeminormFamily:

@@ -12,6 +12,7 @@ from tensorlattice.elements import (
     weighted_l1,
     weighted_order_unit,
 )
+from tensorlattice import hulls
 from tensorlattice.hulls import GeneratedSet
 from tensorlattice.projective import (
     Budget,
@@ -29,7 +30,8 @@ from tensorlattice.projective import (
 )
 from tensorlattice.rng import SplitStream
 from tensorlattice.simplex import LinearProgram
-from tensorlattice.tensor import TensorElement, TensorNbhd
+from tensorlattice.tensor import TensorElement, TensorNbhd, nbhd_member
+from tensorlattice.universal import LatticeBimorphism, continuity_constant
 
 
 def el(*coords):
@@ -69,12 +71,23 @@ class TestClosedForms:
         assert seminorm_closed_form(L1, OU, U_FIXTURE) is None
         assert seminorm_closed_form(OU, L1, U_FIXTURE) is None
 
-    def test_polyhedral_unsupported(self):
+    def test_partition_gate(self):
+        # disjoint generators certify exactly as the weighted l1 seminorm they are
         p = polyhedral_gauge([el(1, 0), el(0, 1)])
-        with pytest.raises(UnsupportedSeminormKind):
-            seminorm_certify(p, L1, U_FIXTURE)
-        assert seminorm_closed_form(p, p, U_FIXTURE) is None
-        assert seminorm_closed_form(p, L1, U_FIXTURE) is None
+        assert seminorm_certify(p, p, U_FIXTURE).to_json() == \
+            seminorm_certify(L1, L1, U_FIXTURE).to_json()
+        assert seminorm_closed_form(p, p, U_FIXTURE) == 10
+        assert seminorm_closed_form(p, L1, U_FIXTURE) is None  # kinds differ
+        # overlapping supports keep raising wherever a certificate is needed
+        overlap = polyhedral_gauge([el(1, 1), el(0, 1)])
+        for a, b in ((overlap, L1), (L1, overlap)):
+            with pytest.raises(UnsupportedSeminormKind):
+                seminorm_certify(a, b, U_FIXTURE)
+            with pytest.raises(UnsupportedSeminormKind):
+                dual_lower_bound(a, b, U_FIXTURE)
+            with pytest.raises(UnsupportedSeminormKind):
+                nbhd_member(TensorNbhd.from_seminorms(a, b), U_FIXTURE)
+        assert seminorm_closed_form(overlap, overlap, U_FIXTURE) is None
 
 
 class TestDualLowerBound:
@@ -417,3 +430,76 @@ class TestChecks:
         assert rep["violations"] > 0
         assert not rep["separating"]["left"]
         assert rep["separation_failures"]["left"] == ["coordinate 1"]
+
+
+class TestRayModel:
+    """Every seminorm is read through its rays, whatever its kind."""
+
+    def test_weighted_against_its_polyhedral_gauge(self):
+        # the gauge of p's unit ball has p's values, certificates and constants
+        rng = SplitStream(101).split("weighted-vs-polyhedral")
+        for t in range(200):
+            r = rng.split(t)
+            n, m = r.randint(1, 3), r.randint(1, 3)
+            mk_p = (weighted_l1, weighted_order_unit)[t % 2]
+            mk_q = (weighted_l1, weighted_order_unit)[t // 2 % 2]
+            p = mk_p([r.fraction(1, 3, 4) for _ in range(n)])
+            q = mk_q([r.fraction(1, 3, 4) for _ in range(m)])
+            gp = polyhedral_gauge(p.unit_ball().generators)
+            gq = polyhedral_gauge(q.unit_ball().generators)
+            x = LatticeElement(tuple(r.fraction(-2, 2, 4) for _ in range(n)))
+            assert gp(x) == p(x), (p, x)
+            assert gp.in_unit_ball(x) == p.in_unit_ball(x)
+            u = random_tensor(r, n, m)
+            cert, gcert = seminorm_certify(p, q, u), seminorm_certify(gp, gq, u)
+            assert (gcert.lower, gcert.upper) == (cert.lower, cert.upper), (p, q, u)
+            phi = LatticeBimorphism.canonical(n, m)
+            target = weighted_l1([r.fraction(0, 2, 2) for _ in range(n * m)])
+            assert continuity_constant(phi, gp, gq, target)[0] == \
+                continuity_constant(phi, p, q, target)[0]
+
+
+def _block_generators(r, dim):
+    """Generators with disjoint supports covering 0..dim-1, one per block of a
+    random partition, with random signs."""
+    order = list(range(dim))
+    for i in range(dim - 1, 0, -1):
+        j = r.randint(0, i)
+        order[i], order[j] = order[j], order[i]
+    cuts = sorted({r.randint(1, dim) for _ in range(r.randint(0, dim - 1))} | {dim})
+    gens, start = [], 0
+    for cut in cuts:
+        ray = [Fraction(0)] * dim
+        for i in order[start:cut]:
+            ray[i] = r.fraction(1, 3, 4)
+        start = cut
+        gens.append(LatticeElement(tuple(c * r.choice([-1, 1]) for c in ray)))
+    return gens
+
+
+class TestBlockSeminorms:
+    """l1-of-l-infinity block seminorms, written as polyhedral gauges.
+
+    The independent check is the gauge of the flattened set W(U, V) on the
+    n*m coordinates: Sol Conv_b of the d (x) e / (p(d) q(e)) over the rays
+    d = |g| of p and e = |h| of q, each of seminorm 1 here.
+    """
+
+    def test_block_pairs_close_and_match_the_flattened_gauge(self):
+        rng = SplitStream(103).split("block-seminorms")
+        for t in range(150):
+            r = rng.split(t)
+            n, m = r.randint(1, 4), r.randint(1, 4)
+            G, H = _block_generators(r.split("p"), n), _block_generators(r.split("q"), m)
+            p, q = polyhedral_gauge(G), polyhedral_gauge(H)
+            u = random_tensor(r, n, m)
+            cert = seminorm_certify(p, q, u)
+            assert cert.gap == 0, (G, H, u)
+            assert cert.verify(p, q, u)
+            # the block candidate closes it without alternating minimization
+            assert seminorm_certify(p, q, u, Budget(restarts=0)) == cert
+            flat = GeneratedSet(
+                [LatticeElement(tuple(abs(a) * abs(b) for a in g.coords for b in h.coords))
+                 for g in G for h in H], ("Sol", "Conv_b"))
+            assert cert.upper == hulls.gauge(flat, LatticeElement(u.coords)), (G, H, u)
+            assert seminorm_closed_form(p, q, u) == cert.upper

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from tensorlattice import hulls, tensor
+from tensorlattice import hulls
 from tensorlattice.elements import (
     DimensionMismatch,
     LatticeElement,
+    polyhedral_gauge,
     weighted_l1,
     weighted_order_unit,
 )
@@ -223,7 +224,7 @@ def test_sample_nbhd_point_certified_member():
     W = unit_l1_nbhd()
     rng = SplitStream(59).split("pt")
     for t in range(15):
-        u, witness = sample_nbhd_point(W, rng.split(t))
+        u, witness = sample_nbhd_point(W.left, W.right, rng.split(t))
         assert verify_nbhd_witness(W, u, witness)
         assert nbhd_member(W, u) is Membership.MEMBER
 
@@ -240,7 +241,8 @@ class TestSeminormFactors:
         witness = [(Fraction(1), z, x, y)]
         assert verify_nbhd_witness(W, z, witness)
         assert nbhd_member(W, z) is Membership.MEMBER
-        generated = TensorNbhd(W.left, W.right)
+        generated = TensorNbhd.from_seminorms(polyhedral_gauge(W.left.generators),
+                                              polyhedral_gauge(W.right.generators))
         assert not verify_nbhd_witness(generated, z, witness)
 
     def test_weighted_factors_solve_no_lp(self, monkeypatch):
@@ -249,8 +251,8 @@ class TestSeminormFactors:
 
         W = TensorNbhd.from_seminorms(weighted_l1([1, 2]), weighted_order_unit([1, 1]))
         rng = SplitStream(67).split("no-lp")
-        points = [sample_nbhd_point(W, rng.split(t)) for t in range(20)]
-        monkeypatch.setattr(tensor, "member", no_member)
+        points = [sample_nbhd_point(W.left, W.right, rng.split(t)) for t in range(20)]
+        monkeypatch.setattr(hulls, "member", no_member)
         monkeypatch.setattr(hulls, "LinearProgram", no_member)
         for u, witness in points:
             assert verify_nbhd_witness(W, u, witness)
@@ -259,7 +261,7 @@ class TestSeminormFactors:
 def test_verify_nbhd_witness_rejects_wrong_point():
     W = unit_l1_nbhd()
     rng = SplitStream(61).split("wrong")
-    u, witness = sample_nbhd_point(W, rng)
+    u, witness = sample_nbhd_point(W.left, W.right, rng)
     off = u + TensorElement.make([[5, 0], [0, 0]])
     assert not verify_nbhd_witness(W, off, witness)
 

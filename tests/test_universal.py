@@ -165,12 +165,20 @@ class TestContinuityConstant:
         T = induce_hom(CANON)
         assert L1_4(T.apply(direction)) > 0
 
-    def test_polyhedral_factor_is_unsupported(self):
+    def test_polyhedral_factor_reads_its_rays(self):
+        # disjoint generators: the constant of the weighted l1 seminorm they are
         poly = polyhedral_gauge([el(1, 0), el(0, 1)])
+        expected = continuity_constant(CANON, L1_2, L1_2, L1_4)
+        assert continuity_constant(CANON, poly, L1_2, L1_4) == expected
+        assert continuity_constant(CANON, L1_2, poly, L1_4) == expected
+        # overlapping rays: (0, 1) lies under (2, 2), so p is the order unit
+        # of (2, 2); the ray (0, 1) costs 1, above p((0, 1)) = 1/2, so its
+        # ratio stays below the one at the vertex (2, 2)
+        overlap = polyhedral_gauge([el(2, 2), el(0, 1)])
+        assert continuity_constant(CANON, overlap, L1_2, L1_4)[0] == \
+            continuity_constant(CANON, weighted_order_unit([2, 2]), L1_2, L1_4)[0]
         with pytest.raises(UnsupportedSeminormKind):
-            continuity_constant(CANON, poly, L1_2, L1_4)
-        with pytest.raises(UnsupportedSeminormKind):
-            continuity_constant(CANON, L1_2, poly, L1_4)
+            seminorm_certify(overlap, L1_2, rank_one(el(1, 1), el(1, 0)))
 
     def test_polyhedral_target_off_span_is_infinite(self):
         r = polyhedral_gauge([LatticeElement.unit(4, 0)])
