@@ -245,15 +245,20 @@ class RieszSeminorm:
 
         Weighted l1 has the e_i at cost w_i (a zero weight makes e_i a free
         direction), the weighted order unit the one ray w at cost 1, and a
-        polyhedral gauge its nonzero |g_k| at cost 1.
+        polyhedral gauge at cost 1 each nonzero box |g_k| that no other
+        generator's box contains, equal boxes once, in first-seen order. The
+        dropped boxes do not change Sol Conv_b(G), so the rays depend on the
+        seminorm, not on how its generators are listed.
         """
         if self.kind == WEIGHTED_L1:
             return tuple((w, ((i, Fraction(1)),)) for i, w in enumerate(self.weights))
         if self.kind == WEIGHTED_ORDER_UNIT:
             return ((Fraction(1), tuple(enumerate(self.weights))),)
+        boxes = [abs(g) for g in self.generators if not g.is_zero()]
         return tuple(
-            (Fraction(1), tuple((i, abs(c)) for i, c in enumerate(g.coords) if c != 0))
-            for g in self.generators if not g.is_zero()
+            (Fraction(1), tuple((i, c) for i, c in enumerate(b.coords) if c != 0))
+            for k, b in enumerate(boxes)
+            if not any(b.le(o) and (j < k or b != o) for j, o in enumerate(boxes) if j != k)
         )
 
     @cached_property

@@ -17,11 +17,10 @@ from fractions import Fraction
 MAX_EXPONENT = 4300
 # A rational string may carry at most this many digits, in any form. Every
 # digit run is read in pieces, so values round-trip beyond the interpreter's
-# int-to-str limit. "p" and "p/q", the forms `fraction_str` prints, match
-# _PLAIN; the rest of the grammar Fraction() reads (underscores, decimal
-# points, exponents) matches _RATIONAL.
+# int-to-str limit. _RATIONAL is the grammar Fraction() reads: "p" and "p/q",
+# the forms `fraction_str` prints, with underscores, decimal points and
+# exponents.
 MAX_DIGITS = 20_000
-_PLAIN = re.compile(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*\Z")
 _RATIONAL = re.compile(r"""
     \s*(?P<sign>[-+]?)(?=\d|\.\d)
     (?P<num>\d*|\d+(?:_\d+)*)
@@ -75,14 +74,6 @@ def as_fraction(value, field: str = "value") -> Fraction:
         length = sum(map(str.isdecimal, value))
         if length > MAX_DIGITS:
             raise FormatError(field, f"{length} digits exceed the bound of {MAX_DIGITS}")
-        plain = _PLAIN.match(value)
-        if plain:
-            sign, numerator, denominator = plain.groups()
-            numerator = _digits_int(numerator)
-            denominator = _digits_int(denominator) if denominator else 1
-            if denominator == 0:
-                raise FormatError(field, f"zero denominator in {_quote(value)}")
-            return Fraction(-numerator if sign == "-" else numerator, denominator)
         return _read_rational(value, field)
     raise FormatError(field, f"expected rational string or integer, got {type(value).__name__}")
 

@@ -23,16 +23,18 @@ One criterion decides domination: with the rays (p(d), d) of each factor
 for every ray pair. Certificates need each factor's ray supports to
 partition its coordinates (`RieszSeminorm.rays_partition`): weighted l1,
 the weighted order unit, and l1-of-l-infinity block seminorms (polyhedral
-gauges of generators with disjoint supports). The blocks supp(d) x supp(e)
-then partition the grid, the optimal dual puts each block's budget
-p(d) q(e) on one cell, and the block candidate sum_de lam_de d (x) e, with
-lam_de the block's largest |u_ij| / (d_i e_j), meets it, so every such pair
-closes to gap 0 under the default budget. It is built only when the four
-structural candidates leave a gap, as they never do for the weighted kinds:
-the pure pairs meet `seminorm_closed_form` (exported for pairs of one kind
-only), l1 (x) ou the row candidate, ou (x) l1 the column candidate.
-Alternating minimization runs only when a starved term budget
-(`Budget.k_max`, the CLI's `--kmax`) filters those candidates out. Its
+gauges whose generator boxes, less those inside another, have disjoint
+supports). The blocks supp(d) x supp(e) then partition the grid, and the
+optimal dual puts each block's budget p(d) q(e) on one cell.
+
+The upper-bound search stops at the first candidate of one stream
+(`_candidates`) that meets the dual. The block candidate sum_de lam_de d (x) e, with lam_de the
+block's largest |u_ij| / (d_i e_j), always does, so every such pair closes
+to gap 0 under the default budget; for the weighted kinds a structural
+candidate does first (the pure pairs meet `seminorm_closed_form`, exported
+for pairs of one kind only, l1 (x) ou the row candidate, ou (x) l1 the
+column candidate). Alternating minimization is reached only when a starved
+term budget (`Budget.k_max`, the CLI's `--kmax`) filters those out. Its
 half-steps use the same rays: with one side fixed, the other side of each
 term is a nonnegative combination of the rays of its seminorm, so one LP
 with a column per term and ray, at cost p(d), finds the best side.
@@ -305,13 +307,13 @@ def seminorm_closed_form(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
     return sum((scale * ratio for scale, ratio, *_ in _block_maxima(p, q, u)), Fraction(0))
 
 
-def _argmax(pairs):
-    """Index of the largest value, first occurrence (deterministic)."""
-    best_i, best = None, None
-    for i, val in pairs:
-        if best is None or val > best:
-            best_i, best = i, val
-    return best_i, best
+def _block_dual(maxima, u: TensorElement) -> DualCertificate:
+    """The dual that spends each block's budget p(d) q(e) on its cell with the
+    largest |u_ij| / (d_i e_j), read from `_block_maxima`."""
+    M = [Fraction(0)] * u.dim
+    for scale, _, k, c in maxima:
+        M[k] = scale / c
+    return DualCertificate(TensorElement(tuple(M), u.shape))
 
 
 def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> DualCertificate:
@@ -324,10 +326,7 @@ def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Du
     """
     _require_weighted(p, q)
     _check_shapes(p, q, u)
-    M = [Fraction(0)] * u.dim
-    for scale, _, k, c in _block_maxima(p, q, u):
-        M[k] = scale / c
-    cert = DualCertificate(TensorElement(tuple(M), u.shape))
+    cert = _block_dual(_block_maxima(p, q, u), u)
     if not cert.dominates(p, q):  # pragma: no cover - construction is tight
         raise RuntimeError("dual construction violated its own criterion")
     return cert
@@ -381,14 +380,15 @@ def _col_candidate(u: TensorElement) -> Decomposition:
     return Decomposition(u.shape, tuple(terms))
 
 
-def _block_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Decomposition:
-    """sum_de lam_de d (x) e, with lam_de the block maximum of |u_ij| / (d_i e_j):
-    its value sum_de lam_de p(d) q(e) is the dual's block sum."""
+def _block_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
+                     maxima) -> Decomposition:
+    """sum_de lam_de d (x) e, with lam_de the block maximum of |u_ij| / (d_i e_j)
+    (`_block_maxima`): its value sum_de lam_de p(d) q(e) is the dual's block sum."""
     n, m = u.shape
     pairs = [(d, e) for _, d in p.rays for _, e in q.rays]
     return Decomposition(u.shape, tuple(
         (LatticeElement.sparse(n, ((i, ratio * di) for i, di in d)), LatticeElement.sparse(m, e))
-        for (d, e), (_, ratio, _, _) in zip(pairs, _block_maxima(p, q, u))
+        for (d, e), (_, ratio, _, _) in zip(pairs, maxima)
         if ratio > 0
     ))
 
@@ -456,16 +456,32 @@ def _alternating_minimization(p, q, u, k: int, rng: SplitStream):
     return best
 
 
+def _candidates(p, q, u, maxima, budget: Budget, k_max: int):
+    """The upper-bound candidates in the order they are tried: the dominating
+    rank-one, the scaled unit, the rows, the columns, the block candidate,
+    then each alternating-minimization result."""
+    yield _dominating_candidate(u)
+    yield _scaled_unit_candidate(p, q, u)
+    yield _row_candidate(u)
+    yield _col_candidate(u)
+    yield _block_candidate(p, q, u, maxima)
+    rng = SplitStream(budget.seed).split("altmin")
+    for k in range(1, k_max + 1):
+        for start in range(budget.restarts):
+            found = _alternating_minimization(p, q, u, k, rng.split(k, start))
+            if found is not None:
+                yield found[1]
+
+
 def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
                      budget: Budget | None = None) -> SeminormCertificate:
     """A certified interval for (p (x) q)(u).
 
     The lower bound is the closed-form optimal dual. The upper bound is the
-    best feasible decomposition among structural candidates (dominating
-    rank-one, scaled unit rank-one, rows, columns, filtered by the term
-    budget), then, while a gap remains, the block candidate and exact
-    alternating minimization. Every bound re-verifies exactly before the
-    certificate is returned.
+    first strict minimum of the candidate stream (`_candidates`) among the
+    candidates that fit the term budget. No decomposition goes below the
+    dual, so the search stops at the first candidate that meets it. Both
+    bounds re-verify exactly before the certificate is returned.
     """
     budget = budget or Budget()
     _require_weighted(p, q)
@@ -475,37 +491,19 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
         dual = DualCertificate(TensorElement.zero(*u.shape))
         return SeminormCertificate(Fraction(0), Fraction(0), dual, zero)
 
-    dual = dual_lower_bound(p, q, u)
+    maxima = _block_maxima(p, q, u)
+    dual = _block_dual(maxima, u)
     lower = dual.value(u)
-
     k_max = budget.resolve_k(u.shape)
-
-    def candidates():  # the block candidate only when the first four leave a gap
-        yield from (_dominating_candidate(u), _scaled_unit_candidate(p, q, u),
-                    _row_candidate(u), _col_candidate(u))
-        if best[0] > lower:
-            yield _block_candidate(p, q, u)
-
-    # The dominating rank-one always survives the filter (one term, u != 0),
-    # so best is never left unset.
+    # The dominating rank-one always fits (one term, u != 0), so best is set.
     best: tuple[Fraction, Decomposition] | None = None
-    for dec in candidates():
+    for dec in _candidates(p, q, u, maxima, budget, k_max):
         if not dec.terms or len(dec.terms) > k_max:
             continue
         value = dec.value(p, q)
         if best is None or value < best[0]:
             best = (value, dec)
-
-    if best[0] > lower and budget.restarts > 0:
-        rng = SplitStream(budget.seed).split("altmin")
-        for k in range(1, k_max + 1):
-            for start in range(budget.restarts):
-                found = _alternating_minimization(p, q, u, k, rng.split(k, start))
-                if found is not None and found[0] < best[0]:
-                    best = found
-                if best[0] <= lower:
-                    break
-            if best[0] <= lower:
+            if value == lower:
                 break
 
     upper, dec = best
@@ -686,9 +684,9 @@ def hausdorff_check(P: SeminormFamily, Q: SeminormFamily, *, samples: int, seed:
             u = matrix_unit(n, m, 0, dead_right[0])
         elif u.is_zero():
             u = matrix_unit(n, m, 0, 0)
-        k, top = _argmax((k, abs(c)) for k, c in enumerate(u.coords))
+        k = max(range(u.dim), key=lambda k: abs(u.coords[k]))
         i, j = divmod(k, m)
-        x0 = LatticeElement.unit(n, i, top)
+        x0 = LatticeElement.unit(n, i, abs(u.coords[k]))
         y0 = LatticeElement.unit(m, j)
         separated = False
         for pp, qq in certifiable:

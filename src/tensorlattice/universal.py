@@ -252,16 +252,6 @@ def _ratio(value, denom):
     return value / denom
 
 
-def _max_extended(values):
-    best = Fraction(0)
-    for v in values:
-        if v is INFINITE:
-            return INFINITE
-        if v > best:
-            best = v
-    return best
-
-
 def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSeminorm,
                         r: RieszSeminorm):
     """The exact operator constant C with r(T(u)) <= C * (p (x) q)(u).
@@ -289,7 +279,7 @@ def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSemino
         d = LatticeElement.sparse(n, d)
         for qe, e in right:
             candidates.append((_ratio(r(phi(d, e)), pd * qe), rank_one(d, e)))
-    constant = _max_extended(c for c, _ in candidates)
+    constant = max((c for c, _ in candidates), default=Fraction(0))
     direction = None
     for c, d in candidates:
         if c is constant or (constant is not INFINITE and c == constant):

@@ -18,6 +18,7 @@ from tensorlattice.elements import (
 from tensorlattice import hulls
 from tensorlattice.hulls import INFINITE, GeneratedSet
 from tensorlattice.jsonio import MAX_DIGITS, MAX_EXPONENT, FormatError, as_fraction, fraction_str
+from tensorlattice.rng import SplitStream
 
 
 def el(*coords):
@@ -248,8 +249,15 @@ class TestSeminorms:
         assert gauge.rays_partition
         assert weighted_l1([2, 0]).rays_partition
         assert weighted_order_unit([2, 1]).rays_partition
+        # a box inside another is no ray, and equal boxes count once
+        assert polyhedral_gauge([el(1, 1), el(0, 1)]).rays == ((one, ((0, 1), (1, 1))),)
+        assert polyhedral_gauge([el(0, 1), el(1, 1)]).rays == ((one, ((0, 1), (1, 1))),)
+        assert polyhedral_gauge([el(1, 0), el(-1, 0), el(0, 1)]).rays == weighted_l1([1, 1]).rays
+        assert polyhedral_gauge([el(0, -2), el(1, 0), el(0, 2), el(0, 0)]).rays == \
+            ((one, ((1, 2),)), (one, ((0, 1),)))
+        assert polyhedral_gauge([el(2, 1), el(2, 1)]).rays_partition
         # overlapping supports, or a coordinate outside every support
-        assert not polyhedral_gauge([el(1, 1), el(0, 1)]).rays_partition
+        assert not polyhedral_gauge([el(1, 1), el(0, 2)]).rays_partition
         assert not polyhedral_gauge([el(1, 0)]).rays_partition
         assert not polyhedral_gauge([el(0, 0)]).rays_partition
 
@@ -261,6 +269,33 @@ class TestSeminorms:
         assert p(x) == hulls.gauge(GeneratedSet([el(1, 0, 2), el(0, 3, 0)], ("Sol", "Conv_b")), x)
         assert p.in_unit_ball(x.scale(Fraction(2, 7)))
         assert not p.in_unit_ball(x.scale(Fraction(1, 3)))
+
+    def test_dropped_boxes_keep_the_gauge(self):
+        # generators repeated up to sign, shrunk into an earlier box, or zero
+        rng = SplitStream(109).split("canonical-rays")
+        dropped = 0
+        for t in range(240):
+            r = rng.split(t)
+            dim = r.randint(1, 3)
+            gens = []
+            for _ in range(r.randint(1, 4)):
+                how = r.randint(0, 3) if gens else 0
+                if how == 0:
+                    g = el(*(r.fraction(-2, 2, 3) if r.randint(0, 2) else 0 for _ in range(dim)))
+                elif how == 1:
+                    g = -r.choice(gens)
+                elif how == 2:
+                    g = el(*(c * r.fraction(0, 1, 3) for c in r.choice(gens).coords))
+                else:
+                    g = LatticeElement.zero(dim)
+                gens.append(g)
+            p = polyhedral_gauge(gens)
+            dropped += len(p.rays) < sum(not g.is_zero() for g in gens)
+            S = GeneratedSet(gens, ("Sol", "Conv_b"))
+            x = el(*(r.fraction(-2, 2, 4) for _ in range(dim)))
+            assert p(x) == hulls.gauge(S, x), (gens, x)
+            assert p.in_unit_ball(x) == hulls.member(S, x), (gens, x)
+        assert dropped >= 100
 
 
 class TestSeminormFamily:
@@ -355,11 +390,16 @@ class TestJson:
                 as_fraction(text, "x[0]")
 
     def test_plain_forms_match_fraction(self):
-        for text in ("0", "-0", "+3", " 12/8 ", "-6/4", "007", "1/3", "2.5", "1_000", "-1e3"):
+        for text in ("0", "-0", "+3", " 12/8 ", "-6/4", "007", "1/3", "2.5", "1_000", "-1e3",
+                     "+0/5", "-12/8", "\t+7/3\n", "  -0  ", " +1_2/3_0 "):
             assert as_fraction(text) == Fraction(text)
-        for text in ("1/0", "-0/0"):
+        for text in ("1/0", "-0/0", " +5/00 ", "-3/0\n"):
             with pytest.raises(FormatError, match="zero denominator"):
                 as_fraction(text)
+        digits = "9" * MAX_DIGITS
+        assert as_fraction(digits) == 10 ** MAX_DIGITS - 1
+        assert as_fraction(f" -{digits} ") == -(10 ** MAX_DIGITS - 1)
+        assert as_fraction(f"+{digits}") == 10 ** MAX_DIGITS - 1
         for text in ("", "-", "1/", "/2", "1/-2", "1 / 2", "1//2", "--1"):
             with pytest.raises(FormatError, match="invalid rational"):
                 as_fraction(text)

@@ -14,6 +14,7 @@ from tensorlattice.hulls import GeneratedSet
 from tensorlattice.jsonio import FormatError
 from tensorlattice.projective import DualCertificate
 from tensorlattice.rng import SplitStream
+from tensorlattice.simplex import LinearProgram
 from tensorlattice.tensor import (
     Membership,
     TensorElement,
@@ -256,6 +257,22 @@ class TestSeminormFactors:
         monkeypatch.setattr(hulls, "LinearProgram", no_member)
         for u, witness in points:
             assert verify_nbhd_witness(W, u, witness)
+
+    def test_overlapping_factor_reaches_the_hull_lp(self, monkeypatch):
+        # (3/2, 3/2) is the midpoint of (2, 1) and (1, 2), so p = 1 there,
+        # and it lies in neither generator box: only the hull LP decides it
+        p = polyhedral_gauge([el(2, 1), el(1, 2)])
+        W = TensorNbhd.from_seminorms(p, weighted_l1([1, 1]))
+        solved = []
+        feasible = LinearProgram.feasible
+        monkeypatch.setattr(LinearProgram, "feasible", lambda lp: solved.append(lp) or feasible(lp))
+        x, y = el("3/2", "3/2"), el(1, 0)
+        assert p(x) == 1
+        for scale, accepted in ((1, True), (Fraction(9, 8), False)):
+            z = rank_one(x.scale(scale), y)
+            solved.clear()
+            assert verify_nbhd_witness(W, z, [(Fraction(1), z, x.scale(scale), y)]) is accepted
+            assert len(solved) == 1
 
 
 def test_verify_nbhd_witness_rejects_wrong_point():

@@ -171,14 +171,19 @@ class TestContinuityConstant:
         expected = continuity_constant(CANON, L1_2, L1_2, L1_4)
         assert continuity_constant(CANON, poly, L1_2, L1_4) == expected
         assert continuity_constant(CANON, L1_2, poly, L1_4) == expected
-        # overlapping rays: (0, 1) lies under (2, 2), so p is the order unit
-        # of (2, 2); the ray (0, 1) costs 1, above p((0, 1)) = 1/2, so its
-        # ratio stays below the one at the vertex (2, 2)
-        overlap = polyhedral_gauge([el(2, 2), el(0, 1)])
-        assert continuity_constant(CANON, overlap, L1_2, L1_4)[0] == \
-            continuity_constant(CANON, weighted_order_unit([2, 2]), L1_2, L1_4)[0]
+        # (0, 1) lies under (2, 2), so it is no ray: p is the order unit of
+        # (2, 2), with its constant, direction and certificates
+        dominated, ou = polyhedral_gauge([el(2, 2), el(0, 1)]), weighted_order_unit([2, 2])
+        assert continuity_constant(CANON, dominated, L1_2, L1_4) == \
+            continuity_constant(CANON, ou, L1_2, L1_4)
+        u = rank_one(el(1, 1), el(1, 0))
+        assert seminorm_certify(dominated, L1_2, u).to_json() == \
+            seminorm_certify(ou, L1_2, u).to_json()
+        # overlapping boxes: the l1 norm peaks at the vertices (2, 1) and (1, 2)
+        overlap = polyhedral_gauge([el(2, 1), el(1, 2)])
+        assert continuity_constant(CANON, overlap, L1_2, L1_4)[0] == 3
         with pytest.raises(UnsupportedSeminormKind):
-            seminorm_certify(overlap, L1_2, rank_one(el(1, 1), el(1, 0)))
+            seminorm_certify(overlap, L1_2, u)
 
     def test_polyhedral_target_off_span_is_infinite(self):
         r = polyhedral_gauge([LatticeElement.unit(4, 0)])
