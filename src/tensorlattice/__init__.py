@@ -47,11 +47,9 @@ from .tensor import (
     rank_one_sup_recover,
 )
 from .universal import (
-    InducedHom,
     LatticeBimorphism,
     continuity_certificate,
     hom_property_report,
-    induce_hom,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +61,6 @@ __all__ = [
     "DimensionMismatch",
     "DualCertificate",
     "GeneratedSet",
-    "InducedHom",
     "LatticeBimorphism",
     "LatticeElement",
     "LatticeHom",
@@ -84,7 +81,6 @@ __all__ = [
     "gauge_equivalence_check",
     "hausdorff_check",
     "hom_property_report",
-    "induce_hom",
     "member",
     "nbhd_member",
     "polyhedral_gauge",

@@ -311,11 +311,6 @@ class RieszSeminorm:
         ) or (LatticeElement.zero(self.dim),)
         return hulls.GeneratedSet(gens, ("Sol", "Conv_b"))
 
-    def to_json(self) -> dict:
-        if self.kind == POLYHEDRAL_GAUGE:
-            return {"kind": self.kind, "generators": [g.to_json() for g in self.generators]}
-        return {"kind": self.kind, "weights": fraction_list(self.weights)}
-
     @staticmethod
     def from_json(data, field: str = "seminorm") -> "RieszSeminorm":
         kind = require_key(data, "kind", field)
@@ -407,17 +402,9 @@ class LatticeHom:
                     f"hom row {j} has {nonzero} nonzero entries; columns must be disjoint"
                 )
 
-    @staticmethod
-    def make(rows) -> "LatticeHom":
-        return LatticeHom(tuple(tuple(as_fraction(a) for a in row) for row in rows))
-
     @property
     def source_dim(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def target_dim(self) -> int:
-        return len(self.rows)
 
     def apply(self, x: LatticeElement) -> LatticeElement:
         if x.dim != self.source_dim:

@@ -77,12 +77,6 @@ class GeneratedSet:
     def dim(self) -> int:
         return self.generators[0].dim
 
-    def to_json(self) -> dict:
-        return {
-            "generators": [g.to_json() for g in self.generators],
-            "decoration": list(self.decoration),
-        }
-
     @staticmethod
     def from_json(data, field: str = "set") -> "GeneratedSet":
         gens = require_key(data, "generators", field)
@@ -94,13 +88,13 @@ class GeneratedSet:
         for i, d in enumerate(deco):
             if d not in _DECORATIONS:
                 raise FormatError(f"{field}.decoration[{i}]", f"unknown hull operator {_quote(d)}")
-        return GeneratedSet(
-            tuple(
-                LatticeElement.from_json(g, f"{field}.generators[{i}]")
-                for i, g in enumerate(gens)
-            ),
-            tuple(deco),
+        elements = tuple(
+            LatticeElement.from_json(g, f"{field}.generators[{i}]") for i, g in enumerate(gens)
         )
+        try:
+            return GeneratedSet(elements, tuple(deco))
+        except DimensionMismatch as exc:
+            raise FormatError(f"{field}.generators", str(exc)) from None
 
 
 def _check_dim(S: GeneratedSet, x: LatticeElement):

@@ -42,10 +42,6 @@ class SplitStream:
         self._key = key & _MASK
         self._counter = 0
 
-    @property
-    def key(self) -> int:
-        return self._key
-
     def split(self, *labels) -> "SplitStream":
         key = self._key
         for label in labels:

@@ -240,7 +240,7 @@ def gauge_consistency_suite(*, samples: int, seed: int) -> dict:
     total = {"samples": len(instances), "probes": 0, "contradictions": 0, "witnesses": []}
     for tag, p, q, u, budget in instances:
         W = TensorNbhd.from_seminorms(p, q)
-        rep = projective.gauge_equivalence_check(W, p, q, u, seed=seed, budget=budget)
+        rep = projective.gauge_equivalence_check(W, u, budget=budget)
         total["probes"] += len(rep["probes"])
         if rep["contradictions"]:
             _count(total, {**tag, "contradictions": rep["contradictions"]},

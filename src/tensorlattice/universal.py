@@ -4,15 +4,17 @@ A lattice bimorphism on Q^n x Q^m is pinned down by its grid of values on
 basis pairs: images g_ij that are entrywise nonnegative and pairwise
 disjoint in the target lattice (g_ij and g_kl meet at zero whenever
 (i, j) != (k, l)). Every such grid induces a unique lattice homomorphism on
-the tensor model, u |-> sum_ij u_ij g_ij, and that map factors the
-bimorphism through rank-ones: T(x (x) y) = Phi(x, y).
+the tensor model, u |-> sum_ij u_ij g_ij (Fremlin's universal property),
+and `LatticeBimorphism.apply` is that map: it factors the bimorphism
+through rank-ones, T(x (x) y) = Phi(x, y).
 
 The induced map is checked both algebraically (join, absolute value, and
 solidity preservation, which genuinely fail when the disjointness premise
-is dropped) and topologically: `continuity_certificate` produces the exact
-operator constant C with r(T(u)) <= C * (p (x) q)(u), a tightness witness
-attaining it, and a hull-level check that neighborhood witnesses map into
-the solid convex hull of their factor images.
+is dropped, so `hom_property_report` also runs on unchecked grids) and
+topologically: `continuity_certificate`, which insists on a verified grid,
+produces the exact operator constant C with r(T(u)) <= C * (p (x) q)(u), a
+tightness witness attaining it, and a hull-level check that neighborhood
+witnesses map into the solid convex hull of their factor images.
 """
 
 from __future__ import annotations
@@ -58,25 +60,24 @@ class LatticeBimorphism:
         for i, row in enumerate(self.images):
             if len(row) != m:
                 raise BimorphismDefect(f"image row {i} has {len(row)} columns, expected {m}")
-            for j, g in enumerate(row):
-                dims.add(g.dim)
+            dims.update(g.dim for g in row)
         if len(dims) != 1:
             raise BimorphismDefect("images must share the target dimension")
         if not self.verified:
             return
-        flat = [(i, j, g) for i, row in enumerate(self.images) for j, g in enumerate(row)]
-        for i, j, g in flat:
-            for k, c in enumerate(g.coords):
-                if c < 0:
-                    raise BimorphismDefect(f"image ({i},{j}) has negative coordinate {k}: {c}")
-        for a in range(len(flat)):
-            for b in range(a + 1, len(flat)):
-                i, j, g = flat[a]
-                k, l, h = flat[b]
-                if not g.meet(h).is_zero():
-                    raise BimorphismDefect(
-                        f"images ({i},{j}) and ({k},{l}) are not disjoint"
-                    )
+        owner = {}
+        for i, row in enumerate(self.images):
+            for j, g in enumerate(row):
+                for k, c in enumerate(g.coords):
+                    if c < 0:
+                        raise BimorphismDefect(f"image ({i},{j}) has negative coordinate {k}: {c}")
+                    if c > 0:
+                        if k in owner:
+                            a, b = owner[k]
+                            raise BimorphismDefect(
+                                f"images ({a},{b}) and ({i},{j}) are not disjoint"
+                            )
+                        owner[k] = (i, j)
 
     @staticmethod
     def make(images) -> "LatticeBimorphism":
@@ -118,22 +119,8 @@ class LatticeBimorphism:
                 total = total + self.images[i][j].scale(xi * yj)
         return total
 
-
-@dataclass(frozen=True)
-class InducedHom:
-    """The unique linear extension of a bimorphism to the tensor model."""
-
-    bimorphism: LatticeBimorphism
-
-    @property
-    def source_shape(self) -> tuple[int, int]:
-        return self.bimorphism.source_shape
-
-    @property
-    def target_dim(self) -> int:
-        return self.bimorphism.target_dim
-
     def apply(self, u: TensorElement) -> LatticeElement:
+        """The induced map T(u) = sum_ij u_ij Phi(e_i, f_j)."""
         if u.shape != self.source_shape:
             raise DimensionMismatch(
                 f"induced map over {self.source_shape} applied to {u.shape}"
@@ -142,18 +129,8 @@ class InducedHom:
         total = LatticeElement.zero(self.target_dim)
         for k, c in enumerate(u.coords):
             if c != 0:
-                total = total + self.bimorphism.images[k // m][k % m].scale(c)
+                total = total + self.images[k // m][k % m].scale(c)
         return total
-
-
-def induce_hom(phi: LatticeBimorphism) -> InducedHom:
-    """The induced lattice homomorphism; insists on a verified bimorphism."""
-    if not phi.verified:
-        raise BimorphismDefect(
-            "only verified bimorphisms induce lattice homomorphisms; "
-            "use LatticeBimorphism.make"
-        )
-    return InducedHom(phi)
 
 
 def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> dict:
@@ -165,7 +142,6 @@ def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> d
     disjointness premise buys. An unchecked grid with overlapping images
     shows up here as nonzero violation counts, not as an exception.
     """
-    T = InducedHom(phi)
     n, m = phi.source_shape
     rng = SplitStream(seed).split("hom-properties")
     checks = {
@@ -179,17 +155,17 @@ def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> d
         y = random_element(srng, m)
         u = random_tensor(srng.split("u"), n, m)
         v = random_tensor(srng.split("v"), n, m)
-        if T.apply(rank_one(x, y)) != phi(x, y):
+        if phi.apply(rank_one(x, y)) != phi(x, y):
             _violation(checks["factorization"], s, {"x": x.to_json(), "y": y.to_json()})
-        if T.apply(u + v) != T.apply(u) + T.apply(v):
+        if phi.apply(u + v) != phi.apply(u) + phi.apply(v):
             _violation(checks["additivity"], s, {"u": u.to_json(), "v": v.to_json()})
-        if T.apply(u.join(v)) != T.apply(u).join(T.apply(v)):
+        if phi.apply(u.join(v)) != phi.apply(u).join(phi.apply(v)):
             _violation(checks["join"], s, {"u": u.to_json(), "v": v.to_json()})
-        if T.apply(abs(u)) != abs(T.apply(u)):
+        if phi.apply(abs(u)) != abs(phi.apply(u)):
             _violation(checks["absolute_value"], s, {"u": u.to_json()})
         # a lattice hom is solid: |w| <= |u| forces |T(w)| <= |T(u)|
         dominated = sample_tensor_box(srng.split("dominated"), u)
-        if not abs(T.apply(dominated)).le(abs(T.apply(u))):
+        if not abs(phi.apply(dominated)).le(abs(phi.apply(u))):
             _violation(checks["solidity"], s, {"a": u.to_json(), "u": dominated.to_json()})
     out = {
         "id": "hom-property",
@@ -215,14 +191,13 @@ def hom_agreement_check(phi: LatticeBimorphism, psi: LatticeBimorphism, *,
     if phi.source_shape != psi.source_shape or phi.target_dim != psi.target_dim:
         raise DimensionMismatch("bimorphisms must share source shape and target dimension")
     same_images = phi.images == psi.images
-    T, S = InducedHom(phi), InducedHom(psi)
     n, m = phi.source_shape
     rng = SplitStream(seed).split("hom-agreement")
     disagreements = 0
     witness = None
     for s in range(samples):
         u = random_tensor(rng.split(s), n, m)
-        if T.apply(u) != S.apply(u):
+        if phi.apply(u) != psi.apply(u):
             disagreements += 1
             if witness is None:
                 witness = u.to_json()
@@ -279,13 +254,7 @@ def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSemino
         d = LatticeElement.sparse(n, d)
         for qe, e in right:
             candidates.append((_ratio(r(phi(d, e)), pd * qe), rank_one(d, e)))
-    constant = max((c for c, _ in candidates), default=Fraction(0))
-    direction = None
-    for c, d in candidates:
-        if c is constant or (constant is not INFINITE and c == constant):
-            direction = d
-            break
-    return constant, direction
+    return max(candidates, key=lambda cd: cd[0], default=(Fraction(0), None))
 
 
 def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSeminorm,
@@ -306,7 +275,11 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
     """
     from . import projective
 
-    T = induce_hom(phi)
+    if not phi.verified:
+        raise BimorphismDefect(
+            "only verified bimorphisms induce lattice homomorphisms; "
+            "use LatticeBimorphism.make"
+        )
     C, direction = continuity_constant(phi, p, q, r)
     report = {
         "id": "continuity-constant",
@@ -317,7 +290,7 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
 
     if C is INFINITE:
         cert = projective.seminorm_certify(p, q, direction, budget)
-        image_norm = r(T.apply(direction))
+        image_norm = r(phi.apply(direction))
         report["unbounded_direction"] = {
             "u": direction.to_json(),
             "projective_upper": fraction_str(cert.upper),
@@ -329,7 +302,7 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
     tightness = None
     if direction is not None and not direction.is_zero():
         cert = projective.seminorm_certify(p, q, direction, budget)
-        attained = r(T.apply(direction))
+        attained = r(phi.apply(direction))
         tightness = {
             "u": direction.to_json(),
             "value": fraction_str(cert.upper),
@@ -343,7 +316,7 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
     for s in range(samples):
         u = random_tensor(rng.split(s), n, m)
         cert = projective.seminorm_certify(p, q, u, budget)
-        val = r(T.apply(u))
+        val = r(phi.apply(u))
         if val is INFINITE or val > C * cert.upper:
             _violation(report, s, {
                 "u": u.to_json(),
@@ -361,10 +334,10 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
         for lam, z, xk, yk in witness:
             g = phi(abs(xk), abs(yk))
             gens.append(g)
-            if not abs(T.apply(z)).le(g):
+            if not abs(phi.apply(z)).le(g):
                 termwise_ok = False
         image_set = hulls.GeneratedSet(tuple(gens), ("Sol", "Conv_b"))
-        inside = hulls.member(image_set, T.apply(point))
+        inside = hulls.member(image_set, phi.apply(point))
         if not (termwise_ok and inside):
             _violation(hull_rep, s, {
                 "point": point.to_json(), "termwise": termwise_ok, "member": inside,

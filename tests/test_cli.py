@@ -298,6 +298,31 @@ class TestBoundedDiagnostics:
         assert field in err
 
 
+class TestExactDiagnostics:
+    """Payload errors print one exact line; a field error names its field."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["member", '{"generators": [["1"], ["1", "0"]], "decoration": ["Sol"]}', '["1"]'],
+         "error: field 'target.generators': generators must share a dimension"),
+        # a mismatch between two arguments names no single field
+        (["member", '{"generators": [["1", "0"]], "decoration": ["Sol"]}', '["1"]'],
+         "error: set over dim 2 probed with dim 1"),
+        (["seminorm", L1, L1, U_FIXTURE, "--tolerance", "-1"],
+         "error: field 'tolerance': must be nonnegative"),
+        (["member", "[1]", '["1"]'], "error: field 'target': expected a JSON object"),
+        (["seminorm", L1, '{"kind": "weighted_l1", "weights": ["1"]}',
+          '{"shape": [2, 1], "entries": [["1"]]}'],
+         "error: field 'u.shape': does not match the entries' shape [1, 1]"),
+        (["seminorm", '{"kind": "polyhedral_gauge", "generators": [["1"], ["1", "0"]]}',
+          '{"kind": "weighted_l1", "weights": ["1"]}', '{"entries": [["1"], ["1"]]}'],
+         "error: field 'p': polyhedral gauge generators must share a dimension"),
+    ], ids=["set-generator-dims", "set-probe-dims", "tolerance", "member-target",
+            "tensor-shape", "gauge-generator-dims"])
+    def test_exact_line(self, capsys, argv, line):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", line + "\n")
+
+
 class TestOptions:
     """A bad command line exits 1 with one `error: ` line, never argparse's exit 2."""
 

@@ -25,6 +25,10 @@ def el(*coords):
     return LatticeElement(tuple(Fraction(c) for c in coords))
 
 
+def hom(rows):
+    return LatticeHom(tuple(tuple(as_fraction(a) for a in row) for row in rows))
+
+
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
 
@@ -318,23 +322,23 @@ class TestSeminormFamily:
 
 class TestLatticeHom:
     def test_apply(self):
-        h = LatticeHom.make([[2, 0], [0, 3], [1, 0]])
+        h = hom([[2, 0], [0, 3], [1, 0]])
         assert h.apply(el(1, -1)) == el(2, -3, 1)
-        assert h.source_dim == 2 and h.target_dim == 3
+        assert h.source_dim == 2 and len(h.rows) == 3
 
     def test_preserves_lattice_ops(self):
-        h = LatticeHom.make([["1/2", 0], [0, 1]])
+        h = hom([["1/2", 0], [0, 1]])
         x, y = el(1, -2), el(-3, 4)
         assert h.apply(x.join(y)) == h.apply(x).join(h.apply(y))
         assert h.apply(x.meet(y)) == h.apply(x).meet(h.apply(y))
 
     def test_rejects_overlapping_row(self):
         with pytest.raises(ValueError):
-            LatticeHom.make([[1, 1]])
+            hom([[1, 1]])
 
     def test_rejects_negative_entry(self):
         with pytest.raises(ValueError):
-            LatticeHom.make([[-1, 0]])
+            hom([[-1, 0]])
 
 
 class TestJson:
@@ -349,10 +353,13 @@ class TestJson:
             LatticeElement.from_json("not-a-list")
 
     def test_seminorm_round_trip(self):
-        for p in (weighted_l1([1, "1/2"]), weighted_order_unit([2, 1]),
-                  polyhedral_gauge([el(1, 0), el(1, 1)])):
-            q = RieszSeminorm.from_json(p.to_json())
-            assert q == p
+        for data, p in (
+            ({"kind": "weighted_l1", "weights": ["1", "1/2"]}, weighted_l1([1, "1/2"])),
+            ({"kind": "weighted_order_unit", "weights": ["2", "1"]}, weighted_order_unit([2, 1])),
+            ({"kind": "polyhedral_gauge", "generators": [["1", "0"], ["1", "1"]]},
+             polyhedral_gauge([el(1, 0), el(1, 1)])),
+        ):
+            assert RieszSeminorm.from_json(data) == p
 
     def test_seminorm_rejects_unknown_kind(self):
         with pytest.raises(FormatError):

@@ -489,7 +489,7 @@ class TestChecks:
         V = GeneratedSet([el(1, "1/2")], ("Sol", "Conv_b"))
         W = TensorNbhd(U, V, p, q)
         u = TensorElement.make([[2, 0], [0, 1]])
-        rep = gauge_equivalence_check(W, p, q, u, seed=5)
+        rep = gauge_equivalence_check(W, u)
         assert rep["ok"]
         assert rep["contradictions"] == []
         assert ["5/2", "member"] in rep["probes"]
@@ -501,8 +501,7 @@ class TestChecks:
         V = GeneratedSet([el(1, "1/2")], ("Sol", "Conv_b"))
         W = TensorNbhd(U, V, p, q)
         u = TensorElement.make([[2, 0], [0, 1]])
-        rep = gauge_equivalence_check(W, p, q, u, seed=5,
-                                      budget=Budget(k_max=1, restarts=0))
+        rep = gauge_equivalence_check(W, u, budget=Budget(k_max=1, restarts=0))
         assert rep["ok"]
         assert any(state == "undecided" for _, state in rep["probes"])
 

@@ -25,6 +25,11 @@ LAW_REPORTS_SHA256 = "c576a20f8a5f28abb4bfb0c5b0dd7af09d0d0204a33242b755ea3c8e84
 MEMBER_POINTS_SHA256 = "a45911047f505cfde4cd00eab345fdd3247f22b7f085558612760d60f2fbd44b"
 # sha256 of the bytes `tensorlattice suite --seed 42` prints.
 SUITE_SEED42_SHA256 = "834fb63cfe7d17b2f7777b3a0efaf7a5b7dd560b91a329c1bec7fa06bfdffaed"
+# sha256 of the same serialization of run_suite(seed=7, triples=6, samples=12),
+# and of that run with k_max=1, restarts=1: the starved budget runs
+# alternating minimization (152 half-steps), which seed 42 never reaches.
+SUITE_SEED7_SHA256 = "f95e4fa89754e540c46fa2d29eb63b32d2299e41130dd9222b2a6690845e0aa4"
+SUITE_SEED7_STARVED_SHA256 = "0f8b3431bba76e53e6cf1360fc611fc101f9a9a4090b65111b783364ead409d3"
 
 
 def sha256(text: str) -> str:
@@ -107,6 +112,12 @@ class TestPinnedReports:
     def test_seed42_suite_report(self):
         report = run_suite(seed=42)
         assert sha256(json.dumps(report, sort_keys=True, indent=2) + "\n") == SUITE_SEED42_SHA256
+
+    def test_small_suite_reports(self):
+        for budget, digest in (({}, SUITE_SEED7_SHA256),
+                               ({"k_max": 1, "restarts": 1}, SUITE_SEED7_STARVED_SHA256)):
+            report = run_suite(seed=7, triples=6, samples=12, **budget)
+            assert sha256(json.dumps(report, sort_keys=True, indent=2) + "\n") == digest
 
 
 class TestRunSuite:

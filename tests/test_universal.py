@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tensorlattice.elements import (
+    DimensionMismatch,
     LatticeElement,
     UnsupportedSeminormKind,
     polyhedral_gauge,
@@ -15,13 +16,11 @@ from tensorlattice.rng import SplitStream
 from tensorlattice.tensor import TensorElement, rank_one
 from tensorlattice.universal import (
     BimorphismDefect,
-    InducedHom,
     LatticeBimorphism,
     continuity_certificate,
     continuity_constant,
     hom_agreement_check,
     hom_property_report,
-    induce_hom,
 )
 
 
@@ -48,42 +47,51 @@ class TestBimorphism:
         assert CANON(x, y) == el(2, 6, -1, -3)
 
     def test_make_rejects_overlapping_images(self):
-        with pytest.raises(BimorphismDefect):
+        with pytest.raises(BimorphismDefect, match=r"^images \(0,0\) and \(0,1\) are not disjoint$"):
             LatticeBimorphism.make([[el(1), el(1)]])
+        # the first image that used the shared coordinate is named
+        with pytest.raises(BimorphismDefect, match=r"^images \(0,1\) and \(1,0\) are not disjoint$"):
+            LatticeBimorphism.make([[el(1, 0, 0), el(0, 0, 2)],
+                                    [el(0, 0, 1), el(0, 1, 0)]])
 
     def test_make_rejects_negative_image(self):
-        with pytest.raises(BimorphismDefect):
+        with pytest.raises(BimorphismDefect, match=r"^image \(0,0\) has negative coordinate 0: -1$"):
             LatticeBimorphism.make([[el(-1), el(0)]])
 
     def test_unchecked_defers_validation(self):
         broken = LatticeBimorphism.unchecked([[el(1), el(1)]])
         assert not broken.verified
-        with pytest.raises(BimorphismDefect):
-            induce_hom(broken)
+        with pytest.raises(BimorphismDefect, match="only verified bimorphisms"):
+            continuity_certificate(broken, weighted_l1([1]), weighted_l1([1, 1]),
+                                   weighted_l1([1]), samples=1, seed=0)
 
 
-class TestInducedHom:
+class TestInducedMap:
+    def test_apply_rejects_other_shapes(self):
+        with pytest.raises(DimensionMismatch, match=r"induced map over \(2, 2\) applied to \(1, 2\)"):
+            CANON.apply(TensorElement.make([[1, 2]]))
+
     def test_factorization_identity(self):
-        T = induce_hom(CANON)
+        T = CANON.apply
         rng = SplitStream(67).split("factor")
         for t in range(60):
             r = rng.split(t)
             x = el(r.fraction(-3, 3), r.fraction(-3, 3))
             y = el(r.fraction(-3, 3), r.fraction(-3, 3))
-            assert T.apply(rank_one(x, y)) == CANON(x, y)
+            assert T(rank_one(x, y)) == CANON(x, y)
 
     def test_additivity(self):
-        T = induce_hom(CANON)
+        T = CANON.apply
         u = TensorElement.make([[1, -2], [0, 3]])
         v = TensorElement.make([[2, 2], [-1, 0]])
-        assert T.apply(u + v) == T.apply(u) + T.apply(v)
+        assert T(u + v) == T(u) + T(v)
 
     def test_preserves_join_for_disjoint_grid(self):
-        T = induce_hom(CANON)
+        T = CANON.apply
         u = TensorElement.make([[1, -2], [0, 3]])
         v = TensorElement.make([[2, 2], [-1, 0]])
-        assert T.apply(u.join(v)) == T.apply(u).join(T.apply(v))
-        assert T.apply(abs(u)) == abs(T.apply(u))
+        assert T(u.join(v)) == T(u).join(T(v))
+        assert T(abs(u)) == abs(T(u))
 
 
 class TestHomPropertyReport:
@@ -139,8 +147,8 @@ class TestContinuityConstant:
             C, direction = continuity_constant(CANON, p, q, L1_4)
             cert = seminorm_certify(p, q, direction)
             assert cert.gap == 0
-            T = induce_hom(CANON)
-            assert L1_4(T.apply(direction)) == C * cert.upper
+            T = CANON.apply
+            assert L1_4(T(direction)) == C * cert.upper
 
     def test_scaling_the_images_scales_the_constant(self):
         tripled = LatticeBimorphism.make(
@@ -162,8 +170,8 @@ class TestContinuityConstant:
         assert C is INFINITE
         cert = seminorm_certify(p_dead, L1_2, direction)
         assert cert.upper == 0
-        T = induce_hom(CANON)
-        assert L1_4(T.apply(direction)) > 0
+        T = CANON.apply
+        assert L1_4(T(direction)) > 0
 
     def test_polyhedral_factor_reads_its_rays(self):
         # disjoint generators: the constant of the weighted l1 seminorm they are
