@@ -161,9 +161,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, budget=True):
-        sp.add_argument("--seed", type=int, default=42,
-                        help="root seed for every derived sample stream (default 42)")
         if budget:
+            sp.add_argument("--seed", type=int, default=42,
+                            help="root seed for every derived sample stream (default 42)")
             sp.add_argument("--kmax", type=int, default=None,
                             help="decomposition term budget (default: entry count)")
             sp.add_argument("--restarts", type=int, default=2,

@@ -52,7 +52,7 @@ from .elements import (
     SeminormFamily,
     UnsupportedSeminormKind,
 )
-from .hulls import _close, _report, _violation, random_element
+from .hulls import _close, _report, _violation, random_element, sample_box_point
 from .jsonio import FormatError, _quote, as_fraction, fraction_str, require_key
 from .rng import SplitStream
 from .simplex import InfeasibleLP, LinearProgram, UnboundedLP
@@ -65,7 +65,6 @@ from .tensor import (
     nbhd_member,
     random_tensor,
     rank_one,
-    sample_tensor_box,
 )
 
 def _require_weighted(p: RieszSeminorm, q: RieszSeminorm):
@@ -633,7 +632,7 @@ def certificate_axiom_check(p: RieszSeminorm, q: RieszSeminorm, *, samples: int,
             problems.append("scaled witness value is not |lam| * upper")
         if cu.dual.value(u.scale(lam)) != abs(lam) * cu.lower:
             problems.append("dual value is not absolutely homogeneous")
-        dominated = sample_tensor_box(srng.split("dominated"), u)
+        dominated = sample_box_point(srng.split("dominated"), u)
         if seminorm_certify(p, q, dominated, budget).lower > cu.upper:
             problems.append("dominated element certified above the dominating upper bound")
         if problems:
@@ -691,11 +690,9 @@ def hausdorff_check(P: SeminormFamily, Q: SeminormFamily, *, samples: int, seed:
                 break
         if not separated:
             _violation(rep, s, {"u": u.to_json(), "entry": [i, j]})
-    rep["id"] = "separation"
-    rep["statement"] = (
-        "separating factor families certify a positive lower bound for every nonzero tensor"
-    )
-    expected_ok = P.separating and Q.separating
-    rep["ok"] = (rep["violations"] == 0) if expected_ok else (rep["violations"] > 0)
-    rep["expected_separation"] = expected_ok
+    _close(rep, "separation",
+           "separating factor families certify a positive lower bound for every nonzero tensor")
+    rep["expected_separation"] = P.separating and Q.separating
+    if not rep["expected_separation"]:
+        rep["ok"] = not rep["ok"]  # a non-separating family must be caught failing
     return rep

@@ -41,6 +41,7 @@ from .hulls import (
     SOL,
     GeneratedSet,
     _close,
+    _close_checks,
     _report,
     _violation,
     gauge,
@@ -102,10 +103,6 @@ class TensorElement(LatticeElement):
             if v < 0:
                 return divmod(k, self.shape[1])
         return None
-
-    @staticmethod
-    def from_flat(x: LatticeElement, shape: tuple[int, int]) -> "TensorElement":
-        return TensorElement(x.coords, tuple(shape))
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "entries": [fraction_list(row) for row in self.entries]}
@@ -264,12 +261,7 @@ def nbhd_member(W: TensorNbhd, u: TensorElement, radius=1, budget=None) -> Membe
 
 def random_tensor(rng: SplitStream, n: int, m: int, lo=-3, hi=3) -> TensorElement:
     """An n x m tensor with entries on the quarter grid of [lo, hi], drawn row by row."""
-    return TensorElement.from_flat(random_element(rng, n * m, lo, hi), (n, m))
-
-
-def sample_tensor_box(rng: SplitStream, bound: TensorElement) -> TensorElement:
-    """A point of the box |u| <= |bound| on the quarter grid, drawn row by row."""
-    return TensorElement.from_flat(sample_box_point(rng, bound), bound.shape)
+    return TensorElement(random_element(rng, n * m, lo, hi).coords, (n, m))
 
 
 def sample_nbhd_point(U: GeneratedSet, V: GeneratedSet, rng: SplitStream, margin=Fraction(0)):
@@ -289,7 +281,7 @@ def sample_nbhd_point(U: GeneratedSet, V: GeneratedSet, rng: SplitStream, margin
         trng = rng.split("term", k)
         x = sample_hull_point(trng.split("x"), U).scale(shrink)
         y = sample_hull_point(trng.split("y"), V).scale(shrink)
-        z = sample_tensor_box(trng.split("z"), rank_one(x, y))
+        z = sample_box_point(trng.split("z"), rank_one(x, y))
         witness.append((lams[k], z, x, y))
         u = u + z.scale(lams[k])
     return u, witness
@@ -417,13 +409,8 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
         if not ok:
             _violation(report["intersection"], s)
 
-    ok = all(rep["violations"] == 0 for rep in report.values())
-    return {
-        "id": "nbhd-base",
-        "statement": "the sets Conv_b(Sol(U (x) V)) satisfy the zero-neighborhood base axioms",
-        "checks": report,
-        "ok": ok,
-    }
+    return _close_checks(report, "nbhd-base",
+                         "the sets Conv_b(Sol(U (x) V)) satisfy the zero-neighborhood base axioms")
 
 
 def _shrink_into(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
@@ -439,7 +426,7 @@ def _shrink_into(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
     return GeneratedSet(tuple(gens), A.decoration)
 
 
-def nbhd_solidity_check(W: TensorNbhd, *, seed: int, samples: int, budget=None) -> dict:
+def nbhd_solidity_check(W: TensorNbhd, *, seed: int, samples: int) -> dict:
     """Certified membership is never contradicted on dominated elements.
 
     If u is certified inside W and |v| <= |u|, then v must not be certified
@@ -453,15 +440,15 @@ def nbhd_solidity_check(W: TensorNbhd, *, seed: int, samples: int, budget=None) 
     for s in range(samples):
         srng = rng.split(s)
         u = random_tensor(srng, n, m, -2, 2)
-        cert_u = projective.seminorm_certify(W.p, W.q, u, budget)
+        cert_u = projective.seminorm_certify(W.p, W.q, u)
         if cert_u.upper > 1:
             # pull u onto the boundary so membership is certain
             u = u.scale(Fraction(1, 1) / cert_u.upper)
-            cert_u = projective.seminorm_certify(W.p, W.q, u, budget)
+            cert_u = projective.seminorm_certify(W.p, W.q, u)
         if cert_u.upper > 1:
             continue  # membership premise not certified; nothing to contradict
-        v = sample_tensor_box(srng.split("v"), u)
-        cert_v = projective.seminorm_certify(W.p, W.q, v, budget)
+        v = sample_box_point(srng.split("v"), u)
+        cert_v = projective.seminorm_certify(W.p, W.q, v)
         if cert_v.lower > 1:
             _violation(rep, s, {"u": u.to_json(), "v": v.to_json()})
     return _close(rep, "nbhd-solidity",

@@ -30,10 +30,9 @@ from .tensor import (
     random_tensor,
     rank_one,
     sample_nbhd_point,
-    sample_tensor_box,
 )
 from . import hulls
-from .hulls import _report, _violation, random_element
+from .hulls import _close_checks, _report, _violation, random_element, sample_box_point
 
 
 class BimorphismDefect(ValueError):
@@ -164,20 +163,12 @@ def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> d
         if phi.apply(abs(u)) != abs(phi.apply(u)):
             _violation(checks["absolute_value"], s, {"u": u.to_json()})
         # a lattice hom is solid: |w| <= |u| forces |T(w)| <= |T(u)|
-        dominated = sample_tensor_box(srng.split("dominated"), u)
+        dominated = sample_box_point(srng.split("dominated"), u)
         if not abs(phi.apply(dominated)).le(abs(phi.apply(u))):
             _violation(checks["solidity"], s, {"a": u.to_json(), "u": dominated.to_json()})
-    out = {
-        "id": "hom-property",
-        "statement": (
-            "the induced map factors the bimorphism and preserves joins, "
-            "absolute values, and solidity"
-        ),
-        "verified_premises": phi.verified,
-        "checks": checks,
-        "ok": all(rep["violations"] == 0 for rep in checks.values()),
-    }
-    return out
+    return _close_checks(checks, "hom-property",
+                         "the induced map factors the bimorphism and preserves joins, "
+                         "absolute values, and solidity", verified_premises=phi.verified)
 
 
 def hom_agreement_check(phi: LatticeBimorphism, psi: LatticeBimorphism, *,
@@ -193,23 +184,16 @@ def hom_agreement_check(phi: LatticeBimorphism, psi: LatticeBimorphism, *,
     same_images = phi.images == psi.images
     n, m = phi.source_shape
     rng = SplitStream(seed).split("hom-agreement")
-    disagreements = 0
-    witness = None
-    for s in range(samples):
-        u = random_tensor(rng.split(s), n, m)
-        if phi.apply(u) != psi.apply(u):
-            disagreements += 1
-            if witness is None:
-                witness = u.to_json()
-    ok = (disagreements == 0) == same_images
+    differ = [u for u in (random_tensor(rng.split(s), n, m) for s in range(samples))
+              if phi.apply(u) != psi.apply(u)]
     return {
         "id": "hom-uniqueness",
         "statement": "induced maps agree everywhere iff they agree on basis pairs",
         "identical_images": same_images,
-        "disagreements": disagreements,
-        "witness": witness,
+        "disagreements": len(differ),
+        "witness": differ[0].to_json() if differ else None,
         "samples": samples,
-        "ok": ok,
+        "ok": (not differ) == same_images,
     }
 
 

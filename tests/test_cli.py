@@ -377,6 +377,13 @@ class TestDecompose:
         assert code == 1
         assert "precondition" in err
 
+    def test_seed_is_not_an_option(self, capsys):
+        # decompose draws nothing, so it takes no seed
+        code, out, err = run(capsys, ["decompose", '["3"]', '["2"]', '["2"]', "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: unrecognized arguments: --seed 1")
+        assert err.count("\n") == 1
+
 
 class TestSuite:
     def test_small_suite_exits_zero(self, capsys):

@@ -290,6 +290,45 @@ def test_solid_closure_check():
     assert rep["results"]["meet"]["cone_violations"] == 0
 
 
+class TestObservedVerdicts:
+    """The one rule that reads counters as holds/fails/vacuous, pinned at its edges."""
+
+    def test_solid_closure_with_no_samples_is_never_vacuous(self):
+        # no vacuous counts: nothing checked reads as holds, and the join/meet
+        # fixtures alone make those two fail as expected
+        rep = solid_closure_check(samples=0, seed=1)
+        empty = {"checked": 0, "cone_violations": 0, "violations": 0, "witnesses": []}
+        fixture = {**empty, "violations": 1, "witnesses": [{"index": "fixture"}]}
+        assert rep["results"] == {"plus": empty, "union": empty, "intersect": empty,
+                                  "join": fixture, "meet": fixture}
+        assert rep["observed"] == {"plus": "holds", "union": "holds", "intersect": "holds",
+                                   "join": "fails", "meet": "fails"}
+        assert rep["ok"] is True
+
+    def test_a_law_without_counters_is_vacuous(self):
+        # law 5 has no fixtures, so with no triples its direction has no counter
+        rep = hull_law_suite(5, triples=0, seed=1)
+        assert rep["directions"] == {}
+        assert rep["observed"] == {"printed": "vacuous"}
+        assert rep["ok"] is False
+
+    def test_solid_closure_fixture_witness_goes_past_the_cap(self):
+        rep = solid_closure_check(samples=80, seed=42)
+        assert rep["results"]["join"]["witnesses"] == [
+            {"index": 1, "x": ["1/2", "2"], "y": ["-1/3", "-2"]},
+            {"index": 2, "x": ["3", "0", "5/2", "4"], "y": ["9/4", "0", "-3/2", "10/3"]},
+            {"index": 8, "x": ["4", "0", "7/2"], "y": ["-2", "0", "3"]},
+            {"index": "fixture"},
+        ]
+        assert rep["results"]["meet"]["witnesses"] == [
+            {"index": 2, "x": ["5/4", "-8/3", "-3", "1/3"], "y": ["1/3", "1", "-1", "0"]},
+            {"index": 3, "x": ["-5/4", "0", "-1/2"], "y": ["1/4", "0", "0"]},
+            {"index": 22, "x": ["-3", "1/4", "-1/2"], "y": ["8/3", "0", "1/2"]},
+            {"index": "fixture"},
+        ]
+        assert (rep["results"]["join"]["violations"], rep["results"]["meet"]["violations"]) == (14, 5)
+
+
 def test_sample_hull_point_lands_inside():
     rng = SplitStream(17).split("sample")
     for t in range(40):

@@ -27,7 +27,6 @@ from tensorlattice.tensor import (
     rank_one,
     rank_one_sup_recover,
     sample_nbhd_point,
-    sample_tensor_box,
     sup_of_rank_ones,
     verify_nbhd_witness,
 )
@@ -91,7 +90,9 @@ class TestTensorElement:
 
     def test_flatten_round_trip(self):
         u = TensorElement.make([[1, -2], [3, 4]])
-        assert TensorElement.from_flat(LatticeElement(u.coords), (2, 2)) == u
+        flat = LatticeElement(u.coords)
+        assert flat == LatticeElement.make([1, -2, 3, 4])
+        assert TensorElement(flat.coords, u.shape) == u
 
     def test_json_round_trip(self):
         u = TensorElement.make([["1/3", -2], [0, 5]])
@@ -213,12 +214,13 @@ class TestNbhdMembership:
             nbhd_member(W, TensorElement.make([[1, 0, 0]]))
 
 
-def test_sample_tensor_box_stays_inside():
+def test_sample_box_point_keeps_the_tensor_shape():
     rng = SplitStream(53).split("box")
-    bound = TensorElement.make([[2, 1], [0, 3]])
+    bound = TensorElement.make([[2, 1], [0, -3], [1, 0]])
     for t in range(40):
-        u = sample_tensor_box(rng.split(t), bound)
-        assert abs(u).le(bound)
+        u = hulls.sample_box_point(rng.split(t), bound)
+        assert isinstance(u, TensorElement) and u.shape == bound.shape
+        assert abs(u).le(abs(bound))
 
 
 def test_sample_nbhd_point_certified_member():
