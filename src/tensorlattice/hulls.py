@@ -16,7 +16,10 @@ Membership is exact and tries the cheap decisions first:
 3. span check: a convex-solid point outside every box that is nonzero where
    all boxes vanish is rejected;
 4. LP: what is left is one rational feasibility program. ``Conv`` and
-   ``Conv_b`` of bare generators go straight to it. ``Conv(Sol(G))`` and
+   ``Conv_b`` of bare generators (and sums of such hulls) go straight to
+   it: a mass row per block, one slack column per ``Conv_b`` block, then
+   the coordinates of x, decided by `simplex.feasible` on an integer
+   tableau. ``Conv(Sol(G))`` and
    ``Conv_b(Sol(G))`` are one set: every box is symmetric and contains 0, so
    a combination of total weight below 1 puts the rest of its mass on 0.
    Both are decided by one program with the mass row ``sum lam_k == 1``, and
@@ -47,7 +50,7 @@ from .elements import (
 )
 from .jsonio import FormatError, _quote, require_key
 from .rng import SplitStream
-from .simplex import InfeasibleLP, LinearProgram
+from .simplex import InfeasibleLP, LinearProgram, feasible
 
 SOL = "Sol"
 CONV = "Conv"
@@ -109,33 +112,21 @@ def _check_dim(S: GeneratedSet, x: LatticeElement):
 
 
 def _sum_hull_member(blocks, x, balanced: bool) -> bool:
-    """x in hull(G_1) + ... + hull(G_k), one LP: a mass row per block, then x.
+    """x in hull(G_1) + ... + hull(G_k), one feasibility program: a mass row per
+    block, then x coordinate-wise.
 
     Each block gets its own weights: convex (sum == 1) or balanced (positive
-    and negative parts with total <= 1). One block is plain hull membership.
+    and negative parts, plus one slack column, summing to 1). One block is
+    plain hull membership.
     """
-    lp = LinearProgram()
-    weights = []
-    for gens in blocks:
-        if balanced:
-            pos = [lp.var() for _ in gens]
-            neg = [lp.var() for _ in gens]
-            lp.add({v: 1 for v in pos + neg}, "<=", 1)
-            weights.append((gens, pos, neg))
-        else:
-            lam = [lp.var() for _ in gens]
-            lp.add({v: 1 for v in lam}, "==", 1)
-            weights.append((gens, lam, None))
-    for i in range(x.dim):
-        coeffs = {}
-        for gens, pos, neg in weights:
-            for k, g in enumerate(gens):
-                if g.coords[i] != 0:
-                    coeffs[pos[k]] = g.coords[i]
-                    if neg is not None:
-                        coeffs[neg[k]] = -g.coords[i]
-        lp.add(coeffs, "==", x.coords[i])
-    return lp.feasible()
+    signs = (1, -1) if balanced else (1,)
+    columns = [(b, s, g) for b, gens in enumerate(blocks) for s in signs for g in gens]
+    slacks = range(len(blocks)) if balanced else ()
+    mass = [[int(b == k) for b, _, _ in columns] + [int(s == k) for s in slacks]
+            for k in range(len(blocks))]
+    coords = [[s * g.coords[i] for _, s, g in columns] + [0] * len(slacks)
+              for i in range(x.dim)]
+    return feasible(mass + coords, [1] * len(blocks) + list(x.coords))
 
 
 def _box_program(gens, x, objective: bool):

@@ -590,9 +590,6 @@ def gauge_equivalence_check(W: TensorNbhd, u: TensorElement, *,
     if ranks != sorted(ranks):
         contradictions.append({"reason": "tri-state not monotone in the radius"})
     return {
-        "id": "gauge-seminorm-consistency",
-        "statement": "membership of u in r*W agrees with the certified interval for (p (x) q)(u)",
-        "certificate": {"lower": fraction_str(cert.lower), "upper": fraction_str(cert.upper)},
         "probes": [[fraction_str(r), a.value] for r, a in answers],
         "contradictions": contradictions,
         "ok": not contradictions,

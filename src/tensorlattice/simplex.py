@@ -12,11 +12,24 @@ pivot row; the arithmetic, and so every pivot, is that of the dense update.
 `solve_standard` handles min c.x s.t. Ax = b, x >= 0. `LinearProgram` is a
 small builder on top: nonnegative variables, <=/>=/== rows turned into
 equalities with one slack column each, and the answer read back per variable.
+
+`feasible` answers only whether Ax = b, x >= 0 has a solution, by phase 1 on
+an integer tableau with exact-division (fraction-free) pivots. It creates no
+Fraction, and Fraction arithmetic is where the rational tableau spends its
+time. Bare hull membership (`hulls._sum_hull_member`: every ``Conv`` and
+``Conv_b`` query, and 1,403 of the 1,483 programs of a seed-42 suite) takes
+this path. Everything else keeps the Fraction path for now: gauges and the
+other optima need phase 2, and the convex-solid membership programs of
+`hulls._box_program` (`LinearProgram.feasible`) dominate perfbench's hull-lp
+workload, whose peak memory grows with the number of requests answered
+(ROADMAP item 1). Once that is fixed, the remaining programs move to the
+integer tableau and the Fraction pivot goes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .jsonio import as_fraction
 
@@ -68,6 +81,68 @@ def _run(tableau, obj, basis, ncols):
         if leave < 0:
             raise UnboundedLP(f"column {enter} improves without bound")
         _pivot(tableau, obj, basis, leave, enter)
+
+
+def feasible(rows, rhs) -> bool:
+    """Whether {x >= 0 : rows.x == rhs} is nonempty, by phase 1 on an integer tableau.
+
+    Entries are ints or Fractions. Each row is scaled by the lcm of its
+    denominators and negated when its rhs is negative; one artificial column
+    per row starts the basis. The tableau holds integers and `d`, the last
+    pivot (the determinant of the basis), divides every one of them into the
+    rational tableau. A pivot on `p` replaces each other row `a`, the
+    objective row included, by `(p*a - f*b) // d`, where `b` is the pivot
+    row and `f` the row's entry in the entering column; the division is exact
+    (Edmonds 1967, Bareiss 1968). Signs and ratio orders are those of the
+    rational tableau of the scaled rows, so Bland's rule picks as it would
+    there; phase 1 stops once the artificial mass is 0.
+    """
+    m = len(rows)
+    tableau = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        scale = lcm(b.denominator, *(a.denominator for a in row))
+        ints = [a.numerator * (scale // a.denominator) for a in row]
+        b = b.numerator * (scale // b.denominator)
+        if b < 0:
+            ints = [-a for a in ints]
+            b = -b
+        artificial = [0] * m
+        artificial[i] = 1
+        tableau.append(ints + artificial + [b])
+    if not tableau:
+        return True
+    ncols = len(tableau[0]) - 1
+    basis = list(range(ncols - m, ncols))
+    # Phase 1 minimizes the artificial mass; its value is -obj[-1] / d.
+    obj = [-sum(column) for column in zip(*tableau)]
+    obj[ncols - m:ncols] = [0] * m
+    d = 1
+    while obj[-1]:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            return False
+        # The phase-1 value is bounded below by 0, so some row limits `enter`.
+        leave = None
+        for i, r in enumerate(tableau):
+            c = r[enter]
+            if c > 0:
+                # r[-1] / c against the least ratio so far, cross-multiplied.
+                diff = r[-1] * best[1] - best[0] * c if leave is not None else -1
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                    leave, best = i, (r[-1], c)
+        pivot_row = tableau[leave]
+        p = pivot_row[enter]
+        for r in [*tableau, obj]:
+            if r is pivot_row:
+                continue
+            f = r[enter]
+            if f:
+                r[:] = [(p * a - f * b) // d for a, b in zip(r, pivot_row)]
+            elif p != d:
+                r[:] = [p * a // d for a in r]
+        basis[leave] = enter
+        d = p
+    return True
 
 
 def solve_standard(rows, rhs, costs):

@@ -13,6 +13,10 @@ different mathematical reduction:
   factors to a fixed rational grid on the unit sphere's positive face and
   optimize the right factors exactly, which is the brute-force decomposition
   search the closed forms are validated against;
+* bare hull membership via the generic program builder: `sum_hull_member_lp`
+  states ``x in hull(G_1) + ... + hull(G_k)`` through `LinearProgram` and
+  decides it with the Fraction two-phase simplex, where the production code
+  builds the integer phase-1 tableau of `simplex.feasible` directly;
 * dual values via a generic linear program (`dual_lower_bound_lp` below,
   which writes out each kind pair's domination constraints by hand instead
   of deriving them from the ray pairs) and, for the simplex itself, scipy's
@@ -59,6 +63,36 @@ def corner_member(generators, x: LatticeElement) -> bool:
     for i in range(x.dim):
         lp.add({lam: pt.coords[i] for lam, pt in zip(lams, points)}, "==", x.coords[i])
     lp.add({lam: 1 for lam in lams}, "==", 1)
+    return lp.feasible()
+
+
+def sum_hull_member_lp(blocks, x: LatticeElement, balanced: bool) -> bool:
+    """x in hull(G_1) + ... + hull(G_k), one LP: a mass row per block, then x.
+
+    Each block gets its own weights: convex (sum == 1) or balanced (positive
+    and negative parts with total <= 1).
+    """
+    lp = LinearProgram()
+    weights = []
+    for gens in blocks:
+        if balanced:
+            pos = [lp.var() for _ in gens]
+            neg = [lp.var() for _ in gens]
+            lp.add({v: 1 for v in pos + neg}, "<=", 1)
+            weights.append((gens, pos, neg))
+        else:
+            lam = [lp.var() for _ in gens]
+            lp.add({v: 1 for v in lam}, "==", 1)
+            weights.append((gens, lam, None))
+    for i in range(x.dim):
+        coeffs = {}
+        for gens, pos, neg in weights:
+            for k, g in enumerate(gens):
+                if g.coords[i] != 0:
+                    coeffs[pos[k]] = g.coords[i]
+                    if neg is not None:
+                        coeffs[neg[k]] = -g.coords[i]
+        lp.add(coeffs, "==", x.coords[i])
     return lp.feasible()
 
 

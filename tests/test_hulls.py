@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import corner_gauge, corner_member
+from oracles import corner_gauge, corner_member, sum_hull_member_lp
 from tensorlattice import hulls
 from tensorlattice.elements import LatticeElement, LatticeHom
 from tensorlattice.hulls import (
+    CONV,
+    CONV_B,
     INFINITE,
     LAW_EXPECTATIONS,
     GeneratedSet,
@@ -133,6 +135,59 @@ class TestCornerOracle:
                 assert member(S, x) == corner_member(gens, x)
             agreements += 1
         assert agreements >= 100
+
+
+class TestBareHullOracle:
+    """Bare Conv/Conv_b membership and two-block sums against the LinearProgram oracle."""
+
+    @staticmethod
+    def generators(r, dim):
+        """Integer or rational generators, sometimes with a zero or a repeated one."""
+        rational = r.randint(0, 1) == 1
+        gens = [el(*[r.fraction(-3, 3) if rational else r.randint(-3, 3) for _ in range(dim)])
+                for _ in range(r.randint(1, 3))]
+        if r.randint(0, 2) == 0:
+            gens.append(LatticeElement.zero(dim))
+        if r.randint(0, 2) == 0:
+            gens.append(r.choice(gens))
+        return gens
+
+    @staticmethod
+    def point(r, gens, dim):
+        """A vertex, a point of the face of two generators, a weighted point, or a stray."""
+        kind = r.randint(0, 3)
+        if kind == 0:
+            return r.choice(gens)
+        if kind == 1:
+            a, b = r.choice(gens), r.choice(gens)
+            w = r.fraction(0, 1)
+            return a.scale(w) + b.scale(1 - w)
+        if kind == 2:
+            x = LatticeElement.zero(dim)
+            for g, w in zip(gens, r.balanced_weights(len(gens), ceiling=Fraction(5, 4))):
+                x = x + g.scale(w)
+            return x
+        return el(*[r.fraction(-3, 3) for _ in range(dim)])
+
+    def test_bare_hulls_and_sums_agree(self):
+        rng = SplitStream(16).split("bare-hull-oracle")
+        verdicts = {True: 0, False: 0}
+        for t in range(240):
+            r = rng.split(t)
+            dim = 1 + t % 6
+            gens = self.generators(r.split("A"), dim)
+            for deco in (CONV, CONV_B):
+                x = self.point(r.split("x", deco), gens, dim)
+                got = member(GeneratedSet(gens, (deco,)), x)
+                assert got == sum_hull_member_lp((gens,), x, deco == CONV_B), (t, deco)
+                verdicts[got] += 1
+            others = self.generators(r.split("B"), dim)
+            u = self.point(r.split("a"), gens, dim) + self.point(r.split("b"), others, dim)
+            for balanced in (False, True):
+                got = hulls._sum_hull_member((gens, others), u, balanced)
+                assert got == sum_hull_member_lp((gens, others), u, balanced), (t, balanced)
+                verdicts[got] += 1
+        assert min(verdicts.values()) >= 150, verdicts
 
 
 class TestBoxScan:

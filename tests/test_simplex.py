@@ -8,6 +8,7 @@ from tensorlattice.simplex import (
     InfeasibleLP,
     LinearProgram,
     UnboundedLP,
+    feasible,
     solve_standard,
 )
 
@@ -270,3 +271,106 @@ def test_sparse_pivot_takes_the_dense_pivots(monkeypatch):
             outcomes.add(sparse[1] if isinstance(sparse[1], type) else "optimal")
     # every outcome of the simplex is compared, not only the optimal one
     assert outcomes == {"optimal", InfeasibleLP, UnboundedLP}
+
+
+# ---------------------------------------------------------------------------
+# The integer phase 1 of `feasible` against the Fraction two-phase method
+# ---------------------------------------------------------------------------
+
+
+def _has_solution(rows, rhs):
+    """The Fraction simplex's answer to whether rows.x == rhs has a solution x >= 0."""
+    try:
+        solve_standard(rows, rhs, [Fraction(0)] * len(rows[0]))
+    except InfeasibleLP:
+        return False
+    return True
+
+
+def _rational_program(r):
+    """rows.x == rhs with entries over mixed denominators.
+
+    The right-hand side is the image of a random x >= 0 (feasible), all
+    zero (degenerate) or random with either sign; some programs get a zero
+    row, some a scaled copy of one of their rows.
+    """
+    m, n = r.randint(1, 5), r.randint(1, 6)
+    rows = [[r.fraction(-4, 4, denominator=6) if r.randint(0, 2) else Fraction(0)
+             for _ in range(n)] for _ in range(m)]
+    kind = r.randint(0, 2)
+    if kind == 0:
+        x = [r.fraction(0, 3, denominator=5) if r.randint(0, 1) else 0 for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    elif kind == 1:
+        rhs = [Fraction(0)] * m
+    else:
+        rhs = [r.fraction(-5, 5, denominator=6) for _ in range(m)]
+    if r.randint(0, 3) == 0:
+        rows[r.randint(0, m - 1)] = [Fraction(0)] * n
+    if r.randint(0, 2) == 0:
+        i, k = r.randint(0, m - 1), r.choice([Fraction(1), Fraction(-2), Fraction(1, 3)])
+        rows.append([k * a for a in rows[i]])
+        rhs.append(k * rhs[i])
+    return rows, rhs
+
+
+def _standard_form(monkeypatch, lp):
+    """The (rows, rhs) that `lp.feasible()` hands to `solve_standard`."""
+    seen = []
+
+    def capture(rows, rhs, costs):
+        seen.append((rows, rhs))
+        raise InfeasibleLP
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "solve_standard", capture)
+        lp.feasible()
+    return seen[0]
+
+
+def test_feasible_fixtures():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert feasible([], [])
+    assert feasible([[Fraction(0), Fraction(0)]], [Fraction(0)])
+    assert not feasible([[Fraction(0), Fraction(0)]], [Fraction(1)])
+    assert feasible([[-half, third]], [Fraction(-1)])  # x = (2, 0), a negative rhs
+    assert not feasible([[half, third]], [Fraction(-1)])
+    assert feasible([[1, 1], [1, 1]], [2, 2])  # a duplicated row
+    assert not feasible([[1, 1], [2, 2]], [2, 3])
+    assert feasible([[1, -1], [1, 1]], [0, 0])  # degenerate: only x = 0
+    assert not feasible([[1, 1]], [-1])
+
+
+def test_feasible_agrees_with_solve_standard(monkeypatch):
+    rng = SplitStream(2024).split("integer-phase-1")
+    verdicts = {True: 0, False: 0}
+    for t in range(800):
+        rows, rhs = _rational_program(rng.split("rational", t))
+        got = feasible(rows, rhs)
+        assert got == _has_solution(rows, rhs), t
+        verdicts[got] += 1
+    for name, build in (("box", _box_shaped), ("sum-hull", _sum_hull_shaped),
+                        ("degenerate", _degenerate), ("general", _general)):
+        for t in range(60):
+            rows, rhs = _standard_form(monkeypatch, build(rng.split(name, t)))
+            got = feasible(rows, rhs)
+            assert got == _has_solution(rows, rhs), (name, t)
+            verdicts[got] += 1
+    assert sum(verdicts.values()) >= 1000
+    assert min(verdicts.values()) >= 200, verdicts
+
+
+def test_feasible_agrees_with_scipy():
+    scipy = pytest.importorskip("scipy.optimize")
+    rng = SplitStream(2024).split("integer-phase-1")
+    for t in range(200):
+        rows, rhs = _rational_program(rng.split("rational", t))
+        res = scipy.linprog(
+            [0.0] * len(rows[0]),
+            A_eq=[[float(a) for a in row] for row in rows],
+            b_eq=[float(b) for b in rhs],
+            bounds=[(0, None)] * len(rows[0]),
+            method="highs",
+        )
+        assert res.status in (0, 2), res.message
+        assert feasible(rows, rhs) == (res.status == 0), t
