@@ -1,8 +1,10 @@
 """Finite-dimensional vector lattices with exact rational coordinates.
 
 The order is coordinatewise, so lattice operations are entrywise max/min and
-every computation here is exact (`fractions.Fraction` end to end). On top of
-the element type this module provides:
+every computation here is exact. An element holds integer numerators over
+one positive denominator, in lowest terms, and its operations run on those
+integers; `fractions.Fraction` stays the interface, for inputs and for the
+`coords` view. On top of the element type this module provides:
 
 * the constructive Riesz decomposition and disjointification used by the
   hull identities,
@@ -15,10 +17,11 @@ the element type this module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
+from math import gcd, lcm
 
 from .jsonio import (
     FormatError,
@@ -63,12 +66,67 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
+_set = object.__setattr__  # how an immutable element sets its own slots
 
-@dataclass(frozen=True)
+
+def _lowest(num: tuple[int, ...], den: int):
+    """num / den in lowest terms: both divided by their one gcd."""
+    g = gcd(den, *num)
+    if g == 1:
+        return num, den
+    return tuple(a // g for a in num), den // g
+
+
 class LatticeElement:
-    """A point of Q^n ordered coordinatewise."""
+    """A point of Q^n ordered coordinatewise.
 
-    coords: tuple[Fraction, ...]
+    An element holds its coordinates as integer numerators `num` over one
+    positive denominator `den`, in lowest terms: gcd(den, *num) == 1, and
+    den == 1 for the zero vector. Every lattice operation runs on those
+    integers and reduces its result with one gcd. Fractions stay the API:
+    the constructor takes any iterable of ints or Fractions, and `coords`
+    is the read-only tuple of lowest-terms Fractions, built on first read.
+    Elements are immutable, equal when their values (and types) are, and
+    hashable.
+    """
+
+    __slots__ = ("num", "den", "_coords")
+
+    def __init__(self, coords):
+        coords = tuple(coords)  # read twice below; a tuple passes through as is
+        den = lcm(*(c.denominator for c in coords))
+        _set(self, "num", tuple(c.numerator * (den // c.denominator) for c in coords))
+        _set(self, "den", den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coords
+        except AttributeError:
+            den = self.den
+            coords = tuple(Fraction(a, den) for a in self.num)
+            _set(self, "_coords", coords)
+            return coords
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.num, self.den
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"LatticeElement(coords={self.coords!r})"
 
     @staticmethod
     def make(values) -> "LatticeElement":
@@ -76,7 +134,7 @@ class LatticeElement:
 
     @staticmethod
     def zero(dim: int) -> "LatticeElement":
-        return LatticeElement((Fraction(0),) * dim)
+        return _element((0,) * dim, 1)
 
     @staticmethod
     def unit(dim: int, index: int, value=1) -> "LatticeElement":
@@ -85,55 +143,64 @@ class LatticeElement:
     @staticmethod
     def sparse(dim: int, entries) -> "LatticeElement":
         """The point with the given (index, value) entries and zeros elsewhere."""
-        coords = [Fraction(0)] * dim
+        coords = [0] * dim
         for i, c in entries:
             coords[i] = c
-        return LatticeElement(tuple(coords))
+        return LatticeElement(coords)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.num)
 
     def _check(self, other: "LatticeElement"):
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def _like(self, coords) -> "LatticeElement":
-        """An element of the same lattice as self with the given coordinates."""
-        return LatticeElement(coords)
+    def _like(self, num: tuple[int, ...], den: int) -> "LatticeElement":
+        """An element of the same lattice as self holding num / den, already in lowest terms."""
+        return _element(num, den)
+
+    def _over_one_den(self, other: "LatticeElement"):
+        """Both numerator tuples over one common denominator."""
+        self._check(other)
+        d, e = self.den, other.den
+        if d == e:
+            return self.num, other.num, d
+        return [a * e for a in self.num], [b * d for b in other.num], d * e
 
     def join(self, other: "LatticeElement") -> "LatticeElement":
-        self._check(other)
-        return self._like(tuple(max(a, b) for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._over_one_den(other)
+        return self._like(*_lowest(tuple(map(max, a, b)), den))
 
     def meet(self, other: "LatticeElement") -> "LatticeElement":
-        self._check(other)
-        return self._like(tuple(min(a, b) for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._over_one_den(other)
+        return self._like(*_lowest(tuple(map(min, a, b)), den))
 
     def __abs__(self) -> "LatticeElement":
-        return self._like(tuple(abs(a) for a in self.coords))
+        return self._like(tuple(map(abs, self.num)), self.den)
 
     def __add__(self, other: "LatticeElement") -> "LatticeElement":
-        self._check(other)
-        return self._like(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._over_one_den(other)
+        return self._like(*_lowest(tuple(map(operator.add, a, b)), den))
 
     def __sub__(self, other: "LatticeElement") -> "LatticeElement":
-        self._check(other)
-        return self._like(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._over_one_den(other)
+        return self._like(*_lowest(tuple(map(operator.sub, a, b)), den))
 
     def __neg__(self) -> "LatticeElement":
-        return self._like(tuple(-a for a in self.coords))
+        return self._like(tuple(map(operator.neg, self.num)), self.den)
 
     def scale(self, alpha) -> "LatticeElement":
         alpha = as_fraction(alpha)
-        return self._like(tuple(alpha * a for a in self.coords))
+        p = alpha.numerator
+        return self._like(*_lowest(tuple(p * a for a in self.num), self.den * alpha.denominator))
 
     def le(self, other: "LatticeElement") -> bool:
-        self._check(other)
-        return all(a <= b for a, b in zip(self.coords, other.coords))
+        a, b, _ = self._over_one_den(other)
+        return all(map(operator.le, a, b))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.num)
 
     def to_json(self) -> list[str]:
         return fraction_list(self.coords)
@@ -141,6 +208,14 @@ class LatticeElement:
     @staticmethod
     def from_json(data, field: str = "element") -> "LatticeElement":
         return LatticeElement(parse_fraction_list(data, field))
+
+
+def _element(num: tuple[int, ...], den: int) -> LatticeElement:
+    """The point num / den of Q^n, num / den already in lowest terms."""
+    out = object.__new__(LatticeElement)
+    _set(out, "num", num)
+    _set(out, "den", den)
+    return out
 
 
 def riesz_decompose(z: LatticeElement, x: LatticeElement, y: LatticeElement):
@@ -271,19 +346,25 @@ class RieszSeminorm:
 
     @cached_property
     def _ray_scales(self) -> tuple:
-        # (i, p(d) / d_i) for the one-coordinate rays, then a tuple per longer ray
+        # The scales p(d) / d_i as integers over one denominator: (i, scale) for
+        # the one-coordinate rays, a tuple of them per longer ray, then the
+        # denominator.
         scales = [tuple((i, pd / di) for i, di in d) for pd, d in self.rays]
+        den = lcm(*(s.denominator for ray in scales for _, s in ray))
+        scales = [tuple((i, s.numerator * (den // s.denominator)) for i, s in ray)
+                  for ray in scales]
         return (tuple(ray[0] for ray in scales if len(ray) == 1),
-                tuple(ray for ray in scales if len(ray) > 1))
+                tuple(ray for ray in scales if len(ray) > 1), den)
 
     def __call__(self, x: LatticeElement):
         if x.dim != self.dim:
             raise DimensionMismatch(f"seminorm over dim {self.dim} applied to dim {x.dim}")
         if self.rays_partition:
-            c = x.coords
-            units, blocks = self._ray_scales
-            return reduce(add, [abs(c[i]) * s for i, s in units]
-                          + [max(abs(c[i]) * s for i, s in ray) for ray in blocks])
+            a = x.num
+            units, blocks, den = self._ray_scales
+            total = (sum(abs(a[i]) * s for i, s in units)
+                     + sum(max(abs(a[i]) * s for i, s in ray) for ray in blocks))
+            return Fraction(total, x.den * den)
         from . import hulls  # deferred: single gauge implementation lives there
 
         return hulls.gauge(self.unit_ball(), x)

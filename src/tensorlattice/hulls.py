@@ -40,12 +40,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .elements import (
     INFINITE,
     DimensionMismatch,
     LatticeElement,
     LatticeHom,
+    _element,
+    _lowest,
     riesz_decompose,
 )
 from .jsonio import FormatError, _quote, require_key
@@ -124,9 +127,18 @@ def _sum_hull_member(blocks, x, balanced: bool) -> bool:
     slacks = range(len(blocks)) if balanced else ()
     mass = [[int(b == k) for b, _, _ in columns] + [int(s == k) for s in slacks]
             for k in range(len(blocks))]
-    coords = [[s * g.coords[i] for _, s, g in columns] + [0] * len(slacks)
-              for i in range(x.dim)]
-    return feasible(mass + coords, [1] * len(blocks) + list(x.coords))
+    # Coordinate row i over the one denominator `den` is integral; divided by
+    # its gcd with den it is the row `feasible` scales a Fraction row to.
+    den = lcm(x.den, *(g.den for _, _, g in columns))
+    factors = [(s * (den // g.den), g.num) for _, s, g in columns]
+    rows, rhs = [], []
+    for i, a in enumerate(x.num):
+        row = [f * num[i] for f, num in factors]
+        b = a * (den // x.den)
+        g = gcd(den, b, *row)
+        rows.append([c // g for c in row] + [0] * len(slacks))
+        rhs.append(b // g)
+    return feasible(mass + rows, [1] * len(blocks) + rhs)
 
 
 def _box_program(gens, x, objective: bool):
@@ -218,8 +230,8 @@ def _distinct(gens) -> tuple[LatticeElement, ...]:
     """The generators in first-seen order, each point once."""
     seen, out = set(), []
     for g in gens:
-        if g.coords not in seen:
-            seen.add(g.coords)
+        if (g.num, g.den) not in seen:
+            seen.add((g.num, g.den))
             out.append(g)
     return tuple(out)
 
@@ -306,10 +318,22 @@ def solid_intersect_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) 
 
 
 def sample_box_point(rng: SplitStream, bound: LatticeElement) -> LatticeElement:
-    """A point of the box |x| <= |bound| on the quarter grid, of the bound's type and shape."""
-    return bound._like(
-        tuple(rng.fraction(-c, c, 4) if c != 0 else Fraction(0) for c in abs(bound).coords)
-    )
+    """A point of the box |x| <= |bound| on the quarter grid, of the bound's type and shape.
+
+    Each nonzero coordinate c draws a grid 1/d, d in 1..4, then a multiple
+    k/d with |k| <= |c| d, as `SplitStream.fraction(-|c|, |c|, 4)` does.
+    """
+    den = bound.den
+    draws = []
+    for a in bound.num:
+        if a:
+            d = rng.randint(1, 4)
+            h = abs(a) * d // den
+            draws.append((rng.randint(-h, h), d))
+        else:
+            draws.append((0, 1))
+    grid = lcm(*(d for _, d in draws))
+    return bound._like(*_lowest(tuple(k * (grid // d) for k, d in draws), grid))
 
 
 def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
@@ -328,10 +352,15 @@ def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
         raise UnsupportedDecoration(f"sampling not implemented for decoration {_quote(deco)}")
     if deco[0] == SOL:
         gens = [sample_box_point(rng, g) for g in gens]  # drawn after the weights
-    point = LatticeElement.zero(S.dim)
-    for w, u in zip(weights, gens):
-        point = point + u.scale(w)
-    return point
+    # sum_k w_k g_k over one denominator
+    den = lcm(*(w.denominator * g.den for w, g in zip(weights, gens)))
+    num = [0] * S.dim
+    for w, g in zip(weights, gens):
+        f = w.numerator * (den // (w.denominator * g.den))
+        if f:
+            for i, a in enumerate(g.num):
+                num[i] += f * a
+    return _element(*_lowest(tuple(num), den))
 
 
 def random_element(rng: SplitStream, dim: int, lo=-3, hi=3) -> LatticeElement:

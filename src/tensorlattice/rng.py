@@ -72,29 +72,28 @@ class SplitStream:
         return 1 if self.randint(0, 1) else -1
 
     def fraction(self, lo, hi, denominator: int = 4) -> Fraction:
-        """Uniform point of the denominator-grid inside [lo, hi]."""
-        lo, hi = Fraction(lo), Fraction(hi)
+        """Uniform point of the denominator-grid inside [lo, hi] (ints or Fractions)."""
         if hi < lo:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
+            raise ValueError(f"empty interval [{Fraction(lo)}, {Fraction(hi)}]")
         d = self.randint(1, denominator)
         lo_num = -((-lo.numerator * d) // lo.denominator)  # ceil(lo*d)
         hi_num = (hi.numerator * d) // hi.denominator  # floor(hi*d)
         if hi_num < lo_num:
-            return lo  # interval thinner than the grid
+            return Fraction(lo)  # interval thinner than the grid
         return Fraction(self.randint(lo_num, hi_num), d)
 
     def convex_weights(self, count: int, total=1) -> list[Fraction]:
-        """Nonnegative rationals summing exactly to `total`."""
-        total = Fraction(total)
+        """Nonnegative rationals summing exactly to `total` (an int or a Fraction)."""
         raw = [self.randint(0, _WEIGHT_GRID) for _ in range(count)]
         if sum(raw) == 0:
             raw[self.randint(0, count - 1)] = 1
-        s = sum(raw)
-        return [Fraction(r, s) * total for r in raw]
+        s = sum(raw) * total.denominator
+        return [Fraction(r * total.numerator, s) for r in raw]
 
     def balanced_weights(self, count: int, ceiling=1) -> list[Fraction]:
         """Signed rationals with sum of absolute values <= ceiling (often <)."""
-        mass = Fraction(self.randint(0, _WEIGHT_GRID), _WEIGHT_GRID) * Fraction(ceiling)
+        mass = Fraction(self.randint(0, _WEIGHT_GRID) * ceiling.numerator,
+                        _WEIGHT_GRID * ceiling.denominator)
         if mass == 0:
             return [Fraction(0)] * count
         return [w * self.sign() for w in self.convex_weights(count, total=mass)]

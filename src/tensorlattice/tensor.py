@@ -34,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm
+from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm, _lowest, _set
 from .hulls import (
     CONV,
     CONV_B,
@@ -54,27 +54,31 @@ from .jsonio import FormatError, _quote, as_fraction, fraction_list, fraction_st
 from .rng import SplitStream
 
 
-@dataclass(frozen=True)
 class TensorElement(LatticeElement):
     """An n x m matrix over Q with entrywise lattice order.
 
-    It is the coordinate lattice on n*m coordinates: `coords` holds the
-    entries row by row, so entry (i, j) is `coords[i * m + j]`, and every
-    lattice operation is the inherited one. `shape` only keeps n x m and
-    m x n apart.
+    It is the coordinate lattice on n*m coordinates: `num` and `coords` hold
+    the entries row by row, so entry (i, j) is `coords[i * m + j]`, and
+    every lattice operation is the inherited one. `shape` only keeps n x m
+    and m x n apart.
     """
 
-    shape: tuple[int, int]
+    __slots__ = ("shape",)
 
-    def __post_init__(self):
-        n, m = self.shape
-        if n < 1 or m < 1:
-            raise ValueError("a tensor element needs a nonempty shape")
-        if len(self.coords) != n * m:
-            raise DimensionMismatch(f"cannot reshape dim {len(self.coords)} to {n}x{m}")
+    def __init__(self, coords, shape: tuple[int, int]):
+        n, m = shape
+        _check_shape(n, m, len(coords))
+        super().__init__(coords)
+        _set(self, "shape", shape)
 
-    def _like(self, coords) -> "TensorElement":
-        return TensorElement(coords, self.shape)
+    def _key(self):
+        return self.num, self.den, self.shape
+
+    def __repr__(self):
+        return f"TensorElement(coords={self.coords!r}, shape={self.shape!r})"
+
+    def _like(self, num, den) -> "TensorElement":
+        return _shaped(num, den, self.shape)
 
     def _check(self, other: "TensorElement"):
         if self.shape != other.shape:
@@ -90,7 +94,7 @@ class TensorElement(LatticeElement):
 
     @staticmethod
     def zero(n: int, m: int) -> "TensorElement":
-        return TensorElement((Fraction(0),) * (n * m), (n, m))
+        return TensorElement((0,) * (n * m), (n, m))
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -99,7 +103,7 @@ class TensorElement(LatticeElement):
         return tuple(self.coords[k:k + m] for k in range(0, len(self.coords), m))
 
     def first_negative_entry(self):
-        for k, v in enumerate(self.coords):
+        for k, v in enumerate(self.num):
             if v < 0:
                 return divmod(k, self.shape[1])
         return None
@@ -128,8 +132,26 @@ class TensorElement(LatticeElement):
         return u
 
 
+def _check_shape(n: int, m: int, size: int):
+    if n < 1 or m < 1:
+        raise ValueError("a tensor element needs a nonempty shape")
+    if size != n * m:
+        raise DimensionMismatch(f"cannot reshape dim {size} to {n}x{m}")
+
+
+def _shaped(num: tuple[int, ...], den: int, shape: tuple[int, int]) -> TensorElement:
+    """The tensor element num / den of the given shape; num / den in lowest terms."""
+    out = object.__new__(TensorElement)
+    _set(out, "num", num)
+    _set(out, "den", den)
+    _set(out, "shape", shape)
+    return out
+
+
 def rank_one(x: LatticeElement, y: LatticeElement) -> TensorElement:
-    return TensorElement(tuple(a * b for a in x.coords for b in y.coords), (x.dim, y.dim))
+    num = tuple(a * b for a in x.num for b in y.num)
+    _check_shape(x.dim, y.dim, len(num))
+    return _shaped(*_lowest(num, x.den * y.den), (x.dim, y.dim))
 
 
 def matrix_unit(n: int, m: int, i: int, j: int, value=1) -> TensorElement:
@@ -261,7 +283,9 @@ def nbhd_member(W: TensorNbhd, u: TensorElement, radius=1, budget=None) -> Membe
 
 def random_tensor(rng: SplitStream, n: int, m: int, lo=-3, hi=3) -> TensorElement:
     """An n x m tensor with entries on the quarter grid of [lo, hi], drawn row by row."""
-    return TensorElement(random_element(rng, n * m, lo, hi).coords, (n, m))
+    flat = random_element(rng, n * m, lo, hi)
+    _check_shape(n, m, flat.dim)
+    return _shaped(flat.num, flat.den, (n, m))
 
 
 def sample_nbhd_point(U: GeneratedSet, V: GeneratedSet, rng: SplitStream, margin=Fraction(0)):

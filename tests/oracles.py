@@ -20,10 +20,15 @@ different mathematical reduction:
 * dual values via a generic linear program (`dual_lower_bound_lp` below,
   which writes out each kind pair's domination constraints by hand instead
   of deriving them from the ray pairs) and, for the simplex itself, scipy's
-  float solver.
+  float solver;
+* the element layer, the samplers and the seminorm closed form on tuples of
+  Fractions (the `coords_*` functions and the three samplers at the end),
+  where the production code holds integer numerators over one denominator.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 from tensorlattice.elements import (
@@ -32,7 +37,9 @@ from tensorlattice.elements import (
     LatticeElement,
     RieszSeminorm,
 )
+from tensorlattice.jsonio import as_fraction
 from tensorlattice.projective import _check_shapes, _require_weighted
+from tensorlattice.rng import _WEIGHT_GRID
 from tensorlattice.simplex import InfeasibleLP, LinearProgram
 from tensorlattice.tensor import TensorElement
 
@@ -256,3 +263,127 @@ def dual_lower_bound_lp(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) ->
             lp.add({M[i][j]: w[i] for i in range(n)}, "<=", v[j])
     value, _ = lp.minimize()
     return -value
+
+
+# ---------------------------------------------------------------------------
+# The element layer on tuples of Fractions
+# ---------------------------------------------------------------------------
+# Each function takes and returns coordinate tuples and does its arithmetic
+# on Fractions, one coordinate at a time.
+
+
+def coords_join(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def coords_meet(a, b):
+    return tuple(min(x, y) for x, y in zip(a, b))
+
+
+def coords_abs(a):
+    return tuple(abs(x) for x in a)
+
+
+def coords_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def coords_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def coords_neg(a):
+    return tuple(-x for x in a)
+
+
+def coords_scale(a, alpha):
+    alpha = as_fraction(alpha)
+    return tuple(alpha * x for x in a)
+
+
+def coords_le(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def coords_is_zero(a):
+    return all(x == 0 for x in a)
+
+
+def coords_rank_one(a, b):
+    """The row-major entries of a (x) b."""
+    return tuple(x * y for x in a for y in b)
+
+
+# ---------------------------------------------------------------------------
+# Samplers and the seminorm closed form on tuples of Fractions
+# ---------------------------------------------------------------------------
+# They draw from a `SplitStream` through `randint` and `sign` only, in the
+# order the production samplers draw.
+
+
+def grid_fraction(rng, lo, hi, denominator):
+    """Uniform point of the denominator-grid inside [lo, hi]."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if hi < lo:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    d = rng.randint(1, denominator)
+    lo_num = -((-lo.numerator * d) // lo.denominator)  # ceil(lo*d)
+    hi_num = (hi.numerator * d) // hi.denominator  # floor(hi*d)
+    if hi_num < lo_num:
+        return lo  # interval thinner than the grid
+    return Fraction(rng.randint(lo_num, hi_num), d)
+
+
+def convex_weights(rng, count, total=1):
+    """Nonnegative rationals summing exactly to `total`."""
+    total = Fraction(total)
+    raw = [rng.randint(0, _WEIGHT_GRID) for _ in range(count)]
+    if sum(raw) == 0:
+        raw[rng.randint(0, count - 1)] = 1
+    s = sum(raw)
+    return [Fraction(r, s) * total for r in raw]
+
+
+def balanced_weights(rng, count, ceiling=1):
+    """Signed rationals with sum of absolute values <= ceiling."""
+    mass = Fraction(rng.randint(0, _WEIGHT_GRID), _WEIGHT_GRID) * Fraction(ceiling)
+    if mass == 0:
+        return [Fraction(0)] * count
+    return [w * rng.sign() for w in convex_weights(rng, count, total=mass)]
+
+
+def sample_box_coords(rng, bound):
+    """A point of the box |x| <= |bound| on the quarter grid."""
+    return tuple(grid_fraction(rng, -c, c, 4) if c != 0 else Fraction(0)
+                 for c in coords_abs(bound))
+
+
+def sample_hull_coords(rng, generators, decoration):
+    """A point of the decorated set of the coordinate tuples `generators`."""
+    gens = list(generators)
+    if decoration == ():
+        return rng.choice(gens)
+    if decoration == ("Sol",):
+        return sample_box_coords(rng, rng.choice(gens))
+    if decoration in (("Conv",), ("Sol", "Conv")):
+        weights = convex_weights(rng, len(gens))
+    elif decoration in (("Conv_b",), ("Sol", "Conv_b")):
+        weights = balanced_weights(rng, len(gens))
+    else:
+        raise ValueError(f"no sampler for {decoration}")
+    if decoration[0] == "Sol":
+        gens = [sample_box_coords(rng, g) for g in gens]  # drawn after the weights
+    point = (Fraction(0),) * len(gens[0])
+    for w, g in zip(weights, gens):
+        point = coords_add(point, coords_scale(g, w))
+    return point
+
+
+def ray_closed_form(p: RieszSeminorm, x):
+    """p(x) = sum_d p(d) max_{i in supp d} |x_i| / d_i, for rays that partition."""
+    assert p.rays_partition
+    scales = [tuple((i, pd / di) for i, di in d) for pd, d in p.rays]
+    units = tuple(ray[0] for ray in scales if len(ray) == 1)
+    blocks = tuple(ray for ray in scales if len(ray) > 1)
+    return reduce(operator.add, [abs(x[i]) * s for i, s in units]
+                  + [max(abs(x[i]) * s for i, s in ray) for ray in blocks])
