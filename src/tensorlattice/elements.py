@@ -32,6 +32,7 @@ from .jsonio import (
     parse_fraction_list,
     require_key,
 )
+from .simplex import LinearProgram
 
 
 class DimensionMismatch(ValueError):
@@ -345,33 +346,69 @@ class RieszSeminorm:
         return len(covered) == self.dim == len(set(covered))
 
     @cached_property
+    def _ray_ints(self) -> tuple:
+        # The rays as integers: (cost, ((i, d_i, 1 / d_i), ...)) per ray, the
+        # costs, the coordinates and the reciprocals each over one denominator,
+        # then those three denominators.
+        rays = self.rays
+        cden = lcm(*(pd.denominator for pd, _ in rays))
+        dden = lcm(*(di.denominator for _, d in rays for _, di in d))
+        rden = lcm(*(di.numerator for _, d in rays for _, di in d))
+        return (tuple((pd.numerator * (cden // pd.denominator),
+                       tuple((i, di.numerator * (dden // di.denominator),
+                              di.denominator * (rden // di.numerator)) for i, di in d))
+                      for pd, d in rays),
+                cden, dden, rden)
+
+    @cached_property
     def _ray_scales(self) -> tuple:
-        # The scales p(d) / d_i as integers over one denominator: (i, scale) for
-        # the one-coordinate rays, a tuple of them per longer ray, then the
+        # The scales p(d) / d_i over one denominator: (i, scale) for the
+        # one-coordinate rays, a tuple of them per longer ray, then the
         # denominator.
-        scales = [tuple((i, pd / di) for i, di in d) for pd, d in self.rays]
-        den = lcm(*(s.denominator for ray in scales for _, s in ray))
-        scales = [tuple((i, s.numerator * (den // s.denominator)) for i, s in ray)
-                  for ray in scales]
+        rays, cden, _, rden = self._ray_ints
+        scales = [tuple((i, pd * r) for i, _, r in d) for pd, d in rays]
         return (tuple(ray[0] for ray in scales if len(ray) == 1),
-                tuple(ray for ray in scales if len(ray) > 1), den)
+                tuple(ray for ray in scales if len(ray) > 1), cden * rden)
+
+    def _ray_total(self, x: LatticeElement) -> int:
+        """p(x) times x.den and the scales' denominator, for rays that partition."""
+        a = x.num
+        units, blocks, _ = self._ray_scales
+        return (sum(abs(a[i]) * s for i, s in units)
+                + sum(max(abs(a[i]) * s for i, s in ray) for ray in blocks))
 
     def __call__(self, x: LatticeElement):
         if x.dim != self.dim:
             raise DimensionMismatch(f"seminorm over dim {self.dim} applied to dim {x.dim}")
         if self.rays_partition:
-            a = x.num
-            units, blocks, den = self._ray_scales
-            total = (sum(abs(a[i]) * s for i, s in units)
-                     + sum(max(abs(a[i]) * s for i, s in ray) for ray in blocks))
-            return Fraction(total, x.den * den)
-        from . import hulls  # deferred: single gauge implementation lives there
+            return Fraction(self._ray_total(x), x.den * self._ray_scales[2])
+        return self._cover(x)
 
-        return hulls.gauge(self.unit_ball(), x)
+    def _cover(self, x: LatticeElement):
+        """The least cost sum_d cost_d lam_d of a cover sum_d lam_d d >= |x| by
+        the rays, lam >= 0, as one LP with a column per ray and a row per
+        nonzero coordinate of x; INFINITE when such a coordinate lies in no
+        ray's support. Every x >= 0 lies below a combination of the rays of
+        cost p(x), and by subadditivity and solidity no cover costs less."""
+        if x.is_zero():
+            return Fraction(0)
+        lp = LinearProgram()
+        rows = [{} for _ in range(self.dim)]
+        for pd, d in self.rays:
+            lam = lp.var(cost=pd)
+            for i, di in d:
+                rows[i][lam] = di
+        for row, a in zip(rows, x.coords):
+            if a:
+                if not row:
+                    return INFINITE
+                lp.add(row, ">=", abs(a))
+        value, _ = lp.minimize()
+        return value
 
     def in_unit_ball(self, x: LatticeElement) -> bool:
         """Whether p(x) <= 1; without partitioning rays by hull membership, a box
-        scan before any LP, where p(x) would solve a gauge LP."""
+        scan before any LP, where p(x) would solve the covering LP."""
         from . import hulls
 
         return self(x) <= 1 if self.rays_partition else hulls.member(self.unit_ball(), x)

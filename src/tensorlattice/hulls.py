@@ -280,12 +280,23 @@ def solid_sum_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> boo
 
 
 def _pair_box_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement, low, high) -> bool:
-    """z lies in one box [-low(|a|, |b|), high(|a|, |b|)] over the pairs (a, b)."""
+    """z lies in one box [-low(|a|, |b|), high(|a|, |b|)] over the pairs (a, b).
+
+    z and every |g| are compared as numerators over one common denominator.
+    """
+    den = lcm(z.den, *(g.den for g in A.generators), *(g.den for g in B.generators))
+
+    def box(g):  # the numerators of |g| over den
+        f = den // g.den
+        return [abs(a) * f for a in g.num]
+
+    f = den // z.den
+    zs = [c * f for c in z.num]
+    bs = [box(b) for b in B.generators]
     for a in A.generators:
-        aa = abs(a).coords
-        for b in B.generators:
-            ab = abs(b).coords
-            if all(-low(aa[i], ab[i]) <= c <= high(aa[i], ab[i]) for i, c in enumerate(z.coords)):
+        aa = box(a)
+        for ab in bs:
+            if all(-low(x, y) <= c <= high(x, y) for x, y, c in zip(aa, ab, zs)):
                 return True
     return False
 

@@ -16,7 +16,12 @@ a bare number for it. The contract is a `SeminormCertificate`: an interval
   nonnegative matrix M with B(x, y) = sum M_ij x_i y_j dominated by
   p(x) q(y) on the positive cone, whence sum M_ij |u_ij| <= (p (x) q)(u).
 
-Both witnesses re-verify exactly in rational arithmetic.
+Both witnesses re-verify exactly in rational arithmetic. That arithmetic
+runs on integers: each factor keeps its rays' costs, coordinates and
+reciprocals as integers over one denominator each
+(`RieszSeminorm._ray_ints`), elements hold numerators over one denominator,
+and every comparison is cross-multiplied; each returned value is built as
+one Fraction from an integer numerator and denominator.
 
 One criterion decides domination: with the rays (p(d), d) of each factor
 (`RieszSeminorm.rays`), B is dominated by p (x) q when B(d, e) <= p(d) q(e)
@@ -25,7 +30,9 @@ partition its coordinates (`RieszSeminorm.rays_partition`): weighted l1,
 the weighted order unit, and l1-of-l-infinity block seminorms (polyhedral
 gauges whose generator boxes, less those inside another, have disjoint
 supports). The blocks supp(d) x supp(e) then partition the grid, and the
-optimal dual puts each block's budget p(d) q(e) on one cell.
+optimal dual puts each block's budget p(d) q(e) on one cell. A factor whose
+rays overlap gets no certificate; its own value p(x) is one covering LP over
+its rays (`RieszSeminorm._cover`).
 
 The upper-bound search stops at the first candidate of one stream
 (`_candidates`) that meets the dual. The block candidate sum_de lam_de d (x) e, with lam_de the
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .elements import (
     DimensionMismatch,
@@ -51,6 +59,8 @@ from .elements import (
     RieszSeminorm,
     SeminormFamily,
     UnsupportedSeminormKind,
+    _element,
+    _lowest,
 )
 from .hulls import _close, _report, _violation, random_element, sample_box_point
 from .jsonio import FormatError, _quote, as_fraction, fraction_str, require_key
@@ -60,6 +70,7 @@ from .tensor import (
     Membership,
     TensorElement,
     TensorNbhd,
+    _shaped,
     dominating_rank_one,
     matrix_unit,
     nbhd_member,
@@ -126,7 +137,7 @@ class Decomposition:
             if x.dim != n or y.dim != m:
                 raise DimensionMismatch(f"term {k} has dims ({x.dim},{y.dim}), expected ({n},{m})")
             for name, v in (("x", x), ("y", y)):
-                if any(c < 0 for c in v.coords):
+                if any(c < 0 for c in v.num):
                     raise ValueError(f"term {k} has a negative {name} coordinate")
 
     def bound(self) -> TensorElement:
@@ -139,7 +150,17 @@ class Decomposition:
         return abs(u).le(self.bound())
 
     def value(self, p: RieszSeminorm, q: RieszSeminorm) -> Fraction:
-        return sum((p(x) * q(y) for x, y in self.terms), Fraction(0))
+        if not (p.rays_partition and q.rays_partition):
+            return sum((p(x) * q(y) for x, y in self.terms), Fraction(0))
+        # p(x) q(y) is an integer over x.den y.den and the scales' denominators
+        # of p and q; the terms are summed over the lcm of the x.den y.den.
+        num, den = 0, 1
+        for x, y in self.terms:
+            d = x.den * y.den
+            common = lcm(den, d)
+            num = num * (common // den) + p._ray_total(x) * q._ray_total(y) * (common // d)
+            den = common
+        return Fraction(num, den * p._ray_scales[2] * q._ray_scales[2])
 
     def verify(self, p: RieszSeminorm, q: RieszSeminorm, u: TensorElement, claimed_value) -> bool:
         return self.dominates(u) and self.value(p, q) == as_fraction(claimed_value)
@@ -186,8 +207,9 @@ class DualCertificate:
             raise ValueError(f"dual matrix entry {bad} is negative")
 
     def value(self, u: TensorElement) -> Fraction:
-        self.matrix._check(u)
-        return sum((m * abs(c) for m, c in zip(self.matrix.coords, u.coords)), Fraction(0))
+        M = self.matrix
+        M._check(u)
+        return Fraction(sum(a * abs(b) for a, b in zip(M.num, u.num)), M.den * u.den)
 
     def dominates(self, p: RieszSeminorm, q: RieszSeminorm) -> bool:
         """B(x,y) <= p(x)q(y) for all x,y >= 0, checked on the ray pairs.
@@ -201,10 +223,15 @@ class DualCertificate:
         n, m = self.matrix.shape
         if (p.dim, q.dim) != (n, m):
             raise DimensionMismatch(f"dual matrix {self.matrix.shape} vs seminorm dims ({p.dim},{q.dim})")
-        M = self.matrix.coords
+        M = self.matrix.num
+        (p_rays, cp, dp, _), (q_rays, cq, dq, _) = p._ray_ints, q._ray_ints
+        # Both sides of each inequality times every denominator.
+        left, right = cp * cq, self.matrix.den * dp * dq
         return all(
-            sum((M[k] * c for k, c in cells), Fraction(0)) <= scale
-            for scale, cells in _ray_blocks(p, q)
+            left * sum(di * sum(M[i * m + j] * ej for j, ej, _ in e) for i, di, _ in d)
+            <= pd * qe * right
+            for pd, d in p_rays
+            for qe, e in q_rays
         )
 
     def to_json(self) -> dict:
@@ -262,33 +289,40 @@ class SeminormCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _ray_blocks(p: RieszSeminorm, q: RieszSeminorm):
-    """For each ray pair (d, e): the scale p(d) q(e) and the cells
-    (k, d_i e_j) of the block supp(d) x supp(e), in row-major order, where
-    k = i * m + j is the flat index of entry (i, j).
+def _pair_dens(p: RieszSeminorm, q: RieszSeminorm):
+    """The denominators of the integer scales p(d) q(e), products d_i e_j and
+    reciprocals 1 / (d_i e_j) over the ray pairs (`RieszSeminorm._ray_ints`)."""
+    _, cp, dp, rp = p._ray_ints
+    _, cq, dq, rq = q._ray_ints
+    return cp * cq, dp * dq, rp * rq
 
+
+def _block_maxima(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
+    """Per ray pair (d, e), in the order of the rays: (scale, k, r, ratio) for
+    the cell k = i * m + j of the block supp(d) x supp(e) with the largest
+    ratio |u_k| / (d_i e_j), the first in row-major order on ties.
+
+    All four are integers: the scale p(d) q(e) and the reciprocal
+    r = 1 / (d_i e_j) over the denominators of `_pair_dens`, and
+    ratio = |u.num[k]| * r, over u.den times the reciprocals' denominator.
     When the rays of p and of q partition their coordinates, the blocks
     partition the grid.
     """
     m = q.dim
-    return [
-        (pd * qe, [(i * m + j, di * ej) for i, di in d for j, ej in e])
-        for pd, d in p.rays
-        for qe, e in q.rays
-    ]
-
-
-def _block_maxima(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
-    """Per block: (scale, ratio, k, c) for the cell k with the largest ratio
-    |u_k| / c, the first in row-major order on ties."""
+    a = u.num
+    q_rays = q._ray_ints[0]
     out = []
-    for scale, cells in _ray_blocks(p, q):
-        best = None
-        for k, c in cells:
-            ratio = abs(u.coords[k]) / c
-            if best is None or ratio > best[1]:
-                best = (scale, ratio, k, c)
-        out.append(best)
+    for pd, d in p._ray_ints[0]:
+        for qe, e in q_rays:
+            best = None
+            for i, _, ri in d:
+                row = i * m
+                for j, _, rj in e:
+                    r = ri * rj
+                    ratio = abs(a[row + j]) * r
+                    if best is None or ratio > best[3]:
+                        best = (pd * qe, row + j, r, ratio)
+            out.append(best)
     return out
 
 
@@ -303,16 +337,20 @@ def seminorm_closed_form(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
     _check_shapes(p, q, u)
     if p.kind != q.kind or not (p.rays_partition and q.rays_partition):
         return None
-    return sum((scale * ratio for scale, ratio, *_ in _block_maxima(p, q, u)), Fraction(0))
+    cden, _, rden = _pair_dens(p, q)
+    total = sum(scale * ratio for scale, _, _, ratio in _block_maxima(p, q, u))
+    return Fraction(total, cden * rden * u.den)
 
 
-def _block_dual(maxima, u: TensorElement) -> DualCertificate:
+def _block_dual(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement, maxima) -> DualCertificate:
     """The dual that spends each block's budget p(d) q(e) on its cell with the
-    largest |u_ij| / (d_i e_j), read from `_block_maxima`."""
-    M = [Fraction(0)] * u.dim
-    for scale, _, k, c in maxima:
-        M[k] = scale / c
-    return DualCertificate(TensorElement(tuple(M), u.shape))
+    largest |u_ij| / (d_i e_j), read from `_block_maxima`: p(d) q(e) / (d_i e_j)
+    there and 0 elsewhere."""
+    num = [0] * u.dim
+    for scale, k, r, _ in maxima:
+        num[k] = scale * r
+    cden, _, rden = _pair_dens(p, q)
+    return DualCertificate(_shaped(*_lowest(tuple(num), cden * rden), u.shape))
 
 
 def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> DualCertificate:
@@ -325,7 +363,7 @@ def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Du
     """
     _require_weighted(p, q)
     _check_shapes(p, q, u)
-    cert = _block_dual(_block_maxima(p, q, u), u)
+    cert = _block_dual(p, q, u, _block_maxima(p, q, u))
     if not cert.dominates(p, q):  # pragma: no cover - construction is tight
         raise RuntimeError("dual construction violated its own criterion")
     return cert
@@ -336,6 +374,14 @@ def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Du
 # ---------------------------------------------------------------------------
 
 
+def _sparse(dim: int, entries, den: int) -> LatticeElement:
+    """The element with the integer numerators (index, value) over den, zeros elsewhere."""
+    num = [0] * dim
+    for i, a in entries:
+        num[i] = a
+    return _element(*_lowest(tuple(num), den))
+
+
 def _dominating_candidate(u: TensorElement) -> Decomposition:
     a, b = dominating_rank_one(abs(u))
     return Decomposition(u.shape, ((a, b),))
@@ -344,26 +390,31 @@ def _dominating_candidate(u: TensorElement) -> Decomposition:
 def _scaled_unit_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Decomposition:
     m = u.shape[1]
     # sum_d p(d) d over the disjoint rays: the weights for l1, w for the order unit
-    w, v = (LatticeElement.sparse(s.dim, ((i, pd * di) for pd, d in s.rays for i, di in d))
-            for s in (p, q))
-    c = Fraction(0)
-    for k, e in enumerate(u.coords):
-        if e == 0:
+    w, v = (_sparse(s.dim, ((i, pd * di) for pd, d in rays for i, di, _ in d), cden * dden)
+            for s, (rays, cden, dden, _) in ((p, p._ray_ints), (q, q._ray_ints)))
+    # the largest |u_k| / (w_i v_j), as a numerator over a denominator
+    top, bottom = 0, 1
+    for k, a in enumerate(u.num):
+        if not a:
             continue
-        denom = w.coords[k // m] * v.coords[k % m]
+        denom = w.num[k // m] * v.num[k % m]
         if denom == 0:
             return Decomposition(u.shape, ())  # no multiple of w (x) v covers this entry
-        c = max(c, abs(e) / denom)
-    return Decomposition(u.shape, ((w.scale(c), v),))
+        if abs(a) * bottom > top * denom:
+            top, bottom = abs(a), denom
+    # w scaled by c = top / bottom * w.den * v.den / u.den
+    x = _element(*_lowest(tuple(a * top * v.den for a in w.num), bottom * u.den))
+    return Decomposition(u.shape, ((x, v),))
 
 
 def _row_candidate(u: TensorElement) -> Decomposition:
     n, m = u.shape
     terms = []
     for i in range(n):
-        row = u.coords[i * m:(i + 1) * m]
-        if any(c != 0 for c in row):
-            terms.append((LatticeElement.unit(n, i), LatticeElement(tuple(abs(c) for c in row))))
+        row = u.num[i * m:(i + 1) * m]
+        if any(row):
+            y = _element(*_lowest(tuple(map(abs, row)), u.den))
+            terms.append((_sparse(n, ((i, 1),), 1), y))
     return Decomposition(u.shape, tuple(terms))
 
 
@@ -371,9 +422,10 @@ def _col_candidate(u: TensorElement) -> Decomposition:
     n, m = u.shape
     terms = []
     for j in range(m):
-        col = [abs(c) for c in u.coords[j::m]]
-        if any(c != 0 for c in col):
-            terms.append((LatticeElement(tuple(col)), LatticeElement.unit(m, j)))
+        col = u.num[j::m]
+        if any(col):
+            x = _element(*_lowest(tuple(map(abs, col)), u.den))
+            terms.append((x, _sparse(m, ((j, 1),), 1)))
     return Decomposition(u.shape, tuple(terms))
 
 
@@ -382,10 +434,13 @@ def _block_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
     """sum_de lam_de d (x) e, with lam_de the block maximum of |u_ij| / (d_i e_j)
     (`_block_maxima`): its value sum_de lam_de p(d) q(e) is the dual's block sum."""
     n, m = u.shape
-    pairs = [(d, e) for _, d in p.rays for _, e in q.rays]
+    (p_rays, _, dp, rp), (q_rays, _, dq, rq) = p._ray_ints, q._ray_ints
+    lam_den = u.den * rp * rq  # lam_de = ratio / lam_den
+    pairs = [(d, e) for _, d in p_rays for _, e in q_rays]
     return Decomposition(u.shape, tuple(
-        (LatticeElement.sparse(n, ((i, ratio * di) for i, di in d)), LatticeElement.sparse(m, e))
-        for (d, e), (_, ratio, _, _) in zip(pairs, maxima)
+        (_sparse(n, ((i, ratio * di) for i, di, _ in d), lam_den * dp),
+         _sparse(m, ((j, ej) for j, ej, _ in e), dq))
+        for (d, e), (_, _, _, ratio) in zip(pairs, maxima)
         if ratio > 0
     ))
 
@@ -489,7 +544,7 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
         return SeminormCertificate(Fraction(0), Fraction(0), dual, zero)
 
     maxima = _block_maxima(p, q, u)
-    dual = _block_dual(maxima, u)
+    dual = _block_dual(p, q, u, maxima)
     lower = dual.value(u)
     k_max = budget.resolve_k(u.shape)
     # The dominating rank-one always fits (one term, u != 0), so best is set.

@@ -16,14 +16,28 @@ equalities with one slack column each, and the answer read back per variable.
 `feasible` answers only whether Ax = b, x >= 0 has a solution, by phase 1 on
 an integer tableau with exact-division (fraction-free) pivots. It creates no
 Fraction, and Fraction arithmetic is where the rational tableau spends its
-time. Bare hull membership (`hulls._sum_hull_member`: every ``Conv`` and
-``Conv_b`` query, and 1,403 of the 1,483 programs of a seed-42 suite) takes
-this path. Everything else keeps the Fraction path for now: gauges and the
-other optima need phase 2, and the convex-solid membership programs of
-`hulls._box_program` (`LinearProgram.feasible`) dominate perfbench's hull-lp
-workload, whose peak memory grows with the number of requests answered
-(ROADMAP item 1). Once that is fixed, the remaining programs move to the
-integer tableau and the Fraction pivot goes.
+time. The programs take these paths:
+
+* `feasible`: bare hull membership (`hulls._sum_hull_member`: every
+  ``Conv`` and ``Conv_b`` query, and 1,403 of the 1,483 programs of a
+  seed-42 suite);
+* `LinearProgram` on the Fraction tableau: convex-solid membership and
+  gauges (`hulls._box_program`, with split variables and a mass row), the
+  covering LP of a seminorm whose rays do not partition its coordinates
+  (`RieszSeminorm._cover`: one column per ray, one row per nonzero
+  coordinate), and the half-steps of alternating minimization;
+* no LP: the value of a seminorm whose rays partition, and the dual, the
+  closed form and the structural candidates of a certificate, which are
+  integer arithmetic on the element numerators.
+
+`hulls.gauge` could be the covering LP over the boxes |g_k| as well. Routed
+that way, perfbench's hull-lp gauges ran 8x faster and the workload 1.4-1.6x
+faster, but its peak memory rose from 34.3-35.0 MB to 37.1-38.8 MB, past
+that metric's 10 % bound, because the benchmark keeps every answer of the
+timed phase and a faster library answers more (ROADMAP item 1). So
+`hulls.gauge` and `_box_program` stay as they are until that is fixed; then
+the remaining programs move to the integer tableau and the Fraction pivot
+goes.
 """
 
 from __future__ import annotations

@@ -34,7 +34,15 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm, _lowest, _set
+from .elements import (
+    INFINITE,
+    DimensionMismatch,
+    LatticeElement,
+    RieszSeminorm,
+    _element,
+    _lowest,
+    _set,
+)
 from .hulls import (
     CONV,
     CONV_B,
@@ -165,9 +173,8 @@ def dominating_rank_one(u: TensorElement):
     if bad is not None:
         i, j = bad
         raise ValueError(f"dominating_rank_one needs u >= 0; entry ({i},{j}) is {u.coords[i * m + j]}")
-    a = LatticeElement(tuple(max(u.coords[i * m:(i + 1) * m]) for i in range(n)))
-    b = LatticeElement((Fraction(1),) * m)
-    return a, b
+    a = _element(*_lowest(tuple(max(u.num[i * m:(i + 1) * m]) for i in range(n)), u.den))
+    return a, _element((1,) * m, 1)
 
 
 def rank_one_sup_recover(c: TensorElement):

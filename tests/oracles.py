@@ -23,7 +23,10 @@ different mathematical reduction:
   float solver;
 * the element layer, the samplers and the seminorm closed form on tuples of
   Fractions (the `coords_*` functions and the three samplers at the end),
-  where the production code holds integer numerators over one denominator.
+  where the production code holds integer numerators over one denominator;
+* the certificate layer of `projective` and the pair-box test of
+  `hulls._pair_box_member` on Fractions (the last section), where the
+  production code compares and sums element numerators.
 """
 
 import operator
@@ -387,3 +390,128 @@ def ray_closed_form(p: RieszSeminorm, x):
     blocks = tuple(ray for ray in scales if len(ray) > 1)
     return reduce(operator.add, [abs(x[i]) * s for i, s in units]
                   + [max(abs(x[i]) * s for i, s in ray) for ray in blocks])
+
+
+# ---------------------------------------------------------------------------
+# The certificate layer on Fractions
+# ---------------------------------------------------------------------------
+# The bodies `projective` had before its certificate arithmetic moved onto
+# element numerators: every ratio, scale, dual entry and value is a Fraction
+# built from `coords` and `RieszSeminorm.rays`.
+
+
+def ray_blocks(p: RieszSeminorm, q: RieszSeminorm):
+    """For each ray pair (d, e): the scale p(d) q(e) and the cells
+    (k, d_i e_j) of the block supp(d) x supp(e), in row-major order."""
+    m = q.dim
+    return [
+        (pd * qe, [(i * m + j, di * ej) for i, di in d for j, ej in e])
+        for pd, d in p.rays
+        for qe, e in q.rays
+    ]
+
+
+def block_maxima(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
+    """Per block: (scale, ratio, k, c) for the cell k with the largest ratio
+    |u_k| / c, the first in row-major order on ties."""
+    out = []
+    for scale, cells in ray_blocks(p, q):
+        best = None
+        for k, c in cells:
+            ratio = abs(u.coords[k]) / c
+            if best is None or ratio > best[1]:
+                best = (scale, ratio, k, c)
+        out.append(best)
+    return out
+
+
+def block_dual(maxima, u: TensorElement) -> TensorElement:
+    """The dual matrix that spends each block's budget on its largest cell."""
+    M = [Fraction(0)] * u.dim
+    for scale, _, k, c in maxima:
+        M[k] = scale / c
+    return TensorElement(tuple(M), u.shape)
+
+
+def dual_value(M: TensorElement, u: TensorElement) -> Fraction:
+    return sum((m * abs(c) for m, c in zip(M.coords, u.coords)), Fraction(0))
+
+
+def dual_dominates(M: TensorElement, p: RieszSeminorm, q: RieszSeminorm) -> bool:
+    """sum_ij M_ij d_i e_j <= p(d) q(e) on every ray pair (d, e)."""
+    return all(
+        sum((M.coords[k] * c for k, c in cells), Fraction(0)) <= scale
+        for scale, cells in ray_blocks(p, q)
+    )
+
+
+def seminorm_value(p: RieszSeminorm, x: LatticeElement) -> Fraction:
+    return ray_closed_form(p, x.coords) if p.rays_partition else p(x)
+
+
+def decomposition_value(terms, p: RieszSeminorm, q: RieszSeminorm) -> Fraction:
+    return sum((seminorm_value(p, x) * seminorm_value(q, y) for x, y in terms), Fraction(0))
+
+
+def dominating_candidate(u: TensorElement):
+    """Row maxima of |u| against the all-ones vector."""
+    n, m = u.shape
+    au = coords_abs(u.coords)
+    return ((LatticeElement(tuple(max(au[i * m:(i + 1) * m]) for i in range(n))),
+             LatticeElement((Fraction(1),) * m)),)
+
+
+def scaled_unit_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
+    m = u.shape[1]
+    w, v = (LatticeElement.sparse(s.dim, ((i, pd * di) for pd, d in s.rays for i, di in d))
+            for s in (p, q))
+    c = Fraction(0)
+    for k, e in enumerate(u.coords):
+        if e == 0:
+            continue
+        denom = w.coords[k // m] * v.coords[k % m]
+        if denom == 0:
+            return ()
+        c = max(c, abs(e) / denom)
+    return ((w.scale(c), v),)
+
+
+def row_candidate(u: TensorElement):
+    n, m = u.shape
+    terms = []
+    for i in range(n):
+        row = u.coords[i * m:(i + 1) * m]
+        if any(c != 0 for c in row):
+            terms.append((LatticeElement.unit(n, i), LatticeElement(tuple(abs(c) for c in row))))
+    return tuple(terms)
+
+
+def col_candidate(u: TensorElement):
+    n, m = u.shape
+    terms = []
+    for j in range(m):
+        col = [abs(c) for c in u.coords[j::m]]
+        if any(c != 0 for c in col):
+            terms.append((LatticeElement(tuple(col)), LatticeElement.unit(m, j)))
+    return tuple(terms)
+
+
+def block_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement, maxima):
+    n, m = u.shape
+    pairs = [(d, e) for _, d in p.rays for _, e in q.rays]
+    return tuple(
+        (LatticeElement.sparse(n, ((i, ratio * di) for i, di in d)), LatticeElement.sparse(m, e))
+        for (d, e), (_, ratio, _, _) in zip(pairs, maxima)
+        if ratio > 0
+    )
+
+
+def pair_box_member(A_generators, B_generators, z: LatticeElement, low, high) -> bool:
+    """z lies in one box [-low(|a|, |b|), high(|a|, |b|)] over the pairs (a, b)."""
+    for a in A_generators:
+        aa = coords_abs(a.coords)
+        for b in B_generators:
+            ab = coords_abs(b.coords)
+            if all(-low(aa[i], ab[i]) <= c <= high(aa[i], ab[i]) for i, c in enumerate(z.coords)):
+                return True
+    return False
