@@ -52,7 +52,7 @@ from .elements import (
     riesz_decompose,
 )
 from .jsonio import FormatError, _quote, require_key
-from .rng import SplitStream
+from .rng import _WEIGHT_GRID, SplitStream
 from .simplex import InfeasibleLP, LinearProgram, feasible
 
 SOL = "Sol"
@@ -348,7 +348,13 @@ def sample_box_point(rng: SplitStream, bound: LatticeElement) -> LatticeElement:
 
 
 def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
-    """A random point of the decorated set, built constructively."""
+    """A random point of the decorated set, built constructively.
+
+    A combination is sum_k c_k g_k / D over the raw integer weights of the
+    stream: c_k = r_k and D = sum r for ``Conv``; c_k = m r_k and
+    D = 16 sum |r| for ``Conv_b`` (mass m/16, signed r). The generators are
+    summed as numerators over one denominator.
+    """
     gens = S.generators
     deco = S.decoration
     if deco == ():
@@ -356,36 +362,39 @@ def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
     if deco == (SOL,):
         return sample_box_point(rng, rng.choice(gens))
     if deco in ((CONV,), (SOL, CONV)):
-        weights = rng.convex_weights(len(gens))
+        coeffs = rng.convex_grid(len(gens))
+        scale = sum(coeffs)
     elif deco in ((CONV_B,), (SOL, CONV_B)):
-        weights = rng.balanced_weights(len(gens))
+        mass, raw = rng.balanced_grid(len(gens))
+        coeffs = [mass * r for r in raw]
+        scale = _WEIGHT_GRID * sum(map(abs, raw)) or 1
     else:
         raise UnsupportedDecoration(f"sampling not implemented for decoration {_quote(deco)}")
     if deco[0] == SOL:
         gens = [sample_box_point(rng, g) for g in gens]  # drawn after the weights
-    # sum_k w_k g_k over one denominator
-    den = lcm(*(w.denominator * g.den for w, g in zip(weights, gens)))
+    den = lcm(*(g.den for g in gens))
     num = [0] * S.dim
-    for w, g in zip(weights, gens):
-        f = w.numerator * (den // (w.denominator * g.den))
-        if f:
+    for c, g in zip(coeffs, gens):
+        if c:
+            f = c * (den // g.den)
             for i, a in enumerate(g.num):
                 num[i] += f * a
-    return _element(*_lowest(tuple(num), den))
+    return _element(*_lowest(tuple(num), den * scale))
 
 
 def random_element(rng: SplitStream, dim: int, lo=-3, hi=3) -> LatticeElement:
     """A point whose coordinates lie on the quarter grid of [lo, hi]."""
-    return LatticeElement(tuple(rng.fraction(lo, hi, 4) for _ in range(dim)))
+    draws = [rng.grid(lo, hi, 4) for _ in range(dim)]
+    den = lcm(*(d for _, d in draws))
+    return _element(*_lowest(tuple(k * (den // d) for k, d in draws), den))
 
 
 def random_bare_set(rng: SplitStream, dim: int, max_gens: int = 4) -> GeneratedSet:
     """Up to `max_gens` integer generators with coordinates in [-5, 5]."""
     count = rng.randint(1, max_gens)
-    gens = tuple(
-        LatticeElement.make([rng.randint(-5, 5) for _ in range(dim)]) for _ in range(count)
-    )
-    return GeneratedSet(gens)
+    return GeneratedSet(tuple(
+        _element(tuple(rng.randint(-5, 5) for _ in range(dim)), 1) for _ in range(count)
+    ))
 
 
 def random_lattice_hom(rng: SplitStream, source_dim: int, target_dim: int) -> LatticeHom:

@@ -141,10 +141,18 @@ class Decomposition:
                     raise ValueError(f"term {k} has a negative {name} coordinate")
 
     def bound(self) -> TensorElement:
-        total = TensorElement.zero(*self.shape)
+        """sum_k x_k (x) y_k, the term numerators summed over one common denominator."""
+        n, m = self.shape
+        den = lcm(*(x.den * y.den for x, y in self.terms))
+        num = [0] * (n * m)
         for x, y in self.terms:
-            total = total + rank_one(x, y)
-        return total
+            f = den // (x.den * y.den)
+            for i, a in enumerate(x.num):
+                if a:
+                    a *= f
+                    for k, b in enumerate(y.num, i * m):
+                        num[k] += a * b
+        return _shaped(*_lowest(tuple(num), den), self.shape)
 
     def dominates(self, u: TensorElement) -> bool:
         return abs(u).le(self.bound())

@@ -16,7 +16,9 @@ equalities with one slack column each, and the answer read back per variable.
 `feasible` answers only whether Ax = b, x >= 0 has a solution, by phase 1 on
 an integer tableau with exact-division (fraction-free) pivots. It creates no
 Fraction, and Fraction arithmetic is where the rational tableau spends its
-time. The programs take these paths:
+time. Its artificial columns stay implicit (the tableau is [A | b] and only
+real columns enter), which keeps the answer exact: see `feasible`. The
+programs take these paths:
 
 * `feasible`: bare hull membership (`hulls._sum_hull_member`: every
   ``Conv`` and ``Conv_b`` query, and 1,403 of the 1,483 programs of a
@@ -101,38 +103,46 @@ def feasible(rows, rhs) -> bool:
     """Whether {x >= 0 : rows.x == rhs} is nonempty, by phase 1 on an integer tableau.
 
     Entries are ints or Fractions. Each row is scaled by the lcm of its
-    denominators and negated when its rhs is negative; one artificial column
-    per row starts the basis. The tableau holds integers and `d`, the last
-    pivot (the determinant of the basis), divides every one of them into the
-    rational tableau. A pivot on `p` replaces each other row `a`, the
-    objective row included, by `(p*a - f*b) // d`, where `b` is the pivot
-    row and `f` the row's entry in the entering column; the division is exact
-    (Edmonds 1967, Bareiss 1968). Signs and ratio orders are those of the
-    rational tableau of the scaled rows, so Bland's rule picks as it would
-    there; phase 1 stops once the artificial mass is 0.
+    denominators and negated when its rhs is negative. The tableau is
+    [A | b]: one artificial variable per row starts the basis, but its
+    column is never stored, and `basis` holds the indices n..n+m-1 of the
+    artificials only for Bland's tie-break. The tableau holds integers and
+    `d`, the last pivot (the determinant of the basis), divides every one of
+    them into the rational tableau. A pivot on `p` replaces each other row
+    `a`, the objective row included, by `(p*a - f*b) // d`, where `b` is the
+    pivot row and `f` the row's entry in the entering column; the division
+    is exact (Edmonds 1967, Bareiss 1968). Signs and ratio orders are those
+    of the rational tableau of the scaled rows, so Bland's rule picks as it
+    would there; phase 1 stops once the artificial mass is 0.
+
+    Only real columns enter, and the answer is still exact. Each column of
+    the integer tableau is computed on its own, so dropping the artificial
+    ones changes no other entry. An artificial column that has left the
+    basis is never needed again: if no real column can enter while mass is
+    left, the current basis is optimal for phase 1 with the departed
+    artificials fixed at 0, a program that every solution of Ax = b, x >= 0
+    solves with mass 0, so there is none. Bland's rule cannot cycle on the
+    restricted program either.
     """
-    m = len(rows)
     tableau = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
+    for row, b in zip(rows, rhs):
         scale = lcm(b.denominator, *(a.denominator for a in row))
         ints = [a.numerator * (scale // a.denominator) for a in row]
         b = b.numerator * (scale // b.denominator)
         if b < 0:
             ints = [-a for a in ints]
             b = -b
-        artificial = [0] * m
-        artificial[i] = 1
-        tableau.append(ints + artificial + [b])
+        ints.append(b)
+        tableau.append(ints)
     if not tableau:
         return True
-    ncols = len(tableau[0]) - 1
-    basis = list(range(ncols - m, ncols))
+    n = len(tableau[0]) - 1
+    basis = list(range(n, n + len(tableau)))
     # Phase 1 minimizes the artificial mass; its value is -obj[-1] / d.
     obj = [-sum(column) for column in zip(*tableau)]
-    obj[ncols - m:ncols] = [0] * m
     d = 1
     while obj[-1]:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = next((j for j in range(n) if obj[j] < 0), None)
         if enter is None:
             return False
         # The phase-1 value is bounded below by 0, so some row limits `enter`.

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm
+from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm, _element, _lowest
 from .jsonio import fraction_str
 from .rng import SplitStream
 from .tensor import (
@@ -102,21 +103,30 @@ class LatticeBimorphism:
     def target_dim(self) -> int:
         return self.images[0][0].dim
 
+    def _image_sum(self, terms, den: int) -> LatticeElement:
+        """sum c images[i][j] / den over the terms (i, j, c), c an integer.
+
+        The images are summed as numerators over the lcm of their denominators.
+        """
+        terms = list(terms)
+        common = lcm(*(self.images[i][j].den for i, j, _ in terms))
+        num = [0] * self.target_dim
+        for i, j, c in terms:
+            g = self.images[i][j]
+            c *= common // g.den
+            for k, a in enumerate(g.num):
+                if a:
+                    num[k] += c * a
+        return _element(*_lowest(tuple(num), den * common))
+
     def __call__(self, x: LatticeElement, y: LatticeElement) -> LatticeElement:
         n, m = self.source_shape
         if x.dim != n or y.dim != m:
             raise DimensionMismatch(
                 f"bimorphism over ({n},{m}) applied to dims ({x.dim},{y.dim})"
             )
-        total = LatticeElement.zero(self.target_dim)
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y.coords):
-                if yj == 0:
-                    continue
-                total = total + self.images[i][j].scale(xi * yj)
-        return total
+        return self._image_sum(((i, j, a * b) for i, a in enumerate(x.num) if a
+                                for j, b in enumerate(y.num) if b), x.den * y.den)
 
     def apply(self, u: TensorElement) -> LatticeElement:
         """The induced map T(u) = sum_ij u_ij Phi(e_i, f_j)."""
@@ -125,11 +135,7 @@ class LatticeBimorphism:
                 f"induced map over {self.source_shape} applied to {u.shape}"
             )
         m = self.source_shape[1]
-        total = LatticeElement.zero(self.target_dim)
-        for k, c in enumerate(u.coords):
-            if c != 0:
-                total = total + self.images[k // m][k % m].scale(c)
-        return total
+        return self._image_sum(((k // m, k % m, c) for k, c in enumerate(u.num) if c), u.den)
 
 
 def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> dict:

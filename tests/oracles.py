@@ -25,14 +25,21 @@ different mathematical reduction:
   Fractions (the `coords_*` functions and the three samplers at the end),
   where the production code holds integer numerators over one denominator;
 * the certificate layer of `projective` and the pair-box test of
-  `hulls._pair_box_member` on Fractions (the last section), where the
-  production code compares and sums element numerators.
+  `hulls._pair_box_member` on Fractions, where the production code compares
+  and sums element numerators;
+* the random-instance layer as it drew before its integer forms (words
+  through `next_word`, uncached label words, instances built from
+  Fractions), phase 1 with stored artificial columns, and the image sums of
+  `Decomposition.bound` and `LatticeBimorphism` one element at a time (the
+  last section).
 """
 
+import hashlib
 import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
+from math import lcm
 
 from tensorlattice.elements import (
     WEIGHTED_L1,
@@ -44,7 +51,7 @@ from tensorlattice.jsonio import as_fraction
 from tensorlattice.projective import _check_shapes, _require_weighted
 from tensorlattice.rng import _WEIGHT_GRID
 from tensorlattice.simplex import InfeasibleLP, LinearProgram
-from tensorlattice.tensor import TensorElement
+from tensorlattice.tensor import TensorElement, rank_one
 
 
 def box_corners(g: LatticeElement):
@@ -515,3 +522,116 @@ def pair_box_member(A_generators, B_generators, z: LatticeElement, low, high) ->
             if all(-low(aa[i], ab[i]) <= c <= high(aa[i], ab[i]) for i, c in enumerate(z.coords)):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The random-instance layer, the bare phase 1 and the image sums, as they were
+# ---------------------------------------------------------------------------
+# The stream's draws through `next_word` and an uncached blake2b label word,
+# the random instances built from Fractions, `simplex.feasible` with its
+# artificial columns stored, and the sums of `Decomposition.bound` and
+# `LatticeBimorphism` added one scaled element at a time.
+
+
+def label_word(label) -> int:
+    data = repr(label).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+def randint(rng, lo, hi):
+    """Uniform integer in [lo, hi], one `next_word` per attempt."""
+    span = hi - lo + 1
+    limit = (1 << 64) - ((1 << 64) % span)
+    while True:
+        w = rng.next_word()
+        if w < limit:
+            return lo + (w % span)
+
+
+def random_element(rng, dim, lo=-3, hi=3) -> LatticeElement:
+    return LatticeElement(tuple(grid_fraction(rng, lo, hi, 4) for _ in range(dim)))
+
+
+def random_tensor(rng, n, m, lo=-3, hi=3) -> TensorElement:
+    return TensorElement(random_element(rng, n * m, lo, hi).coords, (n, m))
+
+
+def random_bare_generators(rng, dim, max_gens=4):
+    count = rng.randint(1, max_gens)
+    return tuple(LatticeElement.make([rng.randint(-5, 5) for _ in range(dim)])
+                 for _ in range(count))
+
+
+def feasible_with_artificials(rows, rhs) -> bool:
+    """Integer phase 1 with one stored artificial column per row, free to re-enter."""
+    m = len(rows)
+    tableau = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        scale = lcm(b.denominator, *(a.denominator for a in row))
+        ints = [a.numerator * (scale // a.denominator) for a in row]
+        b = b.numerator * (scale // b.denominator)
+        if b < 0:
+            ints = [-a for a in ints]
+            b = -b
+        artificial = [0] * m
+        artificial[i] = 1
+        tableau.append(ints + artificial + [b])
+    if not tableau:
+        return True
+    ncols = len(tableau[0]) - 1
+    basis = list(range(ncols - m, ncols))
+    obj = [-sum(column) for column in zip(*tableau)]
+    obj[ncols - m:ncols] = [0] * m
+    d = 1
+    while obj[-1]:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            return False
+        leave = None
+        for i, r in enumerate(tableau):
+            c = r[enter]
+            if c > 0:
+                diff = r[-1] * best[1] - best[0] * c if leave is not None else -1
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                    leave, best = i, (r[-1], c)
+        pivot_row = tableau[leave]
+        p = pivot_row[enter]
+        for r in [*tableau, obj]:
+            if r is pivot_row:
+                continue
+            f = r[enter]
+            if f:
+                r[:] = [(p * a - f * b) // d for a, b in zip(r, pivot_row)]
+            elif p != d:
+                r[:] = [p * a // d for a in r]
+        basis[leave] = enter
+        d = p
+    return True
+
+
+def decomposition_bound(shape, terms) -> TensorElement:
+    total = TensorElement.zero(*shape)
+    for x, y in terms:
+        total = total + rank_one(x, y)
+    return total
+
+
+def bimorphism_call(phi, x: LatticeElement, y: LatticeElement) -> LatticeElement:
+    total = LatticeElement.zero(phi.target_dim)
+    for i, xi in enumerate(x.coords):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y.coords):
+            if yj == 0:
+                continue
+            total = total + phi.images[i][j].scale(xi * yj)
+    return total
+
+
+def bimorphism_apply(phi, u: TensorElement) -> LatticeElement:
+    m = phi.source_shape[1]
+    total = LatticeElement.zero(phi.target_dim)
+    for k, c in enumerate(u.coords):
+        if c != 0:
+            total = total + phi.images[k // m][k % m].scale(c)
+    return total

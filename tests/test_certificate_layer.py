@@ -164,7 +164,7 @@ class TestCertificatesAgainstFractionBodies:
         monkeypatch.setattr(projective, "_alternating_minimization", altmin)
         r = random.Random(18)
         seen = {"pairs": set(), "starved": 0, "gaps": 0, "free_rays": 0, "ties": 0,
-                "blocks": 0, "big_den": 0, "zero": 0}
+                "blocks": 0, "big_den": 0, "zero": 0, "bounds": 0}
         for t in range(3000):
             n, m = r.randint(1, 5), r.randint(1, 5)
             ties = t % 5 == 0
@@ -202,6 +202,17 @@ class TestCertificatesAgainstFractionBodies:
             for dec, terms in candidates:
                 assert dec.terms == terms
                 assert dec.value(p, q) == oracles.decomposition_value(terms, p, q)
+
+            # the bound sum_k x_k (x) y_k, and domination of u and of u pushed past it
+            for dec in (cert.decomposition, *(dec for dec, _ in candidates)):
+                bound = oracles.decomposition_bound(dec.shape, dec.terms)
+                assert dec.bound() == bound  # the same num, den and shape
+                assert dec.dominates(u) == abs(u).le(bound)
+                k = r.randrange(u.dim)
+                over = TensorElement(bound.coords[:k] + (bound.coords[k] + Fraction(1, 7),)
+                                     + bound.coords[k + 1:], u.shape)
+                assert not dec.dominates(over)
+                seen["bounds"] += dec.dominates(u)
 
             # a dual that is tight on every block fails once an entry rises by 1/8
             dual = dual_lower_bound(p, q, u)

@@ -24,7 +24,7 @@ from tensorlattice.elements import (
 )
 from tensorlattice.hulls import CONV, CONV_B, SOL, GeneratedSet, UnsupportedDecoration
 from tensorlattice.rng import SplitStream
-from tensorlattice.tensor import TensorElement, rank_one
+from tensorlattice.tensor import TensorElement, random_tensor, rank_one
 
 DECORATIONS = ((), (SOL,), (CONV,), (CONV_B,), (SOL, CONV), (SOL, CONV_B))
 
@@ -254,6 +254,32 @@ class TestSamplersDrawForDraw:
             hulls.sample_hull_point(a, GeneratedSet((LatticeElement((1,)),), (CONV, SOL)))
         assert a.next_word() == b.next_word()
 
+    def test_random_instances(self):
+        r = random.Random(16)
+        for t in range(2000):
+            a, b = self.twin(r)
+            lo = r.choice((-3, -2, 0, Fraction(-7, 3), Fraction(5, 11)))
+            hi = lo + r.choice((0, Fraction(1, 10**6), r.randint(0, 6), Fraction(r.randint(1, 9), 7)))
+            if t % 3 == 0:
+                dim = r.randint(0, 6)
+                x = hulls.random_element(a, dim, lo, hi) if t % 2 else hulls.random_element(a, dim)
+                old = oracles.random_element(b, dim, lo, hi) if t % 2 else oracles.random_element(b, dim)
+                assert_holds(x, old.coords, old)
+            elif t % 3 == 1:
+                n, m = r.randint(1, 4), r.randint(1, 4)
+                x = random_tensor(a, n, m, lo, hi) if t % 2 else random_tensor(a, n, m)
+                old = oracles.random_tensor(b, n, m, lo, hi) if t % 2 else oracles.random_tensor(b, n, m)
+                assert_holds(x, old.coords, old)
+            else:
+                dim, max_gens = r.randint(0, 5), r.randint(1, 5)
+                S = hulls.random_bare_set(a, dim, max_gens) if t % 2 else hulls.random_bare_set(a, dim)
+                old = oracles.random_bare_generators(b, dim, max_gens if t % 2 else 4)
+                assert S.decoration == ()
+                assert len(S.generators) == len(old)
+                for g, h in zip(S.generators, old):
+                    assert_holds(g, h.coords, h)
+            assert a.next_word() == b.next_word()
+
     def test_stream_fractions_and_weights(self):
         r = random.Random(13)
         for _ in range(2000):
@@ -267,11 +293,10 @@ class TestSamplersDrawForDraw:
             assert type(f) is Fraction and f == oracles.grid_fraction(b, lo, hi, denominator)
             assert a.next_word() == b.next_word()
             count = r.randint(1, 5)
-            total = r.choice((1, Fraction(r.randint(0, 9), r.randint(1, 9)), r.randint(0, 3)))
-            w = a.convex_weights(count, total=total)
+            w = a.convex_weights(count)
             assert all(type(v) is Fraction for v in w)
-            assert w == oracles.convex_weights(b, count, total=total)
-            ceiling = r.choice((1, Fraction(r.randint(1, 9), r.randint(1, 9))))
+            assert w == oracles.convex_weights(b, count)
+            ceiling = r.choice((1, 0, Fraction(r.randint(1, 9), r.randint(1, 9))))
             w = a.balanced_weights(count, ceiling=ceiling)
             assert all(type(v) is Fraction for v in w)
             assert w == oracles.balanced_weights(b, count, ceiling=ceiling)

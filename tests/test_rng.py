@@ -1,5 +1,10 @@
+import random
 from fractions import Fraction
 
+import pytest
+
+import oracles
+from tensorlattice import rng as rng_module
 from tensorlattice.rng import SplitStream
 
 
@@ -87,3 +92,78 @@ def test_index_keyed_split_matches_any_iteration_order():
     forward = [base.split(i).next_word() for i in range(10)]
     backward = [base.split(i).next_word() for i in reversed(range(10))]
     assert forward == list(reversed(backward))
+
+
+# ---------------------------------------------------------------------------
+# Draw for draw against the reference bodies: the same value, and the streams
+# end at the same word.
+# ---------------------------------------------------------------------------
+
+
+def twins(seed):
+    return SplitStream(seed), SplitStream(seed)
+
+
+def test_randint_against_the_next_word_loop():
+    r = random.Random(31)
+    spans = [1, 2, 3, 16, 17, 1000, 2**32 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 5, 2**64]
+    rejected = 0
+    for t in range(3000):
+        span = spans[t % len(spans)] if t % 2 else r.randint(1, 2**64)
+        lo = r.randint(-10**20, 10**20)
+        a, b = twins(r.getrandbits(64))
+        for _ in range(4):
+            before = b._counter
+            assert a.randint(lo, lo + span - 1) == oracles.randint(b, lo, lo + span - 1)
+            rejected += b._counter - before - 1
+            assert a._counter == b._counter
+        assert a.next_word() == b.next_word()
+    # about half the words are rejected on a span just above 2**63
+    a, b = twins(5)
+    for _ in range(400):
+        assert a.randint(0, 2**63) == oracles.randint(b, 0, 2**63)
+    assert a._counter == b._counter
+    assert 600 < a._counter < 1000
+    assert rejected > 0
+    with pytest.raises(ValueError, match="empty range"):
+        SplitStream(1).randint(3, 2)
+
+
+def test_grid_against_the_fraction_oracle():
+    r = random.Random(32)
+    thin = 0
+    for _ in range(3000):
+        lo = Fraction(r.randint(-40, 40), r.randint(1, 12))
+        hi = lo + r.choice((0, Fraction(1, r.randint(5, 10**6)), Fraction(r.randint(0, 30), r.randint(1, 7))))
+        if lo.denominator == 1 and hi.denominator == 1 and r.randrange(2):
+            lo, hi = int(lo), int(hi)
+        denominator = r.randint(1, 8)
+        a, b = twins(r.getrandbits(64))
+        k, d = a.grid(lo, hi, denominator)
+        assert type(k) is int and type(d) is int and d > 0
+        expected = oracles.grid_fraction(b, lo, hi, denominator)
+        assert Fraction(k, d) == expected
+        thin += d > denominator  # only lo itself, off the grid, comes back so
+        assert a.next_word() == b.next_word()
+    assert thin > 20
+    a, b = twins(9)  # no grid point of 1/1 .. 1/4 lies in [2/7, 2/7 + 10^-6]
+    lo = Fraction(2, 7)
+    assert a.grid(lo, lo + Fraction(1, 10**6), 4) == (2, 7)
+    assert oracles.grid_fraction(b, lo, lo + Fraction(1, 10**6), 4) == lo
+    assert a.next_word() == b.next_word()
+    with pytest.raises(ValueError, match="empty interval"):
+        SplitStream(1).grid(1, 0)
+
+
+def test_label_word_against_uncached_blake2b():
+    labels = [1, True, "1", (1,), (True,), ("1",), (1, "x"), "suite", 0, False, None, 2**70]
+    words = [rng_module._label_word(label) for label in labels]
+    assert words == [oracles.label_word(label) for label in labels]
+    assert len(set(words)) == len(labels)
+    # a second read comes from the memo and agrees
+    hits = rng_module._text_word.cache_info().hits
+    assert [rng_module._label_word(label) for label in labels] == words
+    assert rng_module._text_word.cache_info().hits == hits + len(labels)
+    parent = SplitStream(3)
+    assert parent.split(1).next_word() != parent.split(True).next_word()
+    assert parent.split(1).next_word() != parent.split("1").next_word()

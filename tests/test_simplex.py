@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from tensorlattice import simplex
+import oracles
+from tensorlattice import hulls, simplex
 from tensorlattice.rng import SplitStream
 from tensorlattice.simplex import (
     InfeasibleLP,
@@ -11,6 +12,7 @@ from tensorlattice.simplex import (
     feasible,
     solve_standard,
 )
+from tensorlattice.suite import run_suite
 
 
 def test_standard_form_basic():
@@ -374,3 +376,50 @@ def test_feasible_agrees_with_scipy():
         )
         assert res.status in (0, 2), res.message
         assert feasible(rows, rhs) == (res.status == 0), t
+
+
+def _multiple(a, b):
+    """Whether the row a is a nonzero multiple of the nonzero row b."""
+    k = next((Fraction(x) / y for x, y in zip(a, b) if y), 0)
+    return k != 0 and all(x == k * y for x, y in zip(a, b))
+
+
+def test_feasible_against_stored_artificials(monkeypatch):
+    """Phase 1 without artificial columns against phase 1 with them (free to
+    re-enter) and the Fraction two-phase method, on programs with zero rows,
+    repeated rows, negative right-hand sides and degenerate optima."""
+    rng = SplitStream(2026).split("implicit-artificials")
+    seen = {"feasible": 0, "infeasible": 0, "zero-row": 0, "repeated": 0,
+            "negative": 0, "degenerate": 0}
+    programs = [_rational_program(rng.split("rational", t)) for t in range(600)]
+    for name, build in (("box", _box_shaped), ("sum-hull", _sum_hull_shaped),
+                        ("degenerate", _degenerate), ("general", _general)):
+        programs += [_standard_form(monkeypatch, build(rng.split(name, t))) for t in range(40)]
+    for t, (rows, rhs) in enumerate(programs):
+        got = feasible(rows, rhs)
+        assert got == oracles.feasible_with_artificials(rows, rhs) == _has_solution(rows, rhs), t
+        seen["feasible" if got else "infeasible"] += 1
+        seen["zero-row"] += any(not any(row) for row in rows)
+        seen["repeated"] += any(_multiple(rows[i], rows[j])
+                                for i in range(len(rows)) for j in range(i))
+        seen["negative"] += any(b < 0 for b in rhs)
+        seen["degenerate"] += not any(rhs)
+    assert all(v >= 40 for v in seen.values()), seen
+
+
+def test_feasible_on_the_bare_programs_of_a_suite(monkeypatch):
+    """Every bare Conv/Conv_b program of the seed-42 suite, recorded as the hull
+    laws send it, answered alike by all three methods."""
+    programs = []
+
+    def recording(rows, rhs):
+        programs.append(([list(row) for row in rows], list(rhs)))
+        return feasible(rows, rhs)
+
+    monkeypatch.setattr(hulls, "feasible", recording)
+    run_suite(seed=42)
+    assert len(programs) == 1403
+    verdicts = [feasible(rows, rhs) for rows, rhs in programs]
+    assert verdicts == [oracles.feasible_with_artificials(rows, rhs) for rows, rhs in programs]
+    assert verdicts == [_has_solution(rows, rhs) for rows, rhs in programs]
+    assert verdicts.count(False) == 462

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from tensorlattice.elements import (
     DimensionMismatch,
     LatticeElement,
@@ -92,6 +94,34 @@ class TestInducedMap:
         v = TensorElement.make([[2, 2], [-1, 0]])
         assert T(u.join(v)) == T(u).join(T(v))
         assert T(abs(u)) == abs(T(u))
+
+    def test_evaluation_and_induced_map_against_the_element_sums(self):
+        """`__call__` and `apply` sum image numerators over one denominator;
+        the old bodies add one scaled image at a time."""
+        r = random.Random(41)
+
+        def value():
+            return r.choice((0, 0, r.randint(-4, 4), Fraction(r.randint(-9, 9), r.randint(1, 10**r.randint(1, 7)))))
+
+        kinds = set()
+        for t in range(1500):
+            n, m, dim = r.randint(1, 3), r.randint(1, 3), r.randint(1, 5)
+            if t % 3 == 0:  # disjoint positive images, checked
+                owner = [(r.randrange(n), r.randrange(m)) if r.randrange(3) else None for _ in range(dim)]
+                phi = LatticeBimorphism.make([[LatticeElement(tuple(
+                    abs(value()) if owner[k] == (i, j) else 0 for k in range(dim)))
+                    for j in range(m)] for i in range(n)])
+            else:  # any images: signed, overlapping, zero
+                phi = LatticeBimorphism.unchecked([[LatticeElement(tuple(value() for _ in range(dim)))
+                                                    for j in range(m)] for i in range(n)])
+            x = LatticeElement(tuple(value() for _ in range(n)))
+            y = LatticeElement(tuple(value() for _ in range(m)))
+            u = TensorElement(tuple(value() for _ in range(n * m)), (n, m))
+            for got, old in ((phi(x, y), oracles.bimorphism_call(phi, x, y)),
+                             (phi.apply(u), oracles.bimorphism_apply(phi, u))):
+                assert type(got) is LatticeElement and got == old
+            kinds.add((phi.verified, phi(x, y).is_zero(), phi.apply(u).is_zero()))
+        assert len(kinds) == 8
 
 
 class TestHomPropertyReport:
