@@ -32,7 +32,7 @@ from .jsonio import (
     parse_fraction_list,
     require_key,
 )
-from .simplex import LinearProgram
+from .simplex import cover
 
 
 class DimensionMismatch(ValueError):
@@ -382,36 +382,10 @@ class RieszSeminorm:
             raise DimensionMismatch(f"seminorm over dim {self.dim} applied to dim {x.dim}")
         if self.rays_partition:
             return Fraction(self._ray_total(x), x.den * self._ray_scales[2])
-        return self._cover(x)
-
-    def _cover(self, x: LatticeElement):
-        """The least cost sum_d cost_d lam_d of a cover sum_d lam_d d >= |x| by
-        the rays, lam >= 0, as one LP with a column per ray and a row per
-        nonzero coordinate of x; INFINITE when such a coordinate lies in no
-        ray's support. Every x >= 0 lies below a combination of the rays of
-        cost p(x), and by subadditivity and solidity no cover costs less."""
-        if x.is_zero():
-            return Fraction(0)
-        lp = LinearProgram()
-        rows = [{} for _ in range(self.dim)]
-        for pd, d in self.rays:
-            lam = lp.var(cost=pd)
-            for i, di in d:
-                rows[i][lam] = di
-        for row, a in zip(rows, x.coords):
-            if a:
-                if not row:
-                    return INFINITE
-                lp.add(row, ">=", abs(a))
-        value, _ = lp.minimize()
-        return value
-
-    def in_unit_ball(self, x: LatticeElement) -> bool:
-        """Whether p(x) <= 1; without partitioning rays by hull membership, a box
-        scan before any LP, where p(x) would solve the covering LP."""
-        from . import hulls
-
-        return self(x) <= 1 if self.rays_partition else hulls.member(self.unit_ball(), x)
+        # The least cost of a cover of |x| by the rays (INFINITE if there is
+        # none): some cover costs p(x), and by solidity none costs less.
+        found = cover(self.rays, abs(x).coords)
+        return INFINITE if found is None else found[0]
 
     def unit_ball(self):
         """Conv_b(Sol(G)), with G the vertices d / p(d) of the rays with p(d) > 0.

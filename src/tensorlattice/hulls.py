@@ -720,6 +720,13 @@ def _random_instance(law: int, rng: SplitStream) -> dict:
     return inst
 
 
+# Instances sharing generators, for laws 4 and 8 when no sampled one did.
+_SHARED = {law: {name: GeneratedSet(tuple(map(LatticeElement.make, gens)))
+                 for name, gens in (("A", a), ("B", b))}
+           for law, a, b in ((4, ([1, 0], [0, 1], [1, 1]), ([1, 0], [1, 1], [0, -1])),
+                             (8, ([2],), ([1], [2])))}
+
+
 # Canonical counterexamples pinning the failing directions. Each fixture
 # names the direction, the instance, and a point that is provably in the
 # left-hand set but not the right-hand set.
@@ -811,6 +818,9 @@ def _tally(directions: dict, direction: str, status: str, witness):
 def hull_law_suite(law: int, *, triples: int, seed: int) -> dict:
     """Run one law over `triples` random (A, B, point) instances, then its fixtures.
 
+    A direction expected to hold that no instance checked (laws 4 and 8 need
+    shared generators) is checked once on the pinned instance of `_SHARED`.
+
     Instances have dims 1..5. The stream of instance i depends only on the
     seed, the law and i. `_observe` reads each direction of LAW_EXPECTATIONS
     as holding, failing or vacuous (never checked), and the law is ok when
@@ -823,13 +833,19 @@ def hull_law_suite(law: int, *, triples: int, seed: int) -> dict:
         inst = _random_instance(law, srng.split("instance"))
         for direction, status, witness in _LAW_CHECKS[law](inst, srng.split("points")):
             _tally(directions, direction, status, witness and {**witness, "index": s})
+    expected = LAW_EXPECTATIONS[law]
+    unchecked = {name for name, status in expected.items()
+                 if status == "holds" and not directions.get(name, {}).get("checked")}
+    if unchecked and law in _SHARED:
+        for direction, status, witness in _LAW_CHECKS[law](_SHARED[law], rng.split("shared")):
+            if direction in unchecked:
+                _tally(directions, direction, status, witness and {**witness, "index": "shared"})
     for direction, A, B, pt, is_counterexample in _fixtures(law):
         _tally(directions, direction, "violation" if is_counterexample() else "ok",
                {"fixture": True, "point": pt.to_json(),
                 "A": [g.to_json() for g in A.generators],
                 "B": [g.to_json() for g in B.generators],
                 "index": "fixture"})
-    expected = LAW_EXPECTATIONS[law]
     observed = _observe(expected, directions)
     return {
         "law": law,

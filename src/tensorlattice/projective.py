@@ -32,7 +32,7 @@ gauges whose generator boxes, less those inside another, have disjoint
 supports). The blocks supp(d) x supp(e) then partition the grid, and the
 optimal dual puts each block's budget p(d) q(e) on one cell. A factor whose
 rays overlap gets no certificate; its own value p(x) is one covering LP over
-its rays (`RieszSeminorm._cover`).
+its rays (`simplex.cover`).
 
 The upper-bound search stops at the first candidate of one stream
 (`_candidates`) that meets the dual. The block candidate sum_de lam_de d (x) e, with lam_de the
@@ -43,8 +43,8 @@ for pairs of one kind only, l1 (x) ou the row candidate, ou (x) l1 the
 column candidate). Alternating minimization is reached only when a starved
 term budget (`Budget.k_max`, the CLI's `--kmax`) filters those out. Its
 half-steps use the same rays: with one side fixed, the other side of each
-term is a nonnegative combination of the rays of its seminorm, so one LP
-with a column per term and ray, at cost p(d), finds the best side.
+term is a nonnegative combination of the rays of its seminorm, so one cover
+(`simplex.cover`) with a column per term and ray, at cost p(d), finds it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .elements import (
 from .hulls import _close, _report, _violation, random_element, sample_box_point
 from .jsonio import FormatError, _quote, as_fraction, fraction_str, require_key
 from .rng import SplitStream
-from .simplex import InfeasibleLP, LinearProgram, UnboundedLP
+from .simplex import InfeasibleLP, cover
 from .tensor import (
     Membership,
     TensorElement,
@@ -454,39 +454,28 @@ def _block_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
 
 
 def _half_step(p: RieszSeminorm, fixed, u: TensorElement, left: bool):
-    """Optimal x-side (or y-side) given the other side, as one exact LP over
-    the ray cone of p.
+    """Optimal x-side (or y-side) given the other side, as one covering LP
+    over the ray cone of p.
 
     Minimizes sum_t p(x_t) * coeff_t subject to sum_t x_t (x) y_t >= |u|,
-    where coeff_t is the fixed side's seminorm value. Each x_t is a
-    combination sum_d a_td d of the rays (p(d), d) of p with a_td >= 0, at
-    cost sum_d a_td p(d). Every x >= 0 lies below such a combination of cost
-    p(x) and the coverage only grows with x, so the optimum is that of the
-    half-step. For weighted l1 the rays are the unit vectors and a_td is x_t's
-    own coordinate; for the weighted order unit each term has one column, and
-    x_t comes back as a multiple of w.
+    coeff_t the fixed side's seminorm value, over x_t = sum_d a_td d with
+    a_td >= 0 at cost sum_d a_td p(d): every x >= 0 lies below such a
+    combination of cost p(x), and the coverage only grows with x.
     """
-    n, m = u.shape
-    rays = [(pd, LatticeElement.sparse(p.dim, d)) for pd, d in p.rays]
-    lp = LinearProgram()
-    cols = [[lp.var(cost=pd * coeff) for pd, _ in rays] for _, coeff in fixed]
-    au = abs(u)
-    for i in range(n):
-        for j in range(m):
-            free, at = (i, j) if left else (j, i)
-            coeffs = {
-                a_d: d.coords[free] * other.coords[at]
-                for (other, _), a in zip(fixed, cols)
-                for a_d, (_, d) in zip(a, rays)
-            }
-            lp.add(coeffs, ">=", au.coords[i * m + j])
-    value, assignment = lp.minimize()
-    sides = [
-        sum((d.scale(assignment[a_d]) for a_d, (_, d) in zip(a, rays)),
-            LatticeElement.zero(p.dim))
-        for a in cols
-    ]
-    return value, sides
+    m = u.shape[1]
+    rays = p.rays
+    # The column of a_td is d (x) y_t (or x_t (x) d) on the row-major cells.
+    cell = (lambda i, j: i * m + j) if left else (lambda j, i: i * m + j)
+    found = cover([(pd * coeff, tuple((cell(i, j), di * c)
+                                      for i, di in d for j, c in enumerate(other.coords) if c))
+                   for other, coeff in fixed for pd, d in rays],
+                  abs(u).coords)
+    if found is None:
+        raise InfeasibleLP("a cell of |u| lies in no column")
+    value, lam = found
+    points = [LatticeElement.sparse(p.dim, d) for _, d in rays]
+    return value, [sum((d.scale(a) for d, a in zip(points, lam[t * len(rays):])),
+                       LatticeElement.zero(p.dim)) for t in range(len(fixed))]
 
 
 def _alternating_minimization(p, q, u, k: int, rng: SplitStream):
@@ -504,7 +493,7 @@ def _alternating_minimization(p, q, u, k: int, rng: SplitStream):
             _, xs = _half_step(p, fixed_y, u, left=True)
             fixed_x = [(x, p(x)) for x in xs]
             _, ys = _half_step(q, fixed_x, u, left=False)
-        except (InfeasibleLP, UnboundedLP):
+        except InfeasibleLP:
             return None  # a fixed side with zero rows can strand the LP
         dec = Decomposition(u.shape, tuple(zip(xs, ys)))
         if not dec.dominates(u):  # pragma: no cover - LP feasibility guarantees this

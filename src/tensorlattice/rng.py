@@ -9,12 +9,12 @@ stream was consumed. Reports built from these streams are
 byte-identical across runs and worker counts.
 
 The draws come in two forms. `grid`, `convex_grid` and `balanced_grid` return
-the raw integers of a draw; `fraction`, `convex_weights` and
-`balanced_weights` are the same draws read as Fractions, so the samplers
-that work on integer numerators and the ones that want Fractions consume
-the stream identically. The blake2b words of the last 1,024 labels are
-memoized, keyed by the label's `repr` (so `1`, `True` and `"1"` stay three
-labels); the memo changes no word of any stream.
+the raw integers of a draw; `fraction` and `balanced_weights` are the same
+draws read as Fractions, so the samplers that work on integer numerators and
+the ones that want Fractions consume the stream identically. The blake2b
+words of the last 1,024 labels are memoized, keyed by the label's `repr` (so
+`1`, `True` and `"1"` stay three labels); the memo changes no word of any
+stream.
 """
 
 from __future__ import annotations
@@ -62,18 +62,24 @@ class SplitStream:
             key = _mix(key ^ _label_word(label))
         return SplitStream(key)
 
-    def next_word(self) -> int:
-        self._counter += 1
-        return _mix((self._key + self._counter * _GOLDEN) & _MASK)
-
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection-sampled to kill modulo bias.
 
-        Each attempt takes the next word of the stream, as `next_word` does.
+        Each attempt takes the next word of the stream; for a span wider than
+        2**64, the fewest next words that reach it, first word most significant.
         """
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
+        if span > _WORDS:
+            words = ((span - 1).bit_length() + 63) // 64
+            size = 1 << 64 * words
+            while True:
+                w = 0
+                for _ in range(words):
+                    w = w << 64 | self.randint(0, _MASK)  # the next word, always taken
+                if w < size - size % span:
+                    return lo + w % span
         limit = _WORDS - _WORDS % span  # a word below it maps to [lo, hi] uniformly
         key, counter = self._key, self._counter
         while True:
@@ -111,10 +117,7 @@ class SplitStream:
         return Fraction(*self.grid(lo, hi, denominator))
 
     def convex_grid(self, count: int) -> list[int]:
-        """The integers r_k in 0.._WEIGHT_GRID behind `convex_weights`, not all 0.
-
-        Weight k is r_k / sum(r).
-        """
+        """Integers r_k in 0.._WEIGHT_GRID, not all 0: convex weights r_k / sum(r)."""
         raw = [self.randint(0, _WEIGHT_GRID) for _ in range(count)]
         if sum(raw) == 0:
             raw[self.randint(0, count - 1)] = 1
@@ -131,12 +134,6 @@ class SplitStream:
         if m == 0 or ceiling == 0:
             return 0, [0] * count
         return m, [r * self.sign() for r in self.convex_grid(count)]
-
-    def convex_weights(self, count: int) -> list[Fraction]:
-        """Nonnegative rationals summing exactly to 1."""
-        raw = self.convex_grid(count)
-        s = sum(raw)
-        return [Fraction(r, s) for r in raw]
 
     def balanced_weights(self, count: int, ceiling=1) -> list[Fraction]:
         """Signed rationals with sum of absolute values <= ceiling (often <)."""

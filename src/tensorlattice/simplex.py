@@ -4,42 +4,29 @@ Two-phase primal simplex with Bland's rule on a dense Fraction tableau. No
 floating point anywhere: feasibility answers and optima are exact, and with
 the fixed variable order the pivot sequence (hence the returned basic
 solution) is fully deterministic. Problem sizes here are small (tens of rows
-and columns), which is exactly the regime where a dense rational tableau is
-the simplest correct tool. The tableaux of the hull programs are mostly
-zeros, so a pivot updates each row only over the nonzero columns of the
+and columns). A pivot updates each row only over the nonzero columns of the
 pivot row; the arithmetic, and so every pivot, is that of the dense update.
+`solve_standard` handles min c.x s.t. Ax = b, x >= 0, and `LinearProgram`
+builds such programs from <=/>=/== rows, one slack column per inequality.
 
-`solve_standard` handles min c.x s.t. Ax = b, x >= 0. `LinearProgram` is a
-small builder on top: nonnegative variables, <=/>=/== rows turned into
-equalities with one slack column each, and the answer read back per variable.
+The library's programs have three shapes:
 
-`feasible` answers only whether Ax = b, x >= 0 has a solution, by phase 1 on
-an integer tableau with exact-division (fraction-free) pivots. It creates no
-Fraction, and Fraction arithmetic is where the rational tableau spends its
-time. Its artificial columns stay implicit (the tableau is [A | b] and only
-real columns enter), which keeps the answer exact: see `feasible`. The
-programs take these paths:
+* `feasible`: bare hull membership, Ax = b, x >= 0, by phase 1 on an integer
+  tableau with exact-division pivots and implicit artificial columns, so no
+  Fraction is made. It answers every ``Conv`` and ``Conv_b`` query, and
+  1,403 of the 1,483 programs of a seed-42 suite.
+* `cover`: min c.lam s.t. R lam >= t, lam >= 0, with R, c and t nonnegative:
+  the value of a seminorm whose rays do not partition its coordinates, and
+  the half-steps of alternating minimization.
+* `hulls._box_program` through `LinearProgram`: convex-solid membership and
+  gauges, with split variables and a mass row.
 
-* `feasible`: bare hull membership (`hulls._sum_hull_member`: every
-  ``Conv`` and ``Conv_b`` query, and 1,403 of the 1,483 programs of a
-  seed-42 suite);
-* `LinearProgram` on the Fraction tableau: convex-solid membership and
-  gauges (`hulls._box_program`, with split variables and a mass row), the
-  covering LP of a seminorm whose rays do not partition its coordinates
-  (`RieszSeminorm._cover`: one column per ray, one row per nonzero
-  coordinate), and the half-steps of alternating minimization;
-* no LP: the value of a seminorm whose rays partition, and the dual, the
-  closed form and the structural candidates of a certificate, which are
-  integer arithmetic on the element numerators.
-
-`hulls.gauge` could be the covering LP over the boxes |g_k| as well. Routed
-that way, perfbench's hull-lp gauges ran 8x faster and the workload 1.4-1.6x
-faster, but its peak memory rose from 34.3-35.0 MB to 37.1-38.8 MB, past
-that metric's 10 % bound, because the benchmark keeps every answer of the
-timed phase and a faster library answers more (ROADMAP item 1). So
-`hulls.gauge` and `_box_program` stay as they are until that is fixed; then
-the remaining programs move to the integer tableau and the Fraction pivot
-goes.
+Those two are covers too, over the boxes |g_k| at cost 1. On perfbench
+hull-lp's seed-42 queries, on a 2-core shared machine, `cover` answered its
+504 convex-solid `member` queries in 0.24-0.34 s against 2.0-2.8 s for
+`_box_program`, and its 126 gauges in 0.11-0.15 s against 1.25-1.90 s, with
+every answer identical. They stay on `_box_program` until the benchmark's
+peak memory stops growing with the number of answers (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -219,6 +206,30 @@ def solve_standard(rows, rhs, costs):
     for i, r in enumerate(tableau):
         solution[basis[i]] = r[-1]
     return -obj[-1], solution
+
+
+def cover(columns, target):
+    """min sum_k c_k lam_k s.t. sum_k lam_k a_k >= target, lam >= 0; (value, lam).
+
+    Column k is (c_k, ((row, a_k[row]), ...)), all of it and the target
+    nonnegative. The program is the one `LinearProgram` would build: a >= row
+    per target coordinate, the lam_k, then a surplus column per row. None
+    when a positive target coordinate lies in no column, the only failure
+    nonnegative costs leave; a zero target gets lam = 0 with no LP.
+    """
+    n, m = len(columns), len(target)
+    if not any(target):
+        return Fraction(0), [Fraction(0)] * n
+    rows = [[0] * (n + m) for _ in range(m)]
+    for k, (_, entries) in enumerate(columns):
+        for r, a in entries:
+            rows[r][k] = a
+    for r, (row, b) in enumerate(zip(rows, target)):
+        if b and not any(row[:n]):
+            return None
+        row[n + r] = -1
+    value, x = solve_standard(rows, target, [c for c, _ in columns] + [0] * m)
+    return value, x[:n]
 
 
 class LinearProgram:

@@ -358,6 +358,14 @@ def run_suite(*, seed: int = 42, triples: int = 60, samples: int = 80,
         "overlapping images break join and absolute-value preservation, and the "
         "report says so"
     )
+    # When sampling found no break: the images of e_00 and e_01 overlap, so
+    # that pair breaks joins and its difference breaks absolute values.
+    e00, e01 = TensorElement.make([[1, 0]]), TensorElement.make([[0, 1]])
+    T, joins, absolutes = broken.apply, neg["checks"]["join"], neg["checks"]["absolute_value"]
+    if not joins["violations"] and T(e00.join(e01)) != T(e00).join(T(e01)):
+        _violation(joins, "fixture", {"u": e00.to_json(), "v": e01.to_json()})
+    if not absolutes["violations"] and T(abs(e00 - e01)) != abs(T(e00 - e01)):
+        _violation(absolutes, "fixture", {"u": (e00 - e01).to_json()})
     violations = {name: check["violations"] for name, check in neg["checks"].items()}
     neg["ok"] = (
         violations["join"] > 0

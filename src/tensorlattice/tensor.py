@@ -331,7 +331,7 @@ def verify_nbhd_witness(W: TensorNbhd, u: TensorElement, witness) -> bool:
         total += abs(lam)
         if not abs(z).le(rank_one(abs(x), abs(y))):
             return False
-        if not (W.p.in_unit_ball(x) and W.q.in_unit_ball(y)):
+        if not (W.p(x) <= 1 and W.q(y) <= 1):
             return False
         acc = acc + z.scale(lam)
     return total <= 1 and acc == u

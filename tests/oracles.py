@@ -49,7 +49,7 @@ from tensorlattice.elements import (
 )
 from tensorlattice.jsonio import as_fraction
 from tensorlattice.projective import _check_shapes, _require_weighted
-from tensorlattice.rng import _WEIGHT_GRID
+from tensorlattice.rng import _GOLDEN, _WEIGHT_GRID, _mix
 from tensorlattice.simplex import InfeasibleLP, LinearProgram
 from tensorlattice.tensor import TensorElement, rank_one
 
@@ -538,12 +538,24 @@ def label_word(label) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
+def next_word(rng) -> int:
+    """The stream's next word: the counter steps once, and word i is _mix(key + i * golden)."""
+    rng._counter += 1
+    return _mix((rng._key + rng._counter * _GOLDEN) & ((1 << 64) - 1))
+
+
 def randint(rng, lo, hi):
-    """Uniform integer in [lo, hi], one `next_word` per attempt."""
+    """Uniform integer in [lo, hi]. Each attempt reads the next k words as one
+    integer, the first most significant, k the fewest with 2**(64k) >= the
+    span: one word for any span up to 2**64."""
     span = hi - lo + 1
-    limit = (1 << 64) - ((1 << 64) % span)
+    words = max(1, ((span - 1).bit_length() + 63) // 64)
+    size = 1 << 64 * words
+    limit = size - (size % span)
     while True:
-        w = rng.next_word()
+        w = 0
+        for _ in range(words):
+            w = w << 64 | next_word(rng)
         if w < limit:
             return lo + (w % span)
 

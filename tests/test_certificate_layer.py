@@ -276,7 +276,7 @@ class TestCoveringLP:
                 assert value == hulls.gauge(ball, x), (p, x)
                 corner = oracles.corner_gauge(ball.generators, x)
                 assert value == (INFINITE if corner is None else corner), (p, x)
-                assert p.in_unit_ball(x) == (value <= 1), (p, x)
+                assert hulls.member(ball, x) == (value <= 1), (p, x)
                 seen["checked"] += 1
                 seen["infinite"] += value is INFINITE
                 seen["zero"] += x.is_zero()
@@ -289,7 +289,9 @@ class TestCoveringLP:
         assert not p.rays_partition
         assert p(LatticeElement.zero(2)) == 0
         assert p(LatticeElement((Fraction(1), Fraction(0)))) is INFINITE
-        assert not p.in_unit_ball(LatticeElement((Fraction(0), Fraction(1, 2))))
+        x = LatticeElement((Fraction(0), Fraction(1, 2)))
+        assert not p(x) <= 1
+        assert not hulls.member(p.unit_ball(), x)
 
     def test_overlapping_boxes(self):
         # |x| <= 1/2 (1, 1, 0) + 1/2 (0, 1, 1) covers (1/2, 1, 1/2) at cost 1

@@ -423,17 +423,18 @@ class TestSuite:
         assert err.count("\n") == 1 and len(err) <= 200, err[:200]
         assert ran == []
 
-    def test_one_triple_leaves_a_law_direction_vacuous(self, capsys, no_pool):
+    def test_one_triple_checks_an_unreached_direction_on_a_pinned_instance(self, capsys, no_pool):
         # At seed 42 the one triple of law 8 shares no generator between A
-        # and B, so its printed direction is never checked; a direction no
-        # triple exercises is reported vacuous and fails its law.
+        # and B, so it leaves the printed direction vacuous; the pinned
+        # instance with shared generators checks it, and nothing fails.
         code, out, err = run(capsys, ["suite", "--triples", "1", "--samples", "1"])
-        assert code == 1 and err == ""
-        failing = [s for s in json.loads(out)["statements"] if not s["ok"]]
-        assert [s["id"] for s in failing] == ["hull-law-8"]
-        unmet = {d: seen for d, seen in failing[0]["observed"].items()
-                 if seen != failing[0]["expected"][d]}
-        assert unmet == {"printed": "vacuous"}
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["all_ok"]
+        law8 = next(s for s in report["statements"] if s["id"] == "hull-law-8")
+        assert law8["directions"]["printed"] == {
+            "checked": 1, "violations": 0, "vacuous": 1, "witnesses": []}
+        assert law8["observed"] == law8["expected"]
 
     @pytest.mark.parametrize("workers", ["1", "11"])
     def test_worker_bounds_are_inclusive(self, capsys, monkeypatch, no_pool, workers):

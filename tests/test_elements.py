@@ -239,9 +239,14 @@ class TestSeminorms:
     def test_in_unit_ball_is_p_at_most_one(self, xy):
         x, y = xy
         halves = [Fraction(i, 2) for i in range(x.dim)]  # weight 0 on e_1
-        for p in (weighted_l1(halves), weighted_order_unit([w + 1 for w in halves]),
+        for p in (weighted_order_unit([w + 1 for w in halves]),
                   polyhedral_gauge([y, LatticeElement.unit(x.dim, 0)])):
-            assert p.in_unit_ball(x) == (p(x) <= 1)
+            assert (p(x) <= 1) == hulls.member(p.unit_ball(), x)
+        # a zero weight leaves the ball short of {p <= 1} along its direction
+        p = weighted_l1(halves)
+        assert not hulls.member(p.unit_ball(), x) or p(x) <= 1
+        assert p(LatticeElement.unit(x.dim, 0, 100)) == 0
+        assert not hulls.member(p.unit_ball(), LatticeElement.unit(x.dim, 0, 100))
 
     def test_rays_of_every_kind_and_their_partition(self):
         one = Fraction(1)
@@ -271,8 +276,8 @@ class TestSeminorms:
         x = el(-1, 6, 3)
         assert p(x) == Fraction(3, 2) + 2
         assert p(x) == hulls.gauge(GeneratedSet([el(1, 0, 2), el(0, 3, 0)], ("Sol", "Conv_b")), x)
-        assert p.in_unit_ball(x.scale(Fraction(2, 7)))
-        assert not p.in_unit_ball(x.scale(Fraction(1, 3)))
+        assert p(x.scale(Fraction(2, 7))) <= 1
+        assert not p(x.scale(Fraction(1, 3))) <= 1
 
     def test_dropped_boxes_keep_the_gauge(self):
         # generators repeated up to sign, shrunk into an earlier box, or zero
@@ -298,7 +303,7 @@ class TestSeminorms:
             S = GeneratedSet(gens, ("Sol", "Conv_b"))
             x = el(*(r.fraction(-2, 2, 4) for _ in range(dim)))
             assert p(x) == hulls.gauge(S, x), (gens, x)
-            assert p.in_unit_ball(x) == hulls.member(S, x), (gens, x)
+            assert (p(x) <= 1) == hulls.member(S, x), (gens, x)
         assert dropped >= 100
 
 

@@ -11,18 +11,18 @@ from tensorlattice.rng import SplitStream
 def test_same_seed_same_stream():
     a = SplitStream(42)
     b = SplitStream(42)
-    assert [a.next_word() for _ in range(8)] == [b.next_word() for _ in range(8)]
+    assert [oracles.next_word(a) for _ in range(8)] == [oracles.next_word(b) for _ in range(8)]
 
 
 def test_different_seeds_differ():
     a = SplitStream(1)
     b = SplitStream(2)
-    assert [a.next_word() for _ in range(4)] != [b.next_word() for _ in range(4)]
+    assert [oracles.next_word(a) for _ in range(4)] != [oracles.next_word(b) for _ in range(4)]
 
 
 def test_split_by_label_is_stable():
     def head(stream):
-        return [stream.next_word() for _ in range(4)]
+        return [oracles.next_word(stream) for _ in range(4)]
 
     assert head(SplitStream(7).split("laws", 3)) == head(SplitStream(7).split("laws", 3))
     assert head(SplitStream(7).split("laws", 3)) != head(SplitStream(7).split("laws", 4))
@@ -34,17 +34,17 @@ def test_split_does_not_disturb_parent():
     b = SplitStream(5)
     a.split("child")
     # deriving a child stream must not advance the parent
-    assert a.next_word() == b.next_word()
+    assert oracles.next_word(a) == oracles.next_word(b)
 
 
 def test_children_are_independent_of_sibling_consumption():
     parent = SplitStream(9)
     c1 = parent.split(0)
-    burned = [c1.next_word() for _ in range(100)]
+    burned = [oracles.next_word(c1) for _ in range(100)]
     assert len(set(burned)) > 90
     c2 = parent.split(1)
     fresh = SplitStream(9).split(1)
-    assert [c2.next_word() for _ in range(8)] == [fresh.next_word() for _ in range(8)]
+    assert [oracles.next_word(c2) for _ in range(8)] == [oracles.next_word(fresh) for _ in range(8)]
 
 
 def test_randint_bounds_and_spread():
@@ -72,11 +72,14 @@ def test_sign_and_choice():
 
 
 def test_convex_weights_sum_exactly():
-    r = SplitStream(19)
     for count in (1, 2, 5):
-        w = r.convex_weights(count)
+        a, b = twins(19 + count)
+        raw = a.convex_grid(count)
+        w = oracles.convex_weights(b, count)
         assert sum(w) == 1
         assert all(x >= 0 for x in w)
+        assert w == [Fraction(r, sum(raw)) for r in raw]
+        assert a._counter == b._counter
 
 
 def test_balanced_weights_bounded_total():
@@ -89,8 +92,8 @@ def test_balanced_weights_bounded_total():
 def test_index_keyed_split_matches_any_iteration_order():
     # the worker-sharding contract: stream for item i depends only on i
     base = SplitStream(42).split("suite")
-    forward = [base.split(i).next_word() for i in range(10)]
-    backward = [base.split(i).next_word() for i in reversed(range(10))]
+    forward = [oracles.next_word(base.split(i)) for i in range(10)]
+    backward = [oracles.next_word(base.split(i)) for i in reversed(range(10))]
     assert forward == list(reversed(backward))
 
 
@@ -117,7 +120,7 @@ def test_randint_against_the_next_word_loop():
             assert a.randint(lo, lo + span - 1) == oracles.randint(b, lo, lo + span - 1)
             rejected += b._counter - before - 1
             assert a._counter == b._counter
-        assert a.next_word() == b.next_word()
+        assert oracles.next_word(a) == oracles.next_word(b)
     # about half the words are rejected on a span just above 2**63
     a, b = twins(5)
     for _ in range(400):
@@ -127,6 +130,31 @@ def test_randint_against_the_next_word_loop():
     assert rejected > 0
     with pytest.raises(ValueError, match="empty range"):
         SplitStream(1).randint(3, 2)
+
+
+def test_randint_on_spans_wider_than_a_word():
+    # 2**64 + 1 values: an attempt reads two words, the first most
+    # significant, and 2**128 % (2**64 + 1) == 1 rejects only the all-ones pair
+    a, b = twins(1)
+    first, second = oracles.next_word(b), oracles.next_word(b)
+    assert a.randint(0, 2**64) == (first << 64 | second) % (2**64 + 1)
+    assert a._counter == b._counter == 2
+    # the fewest words whose bits reach the span, per attempt
+    for span, words in ((2**64 + 1, 2), (2**128, 2), (2**128 + 1, 3), (3**100, 3), (2**300, 5)):
+        a, b = twins(span % 1000)
+        lo = -(span // 3)
+        for _ in range(20):
+            v = a.randint(lo, lo + span - 1)
+            assert lo <= v < lo + span
+            assert v == oracles.randint(b, lo, lo + span - 1)
+            assert a._counter == b._counter and a._counter % words == 0
+        assert oracles.next_word(a) == oracles.next_word(b)
+    # about half the word pairs are rejected just above 2**127
+    a, b = twins(6)
+    for _ in range(400):
+        assert a.randint(0, 2**127) == oracles.randint(b, 0, 2**127)
+    assert a._counter == b._counter
+    assert 1200 < a._counter < 2000
 
 
 def test_grid_against_the_fraction_oracle():
@@ -144,13 +172,13 @@ def test_grid_against_the_fraction_oracle():
         expected = oracles.grid_fraction(b, lo, hi, denominator)
         assert Fraction(k, d) == expected
         thin += d > denominator  # only lo itself, off the grid, comes back so
-        assert a.next_word() == b.next_word()
+        assert oracles.next_word(a) == oracles.next_word(b)
     assert thin > 20
     a, b = twins(9)  # no grid point of 1/1 .. 1/4 lies in [2/7, 2/7 + 10^-6]
     lo = Fraction(2, 7)
     assert a.grid(lo, lo + Fraction(1, 10**6), 4) == (2, 7)
     assert oracles.grid_fraction(b, lo, lo + Fraction(1, 10**6), 4) == lo
-    assert a.next_word() == b.next_word()
+    assert oracles.next_word(a) == oracles.next_word(b)
     with pytest.raises(ValueError, match="empty interval"):
         SplitStream(1).grid(1, 0)
 
@@ -165,5 +193,5 @@ def test_label_word_against_uncached_blake2b():
     assert [rng_module._label_word(label) for label in labels] == words
     assert rng_module._text_word.cache_info().hits == hits + len(labels)
     parent = SplitStream(3)
-    assert parent.split(1).next_word() != parent.split(True).next_word()
-    assert parent.split(1).next_word() != parent.split("1").next_word()
+    assert oracles.next_word(parent.split(1)) != oracles.next_word(parent.split(True))
+    assert oracles.next_word(parent.split(1)) != oracles.next_word(parent.split("1"))

@@ -423,3 +423,92 @@ def test_feasible_on_the_bare_programs_of_a_suite(monkeypatch):
     assert verdicts == [oracles.feasible_with_artificials(rows, rhs) for rows, rhs in programs]
     assert verdicts == [_has_solution(rows, rhs) for rows, rhs in programs]
     assert verdicts.count(False) == 462
+
+
+# ---------------------------------------------------------------------------
+# The covering LP
+# ---------------------------------------------------------------------------
+
+
+def _random_cover(r):
+    """Columns (cost, ((row, coeff), ...)) and a target, with zero target
+    rows, cost-0 columns, zero coefficients, and now and then a positive
+    target coordinate that no column covers."""
+    m = r.randint(1, 5)
+    uncovered = r.randint(0, m) if r.randint(0, 3) == 0 else None
+    columns = []
+    for _ in range(r.randint(1, 5)):
+        cost = Fraction(0) if r.randint(0, 4) == 0 else r.fraction(0, 3)
+        entries = tuple((i, r.fraction(0, 2)) for i in range(m)
+                        if i != uncovered and r.randint(0, 2))
+        columns.append((cost, entries))
+    target = [r.fraction(0, 3) if r.randint(0, 2) else Fraction(0) for _ in range(m)]
+    if uncovered is not None and uncovered < m:
+        target[uncovered] = r.fraction(1, 3)
+    return columns, target
+
+
+def _cover_by_builder(columns, target):
+    """The same program stated through `LinearProgram`."""
+    lp = LinearProgram()
+    lams = [lp.var(cost=c) for c, _ in columns]
+    rows = [{} for _ in target]
+    for lam, (_, entries) in zip(lams, columns):
+        for i, a in entries:
+            rows[i][lam] = a
+    for row, b in zip(rows, target):
+        lp.add(row, ">=", b)
+    try:
+        return lp.minimize()
+    except InfeasibleLP:
+        return None
+
+
+def test_cover_against_the_builder_and_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = SplitStream(2024).split("cover")
+    seen = {"solved": 0, "uncovered": 0, "zero target": 0, "zero rows": 0, "free columns": 0}
+    for t in range(400):
+        columns, target = _random_cover(rng.split(t))
+        found = simplex.cover(columns, target)
+        assert found == _cover_by_builder(columns, target), (columns, target)
+        res = optimize.linprog(
+            [float(c) for c, _ in columns],
+            A_ub=[[-float(dict(entries).get(i, 0)) for _, entries in columns]
+                  for i in range(len(target))],
+            b_ub=[-float(b) for b in target],
+            bounds=[(0, None)] * len(columns),
+            method="highs",
+        )
+        assert res.status in (0, 2), res.message
+        if found is None:
+            assert res.status == 2
+            seen["uncovered"] += 1
+            continue
+        value, lam = found
+        assert res.status == 0 and abs(float(value) - res.fun) < 1e-7, (value, res.fun)
+        assert len(lam) == len(columns) and all(a >= 0 for a in lam)
+        covered = [sum((a * dict(entries).get(i, 0) for a, (_, entries) in zip(lam, columns)),
+                       Fraction(0)) for i in range(len(target))]
+        assert all(c >= b for c, b in zip(covered, target))
+        assert sum(a * c for a, (c, _) in zip(lam, columns)) == value
+        seen["solved"] += 1
+        seen["zero target"] += not any(target)
+        seen["zero rows"] += any(b == 0 for b in target)
+        seen["free columns"] += any(c == 0 for c, _ in columns)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_cover_fixtures():
+    one = Fraction(1)
+    # (1, 1) under (1, 1) at cost 1, or under two unit columns at cost 1 each
+    columns = [(one, ((0, one), (1, one))), (one, ((0, one),)), (one, ((1, one),))]
+    assert simplex.cover(columns, [one, one]) == (1, [1, 0, 0])
+    # a cost-0 column covers its row for free
+    assert simplex.cover([(Fraction(0), ((0, one),)), (one, ((1, 2),))], [5, 3]) == \
+        (Fraction(3, 2), [5, Fraction(3, 2)])
+    # a zero target coordinate may lie in no column; a positive one may not
+    assert simplex.cover([(one, ((0, one),))], [2, 0]) == (2, [2])
+    assert simplex.cover([(one, ((0, one),))], [2, 1]) is None
+    # a zero target solves no LP
+    assert simplex.cover([(one, ((0, one),))], [0, 0]) == (0, [0])

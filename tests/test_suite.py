@@ -32,6 +32,11 @@ SUITE_SEED7_SHA256 = "f95e4fa89754e540c46fa2d29eb63b32d2299e41130dd9222b2a669084
 SUITE_SEED7_STARVED_SHA256 = "0f8b3431bba76e53e6cf1360fc611fc101f9a9a4090b65111b783364ead409d3"
 
 
+# The pinned join break of the hom-negative fixture: e_00 and e_01.
+PINNED_JOIN = {"u": {"shape": [1, 2], "entries": [["1", "0"]]},
+               "v": {"shape": [1, 2], "entries": [["0", "1"]]}}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -80,6 +85,22 @@ class TestShardedLawSuite:
         one = hull_law_suite_sharded(triples=12, seed=21, workers=1)
         four = hull_law_suite_sharded(triples=12, seed=21, workers=4)
         assert one == four
+
+    def test_shared_instance_stands_in_only_for_an_unchecked_direction(self):
+        # one triple gives each direction one outcome; a printed direction of
+        # laws 4 and 8 is vacuous without shared generators, and then only
+        # the pinned instance of hulls._SHARED checks it
+        pinned = sampled = 0
+        for seed in range(20):
+            for law in (4, 8):
+                rep = hull_law_suite(law, triples=1, seed=seed)
+                for name, d in rep["directions"].items():
+                    if LAW_EXPECTATIONS[law][name] == "holds":
+                        assert d["checked"] == 1 and d["violations"] == 0, (seed, law, name)
+                        pinned += d["vacuous"]
+                        sampled += not d["vacuous"]
+                assert rep["ok"], (seed, law)
+        assert pinned > 5 and sampled > 5
 
     def test_every_law_matches_expectations(self):
         reports = hull_law_suite_sharded(triples=10, seed=33, workers=2)
@@ -140,6 +161,20 @@ class TestRunSuite:
         for line in rep["statements"]:
             assert line["ok"], line["id"]
             assert "section" in line
+
+    def test_smallest_sizes_report_no_false_failure(self):
+        # sampling this little can leave a holding direction unchecked or find
+        # no join break in the hom-negative fixture; pinned instances stand in
+        pinned_joins = 0
+        for triples, samples in ((1, 1), (2, 4)):
+            for seed in range(40):
+                rep = run_suite(seed=seed, triples=triples, samples=samples)
+                failed = [line["id"] for line in rep["statements"] if not line["ok"]]
+                assert rep["all_ok"], (triples, samples, seed, failed)
+                neg = next(line for line in rep["statements"] if line["id"] == "hom-negative-fixture")
+                joins = neg["checks"]["join"]
+                pinned_joins += joins["witnesses"] == [{"index": "fixture", **PINNED_JOIN}]
+        assert pinned_joins > 0
 
     def test_byte_identical_reruns(self):
         a = run_suite(seed=42, triples=6, samples=8)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorlattice import hulls
+from tensorlattice import elements, hulls
 from tensorlattice.elements import (
     DimensionMismatch,
     LatticeElement,
@@ -14,7 +14,7 @@ from tensorlattice.hulls import GeneratedSet
 from tensorlattice.jsonio import FormatError
 from tensorlattice.projective import DualCertificate
 from tensorlattice.rng import SplitStream
-from tensorlattice.simplex import LinearProgram
+from tensorlattice.simplex import cover
 from tensorlattice.tensor import (
     Membership,
     TensorElement,
@@ -249,25 +249,24 @@ class TestSeminormFactors:
         assert not verify_nbhd_witness(generated, z, witness)
 
     def test_weighted_factors_solve_no_lp(self, monkeypatch):
-        def no_member(*args):
-            raise AssertionError("witness check called hulls.member")
+        def no_cover(*args):
+            raise AssertionError("witness check solved a covering LP")
 
         W = TensorNbhd.from_seminorms(weighted_l1([1, 2]), weighted_order_unit([1, 1]))
         rng = SplitStream(67).split("no-lp")
         points = [sample_nbhd_point(W.left, W.right, rng.split(t)) for t in range(20)]
-        monkeypatch.setattr(hulls, "member", no_member)
-        monkeypatch.setattr(hulls, "LinearProgram", no_member)
+        monkeypatch.setattr(elements, "cover", no_cover)
         for u, witness in points:
             assert verify_nbhd_witness(W, u, witness)
 
-    def test_overlapping_factor_reaches_the_hull_lp(self, monkeypatch):
+    def test_overlapping_factor_solves_one_cover(self, monkeypatch):
         # (3/2, 3/2) is the midpoint of (2, 1) and (1, 2), so p = 1 there,
-        # and it lies in neither generator box: only the hull LP decides it
+        # and it lies in neither generator box: the covering LP over the
+        # rays of p decides it, and the l1 factor needs none
         p = polyhedral_gauge([el(2, 1), el(1, 2)])
         W = TensorNbhd.from_seminorms(p, weighted_l1([1, 1]))
         solved = []
-        feasible = LinearProgram.feasible
-        monkeypatch.setattr(LinearProgram, "feasible", lambda lp: solved.append(lp) or feasible(lp))
+        monkeypatch.setattr(elements, "cover", lambda *args: solved.append(args) or cover(*args))
         x, y = el("3/2", "3/2"), el(1, 0)
         assert p(x) == 1
         for scale, accepted in ((1, True), (Fraction(9, 8), False)):
