@@ -9,7 +9,8 @@ integers; `fractions.Fraction` stays the interface, for inputs and for the
 * the constructive Riesz decomposition and disjointification used by the
   hull identities,
 * Riesz seminorms of three kinds (weighted l1, weighted order-unit, and
-  gauges of polyhedral convex-solid sets), each read through its rays,
+  gauges of polyhedral convex-solid sets), each read through its rays by
+  `RaySeminorm`, the base that `projective.TensorSeminorm` shares,
 * seminorm families with a computed separating flag,
 * lattice homomorphisms between coordinate lattices (nonnegative matrices
   with pairwise disjoint columns).
@@ -154,7 +155,9 @@ class LatticeElement:
         return len(self.num)
 
     def _check(self, other: "LatticeElement"):
-        if self.dim != other.dim:
+        if other.__class__ is not LatticeElement:  # a tensor rejects a flat partner
+            other._check(self)
+        elif self.dim != other.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def _like(self, num: tuple[int, ...], den: int) -> "LatticeElement":
@@ -269,8 +272,69 @@ class UnsupportedSeminormKind(ValueError):
     pass
 
 
+class RaySeminorm:
+    """A solid seminorm given by `dim` and its `rays` (see `RieszSeminorm.rays`):
+    evaluation, the partition test, the integer rays and the unit ball read
+    nothing else."""
+
+    @cached_property
+    def rays_partition(self) -> bool:
+        """Whether the ray supports partition the coordinates. Then every cost
+        is p(d), p(x) = sum_d p(d) max_{i in supp d} |x_i| / d_i, and
+        `projective` certifies p (x) q exactly."""
+        covered = [i for _, d in self.rays for i, _ in d]
+        return len(covered) == self.dim == len(set(covered))
+
+    @cached_property
+    def _ray_ints(self) -> tuple:
+        # The rays as integers: (cost, ((i, d_i, 1 / d_i), ...)) per ray, the
+        # costs, the coordinates and the reciprocals each over one denominator,
+        # then those three denominators.
+        rays = self.rays
+        cden = lcm(*(pd.denominator for pd, _ in rays))
+        dden = lcm(*(di.denominator for _, d in rays for _, di in d))
+        rden = lcm(*(di.numerator for _, d in rays for _, di in d))
+        return (tuple((pd.numerator * (cden // pd.denominator),
+                       tuple((i, di.numerator * (dden // di.denominator),
+                              di.denominator * (rden // di.numerator)) for i, di in d))
+                      for pd, d in rays),
+                cden, dden, rden)
+
+    def _ray_total(self, x: LatticeElement) -> int:
+        """p(x) times x.den and the cden and rden of `_ray_ints`, for rays that partition."""
+        a = x.num
+        return sum(pd * max([abs(a[i]) * r for i, _, r in d]) for pd, d in self._ray_ints[0])
+
+    def __call__(self, x: LatticeElement):
+        if x.dim != self.dim:
+            raise DimensionMismatch(f"seminorm over dim {self.dim} applied to dim {x.dim}")
+        if self.rays_partition:
+            _, cden, _, rden = self._ray_ints
+            return Fraction(self._ray_total(x), x.den * cden * rden)
+        # The least cost of a cover of |x| by the rays (INFINITE if there is
+        # none): some cover costs p(x), and by solidity none costs less.
+        found = cover(self.rays, abs(x).coords)
+        return INFINITE if found is None else found[0]
+
+    def unit_ball(self):
+        """Conv_b(Sol(G)), with G the vertices d / p(d) of the rays with p(d) > 0.
+
+        When no ray has p(d) > 0 (the zero seminorm) G is {0}. This is the set
+        {p <= 1} unless p vanishes on a ray: for a weighted l1 seminorm with a
+        zero weight w_i, {p <= 1} contains every multiple of e_i, while this
+        set has no extent along e_i (its gauge there is INFINITE).
+        """
+        from . import hulls
+
+        gens = tuple(
+            LatticeElement.sparse(self.dim, ((i, c / pd) for i, c in ray))
+            for pd, ray in self.rays if pd > 0
+        ) or (LatticeElement.zero(self.dim),)
+        return hulls.GeneratedSet(gens, ("Sol", "Conv_b"))
+
+
 @dataclass(frozen=True)
-class RieszSeminorm:
+class RieszSeminorm(RaySeminorm):
     """A solid seminorm on Q^n: p(x) = p(|x|) and |x| <= |y| implies p(x) <= p(y).
 
     Three kinds:
@@ -336,72 +400,6 @@ class RieszSeminorm:
             for k, b in enumerate(boxes)
             if not any(b.le(o) and (j < k or b != o) for j, o in enumerate(boxes) if j != k)
         )
-
-    @cached_property
-    def rays_partition(self) -> bool:
-        """Whether the ray supports partition the coordinates. Then every cost
-        is p(d), p(x) = sum_d p(d) max_{i in supp d} |x_i| / d_i, and
-        `projective` certifies p (x) q exactly."""
-        covered = [i for _, d in self.rays for i, _ in d]
-        return len(covered) == self.dim == len(set(covered))
-
-    @cached_property
-    def _ray_ints(self) -> tuple:
-        # The rays as integers: (cost, ((i, d_i, 1 / d_i), ...)) per ray, the
-        # costs, the coordinates and the reciprocals each over one denominator,
-        # then those three denominators.
-        rays = self.rays
-        cden = lcm(*(pd.denominator for pd, _ in rays))
-        dden = lcm(*(di.denominator for _, d in rays for _, di in d))
-        rden = lcm(*(di.numerator for _, d in rays for _, di in d))
-        return (tuple((pd.numerator * (cden // pd.denominator),
-                       tuple((i, di.numerator * (dden // di.denominator),
-                              di.denominator * (rden // di.numerator)) for i, di in d))
-                      for pd, d in rays),
-                cden, dden, rden)
-
-    @cached_property
-    def _ray_scales(self) -> tuple:
-        # The scales p(d) / d_i over one denominator: (i, scale) for the
-        # one-coordinate rays, a tuple of them per longer ray, then the
-        # denominator.
-        rays, cden, _, rden = self._ray_ints
-        scales = [tuple((i, pd * r) for i, _, r in d) for pd, d in rays]
-        return (tuple(ray[0] for ray in scales if len(ray) == 1),
-                tuple(ray for ray in scales if len(ray) > 1), cden * rden)
-
-    def _ray_total(self, x: LatticeElement) -> int:
-        """p(x) times x.den and the scales' denominator, for rays that partition."""
-        a = x.num
-        units, blocks, _ = self._ray_scales
-        return (sum(abs(a[i]) * s for i, s in units)
-                + sum(max(abs(a[i]) * s for i, s in ray) for ray in blocks))
-
-    def __call__(self, x: LatticeElement):
-        if x.dim != self.dim:
-            raise DimensionMismatch(f"seminorm over dim {self.dim} applied to dim {x.dim}")
-        if self.rays_partition:
-            return Fraction(self._ray_total(x), x.den * self._ray_scales[2])
-        # The least cost of a cover of |x| by the rays (INFINITE if there is
-        # none): some cover costs p(x), and by solidity none costs less.
-        found = cover(self.rays, abs(x).coords)
-        return INFINITE if found is None else found[0]
-
-    def unit_ball(self):
-        """Conv_b(Sol(G)), with G the vertices d / p(d) of the rays with p(d) > 0.
-
-        When no ray has p(d) > 0 (the zero seminorm) G is {0}. This is the set
-        {p <= 1} unless p vanishes on a ray: for a weighted l1 seminorm with a
-        zero weight w_i, {p <= 1} contains every multiple of e_i, while this
-        set has no extent along e_i (its gauge there is INFINITE).
-        """
-        from . import hulls
-
-        gens = tuple(
-            LatticeElement.sparse(self.dim, ((i, c / pd) for i, c in ray))
-            for pd, ray in self.rays if pd > 0
-        ) or (LatticeElement.zero(self.dim),)
-        return hulls.GeneratedSet(gens, ("Sol", "Conv_b"))
 
     @staticmethod
     def from_json(data, field: str = "seminorm") -> "RieszSeminorm":

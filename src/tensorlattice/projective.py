@@ -17,22 +17,25 @@ a bare number for it. The contract is a `SeminormCertificate`: an interval
   p(x) q(y) on the positive cone, whence sum M_ij |u_ij| <= (p (x) q)(u).
 
 Both witnesses re-verify exactly in rational arithmetic. That arithmetic
-runs on integers: each factor keeps its rays' costs, coordinates and
+runs on integers: each seminorm keeps its rays' costs, coordinates and
 reciprocals as integers over one denominator each
-(`RieszSeminorm._ray_ints`), elements hold numerators over one denominator,
+(`RaySeminorm._ray_ints`), elements hold numerators over one denominator,
 and every comparison is cross-multiplied; each returned value is built as
 one Fraction from an integer numerator and denominator.
 
-One criterion decides domination: with the rays (p(d), d) of each factor
-(`RieszSeminorm.rays`), B is dominated by p (x) q when B(d, e) <= p(d) q(e)
-for every ray pair. Certificates need each factor's ray supports to
+p (x) q is itself a ray seminorm on the n*m coordinates, `TensorSeminorm(p,
+q)`: one ray d (x) e at cost p(d) q(e) per pair of a ray of p and a ray of
+q. The block maxima, the dual, the block candidate, the closed form and the
+continuity constants read those rays, and one criterion decides domination:
+B is dominated by p (x) q when B(d, e) <= p(d) q(e) on every ray of
+`TensorSeminorm(p, q)`. Certificates need each factor's ray supports to
 partition its coordinates (`RieszSeminorm.rays_partition`): weighted l1,
 the weighted order unit, and l1-of-l-infinity block seminorms (polyhedral
 gauges whose generator boxes, less those inside another, have disjoint
 supports). The blocks supp(d) x supp(e) then partition the grid, and the
 optimal dual puts each block's budget p(d) q(e) on one cell. A factor whose
 rays overlap gets no certificate; its own value p(x) is one covering LP over
-its rays (`simplex.cover`).
+its rays (`simplex.cover`), and so is the exact value P(u) of the pair.
 
 The upper-bound search stops at the first candidate of one stream
 (`_candidates`) that meets the dual. The block candidate sum_de lam_de d (x) e, with lam_de the
@@ -51,11 +54,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .elements import (
     DimensionMismatch,
     LatticeElement,
+    RaySeminorm,
     RieszSeminorm,
     SeminormFamily,
     UnsupportedSeminormKind,
@@ -93,6 +98,30 @@ def _check_shapes(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
             f"seminorms over dims ({p.dim},{q.dim}) applied to tensor of shape {u.shape}"
         )
 
+
+@dataclass(frozen=True)
+class TensorSeminorm(RaySeminorm):
+    """p (x) q on the n*m row-major coordinates: Fremlin's positive projective
+    seminorm, the cheapest cover of |u| by the rays d (x) e at cost p(d) q(e)."""
+
+    p: RieszSeminorm
+    q: RieszSeminorm
+
+    @property
+    def dim(self) -> int:
+        return self.p.dim * self.q.dim
+
+    @cached_property
+    def rays(self) -> tuple:
+        """One ray per pair, p's rays outermost, its cells in row-major order."""
+        m = self.q.dim
+        return tuple((pd * qe, tuple((i * m + j, di * ej) for i, di in d for j, ej in e))
+                     for pd, d in self.p.rays for qe, e in self.q.rays)
+
+
+# One instance per recent pair of factors, so that a certificate, its re-check
+# and the closed form build its rays once.
+_tensor = lru_cache(maxsize=16)(TensorSeminorm)
 
 # Each restart may run for every term count up to k_max, so the count is
 # bounded: a gap that cannot close would otherwise keep the search going.
@@ -160,15 +189,16 @@ class Decomposition:
     def value(self, p: RieszSeminorm, q: RieszSeminorm) -> Fraction:
         if not (p.rays_partition and q.rays_partition):
             return sum((p(x) * q(y) for x, y in self.terms), Fraction(0))
-        # p(x) q(y) is an integer over x.den y.den and the scales' denominators
-        # of p and q; the terms are summed over the lcm of the x.den y.den.
+        # p(x) q(y) is an integer over x.den y.den and the cden rden of p and q
+        # (`_ray_total`); the terms are summed over the lcm of the x.den y.den.
         num, den = 0, 1
         for x, y in self.terms:
             d = x.den * y.den
             common = lcm(den, d)
             num = num * (common // den) + p._ray_total(x) * q._ray_total(y) * (common // d)
             den = common
-        return Fraction(num, den * p._ray_scales[2] * q._ray_scales[2])
+        (_, cp, _, rp), (_, cq, _, rq) = p._ray_ints, q._ray_ints
+        return Fraction(num, den * cp * rp * cq * rq)
 
     def verify(self, p: RieszSeminorm, q: RieszSeminorm, u: TensorElement, claimed_value) -> bool:
         return self.dominates(u) and self.value(p, q) == as_fraction(claimed_value)
@@ -220,27 +250,21 @@ class DualCertificate:
         return Fraction(sum(a * abs(b) for a, b in zip(M.num, u.num)), M.den * u.den)
 
     def dominates(self, p: RieszSeminorm, q: RieszSeminorm) -> bool:
-        """B(x,y) <= p(x)q(y) for all x,y >= 0, checked on the ray pairs.
+        """B(x,y) <= p(x)q(y) for all x,y >= 0, checked on the rays of p (x) q.
 
         Every x >= 0 lies below a combination sum_d a_d d of the rays with
         a_d >= 0 and sum_d a_d p(d) = p(x), p(d) being the ray's cost, and B
-        is nonnegative and bilinear, so B(d, e) <= p(d) q(e) on every ray pair
-        (d, e) suffices; it is the whole criterion when every cost is the
-        seminorm's value, as for rays that partition the coordinates.
+        is nonnegative and bilinear, so B(d, e) <= p(d) q(e) on every ray
+        d (x) e of `TensorSeminorm(p, q)` suffices; it is the whole criterion
+        when every cost is the seminorm's value, as for partitioning rays.
         """
-        n, m = self.matrix.shape
-        if (p.dim, q.dim) != (n, m):
+        if (p.dim, q.dim) != self.matrix.shape:
             raise DimensionMismatch(f"dual matrix {self.matrix.shape} vs seminorm dims ({p.dim},{q.dim})")
         M = self.matrix.num
-        (p_rays, cp, dp, _), (q_rays, cq, dq, _) = p._ray_ints, q._ray_ints
+        rays, cden, dden, _ = _tensor(p, q)._ray_ints
         # Both sides of each inequality times every denominator.
-        left, right = cp * cq, self.matrix.den * dp * dq
-        return all(
-            left * sum(di * sum(M[i * m + j] * ej for j, ej, _ in e) for i, di, _ in d)
-            <= pd * qe * right
-            for pd, d in p_rays
-            for qe, e in q_rays
-        )
+        right = self.matrix.den * dden
+        return all(cden * sum(M[k] * a for k, a, _ in ray) <= cost * right for cost, ray in rays)
 
     def to_json(self) -> dict:
         return {"M": self.matrix.to_json()["entries"]}
@@ -297,41 +321,20 @@ class SeminormCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _pair_dens(p: RieszSeminorm, q: RieszSeminorm):
-    """The denominators of the integer scales p(d) q(e), products d_i e_j and
-    reciprocals 1 / (d_i e_j) over the ray pairs (`RieszSeminorm._ray_ints`)."""
-    _, cp, dp, rp = p._ray_ints
-    _, cq, dq, rq = q._ray_ints
-    return cp * cq, dp * dq, rp * rq
-
-
-def _block_maxima(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
-    """Per ray pair (d, e), in the order of the rays: (scale, k, r, ratio) for
+def _block_maxima(P: TensorSeminorm, u: TensorElement):
+    """Per ray (d, e) of P, in the order of the rays: (scale, k, r, ratio) for
     the cell k = i * m + j of the block supp(d) x supp(e) with the largest
     ratio |u_k| / (d_i e_j), the first in row-major order on ties.
 
     All four are integers: the scale p(d) q(e) and the reciprocal
-    r = 1 / (d_i e_j) over the denominators of `_pair_dens`, and
+    r = 1 / (d_i e_j) over the denominators of `P._ray_ints`, and
     ratio = |u.num[k]| * r, over u.den times the reciprocals' denominator.
     When the rays of p and of q partition their coordinates, the blocks
     partition the grid.
     """
-    m = q.dim
     a = u.num
-    q_rays = q._ray_ints[0]
-    out = []
-    for pd, d in p._ray_ints[0]:
-        for qe, e in q_rays:
-            best = None
-            for i, _, ri in d:
-                row = i * m
-                for j, _, rj in e:
-                    r = ri * rj
-                    ratio = abs(a[row + j]) * r
-                    if best is None or ratio > best[3]:
-                        best = (pd * qe, row + j, r, ratio)
-            out.append(best)
-    return out
+    cells = [(cost, max(ray, key=lambda c: abs(a[c[0]]) * c[2])) for cost, ray in P._ray_ints[0]]
+    return [(cost, k, r, abs(a[k]) * r) for cost, (k, _, r) in cells]
 
 
 def seminorm_closed_form(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
@@ -345,19 +348,17 @@ def seminorm_closed_form(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
     _check_shapes(p, q, u)
     if p.kind != q.kind or not (p.rays_partition and q.rays_partition):
         return None
-    cden, _, rden = _pair_dens(p, q)
-    total = sum(scale * ratio for scale, _, _, ratio in _block_maxima(p, q, u))
-    return Fraction(total, cden * rden * u.den)
+    return _tensor(p, q)(u)
 
 
-def _block_dual(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement, maxima) -> DualCertificate:
+def _block_dual(P: TensorSeminorm, u: TensorElement, maxima) -> DualCertificate:
     """The dual that spends each block's budget p(d) q(e) on its cell with the
     largest |u_ij| / (d_i e_j), read from `_block_maxima`: p(d) q(e) / (d_i e_j)
     there and 0 elsewhere."""
     num = [0] * u.dim
     for scale, k, r, _ in maxima:
         num[k] = scale * r
-    cden, _, rden = _pair_dens(p, q)
+    _, cden, _, rden = P._ray_ints
     return DualCertificate(_shaped(*_lowest(tuple(num), cden * rden), u.shape))
 
 
@@ -371,7 +372,8 @@ def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Du
     """
     _require_weighted(p, q)
     _check_shapes(p, q, u)
-    cert = _block_dual(p, q, u, _block_maxima(p, q, u))
+    P = _tensor(p, q)
+    cert = _block_dual(P, u, _block_maxima(P, u))
     if not cert.dominates(p, q):  # pragma: no cover - construction is tight
         raise RuntimeError("dual construction violated its own criterion")
     return cert
@@ -437,18 +439,18 @@ def _col_candidate(u: TensorElement) -> Decomposition:
     return Decomposition(u.shape, tuple(terms))
 
 
-def _block_candidate(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
-                     maxima) -> Decomposition:
+def _block_candidate(P: TensorSeminorm, u: TensorElement, maxima) -> Decomposition:
     """sum_de lam_de d (x) e, with lam_de the block maximum of |u_ij| / (d_i e_j)
-    (`_block_maxima`): its value sum_de lam_de p(d) q(e) is the dual's block sum."""
+    (`_block_maxima`): its value sum_de lam_de p(d) q(e) is the dual's block sum.
+    P's ray t pairs p's ray a and q's ray b, (a, b) = divmod(t, len(q.rays))."""
     n, m = u.shape
-    (p_rays, _, dp, rp), (q_rays, _, dq, rq) = p._ray_ints, q._ray_ints
-    lam_den = u.den * rp * rq  # lam_de = ratio / lam_den
-    pairs = [(d, e) for _, d in p_rays for _, e in q_rays]
+    (p_rays, _, dp, _), (q_rays, _, dq, _) = P.p._ray_ints, P.q._ray_ints
+    lam_den = u.den * P._ray_ints[3]  # lam_de = ratio / lam_den
+    pairs = (divmod(t, len(q_rays)) for t in range(len(maxima)))
     return Decomposition(u.shape, tuple(
-        (_sparse(n, ((i, ratio * di) for i, di, _ in d), lam_den * dp),
-         _sparse(m, ((j, ej) for j, ej, _ in e), dq))
-        for (d, e), (_, _, _, ratio) in zip(pairs, maxima)
+        (_sparse(n, ((i, ratio * di) for i, di, _ in p_rays[a][1]), lam_den * dp),
+         _sparse(m, ((j, ej) for j, ej, _ in q_rays[b][1]), dq))
+        for (a, b), (_, _, _, ratio) in zip(pairs, maxima)
         if ratio > 0
     ))
 
@@ -505,19 +507,19 @@ def _alternating_minimization(p, q, u, k: int, rng: SplitStream):
     return best
 
 
-def _candidates(p, q, u, maxima, budget: Budget, k_max: int):
+def _candidates(P: TensorSeminorm, u, maxima, budget: Budget, k_max: int):
     """The upper-bound candidates in the order they are tried: the dominating
     rank-one, the scaled unit, the rows, the columns, the block candidate,
     then each alternating-minimization result."""
     yield _dominating_candidate(u)
-    yield _scaled_unit_candidate(p, q, u)
+    yield _scaled_unit_candidate(P.p, P.q, u)
     yield _row_candidate(u)
     yield _col_candidate(u)
-    yield _block_candidate(p, q, u, maxima)
+    yield _block_candidate(P, u, maxima)
     rng = SplitStream(budget.seed).split("altmin")
     for k in range(1, k_max + 1):
         for start in range(budget.restarts):
-            found = _alternating_minimization(p, q, u, k, rng.split(k, start))
+            found = _alternating_minimization(P.p, P.q, u, k, rng.split(k, start))
             if found is not None:
                 yield found[1]
 
@@ -540,13 +542,14 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
         dual = DualCertificate(TensorElement.zero(*u.shape))
         return SeminormCertificate(Fraction(0), Fraction(0), dual, zero)
 
-    maxima = _block_maxima(p, q, u)
-    dual = _block_dual(p, q, u, maxima)
+    P = _tensor(p, q)
+    maxima = _block_maxima(P, u)
+    dual = _block_dual(P, u, maxima)
     lower = dual.value(u)
     k_max = budget.resolve_k(u.shape)
     # The dominating rank-one always fits (one term, u != 0), so best is set.
     best: tuple[Fraction, Decomposition] | None = None
-    for dec in _candidates(p, q, u, maxima, budget, k_max):
+    for dec in _candidates(P, u, maxima, budget, k_max):
         if not dec.terms or len(dec.terms) > k_max:
             continue
         value = dec.value(p, q)

@@ -261,7 +261,10 @@ def run_suite(*, seed: int = 42, triples: int = 60, samples: int = 80,
     """Every property line in one deterministic report.
 
     The report depends only on (seed, triples, samples, k_max, restarts);
-    worker count changes scheduling, never bytes.
+    worker count changes scheduling, never bytes. The budget (k_max,
+    restarts) reaches only cross-seminorm-identity, certificate-axioms and
+    continuity-constant: nbhd-solidity and the random instances of
+    gauge-seminorm-consistency certify at the default budget.
     """
     budget = projective.Budget(k_max=k_max, restarts=restarts, seed=seed)
     statements: list[dict] = []

@@ -89,8 +89,8 @@ class TensorElement(LatticeElement):
         return _shaped(num, den, self.shape)
 
     def _check(self, other: "TensorElement"):
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shape mismatch: {self.shape} vs {other.shape}")
+        if self.shape != (shape := getattr(other, "shape", (other.dim,))):  # flat: a vector
+            raise DimensionMismatch(f"shape mismatch: {self.shape} vs {shape}")
 
     @staticmethod
     def make(rows) -> "TensorElement":

@@ -32,7 +32,7 @@ from .tensor import (
     rank_one,
     sample_nbhd_point,
 )
-from . import hulls
+from . import hulls, projective
 from .hulls import _close_checks, _report, _violation, random_element, sample_box_point
 
 
@@ -221,8 +221,8 @@ def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSemino
                         r: RieszSeminorm):
     """The exact operator constant C with r(T(u)) <= C * (p (x) q)(u).
 
-    The maximum of r(Phi(d, e)) / (p(d) q(e)) over the ray pairs (d, e) of
-    the factor seminorms (`RieszSeminorm.rays`), attained at d (x) e: for
+    The maximum of r(T(d (x) e)) / (p(d) q(e)) over the rays d (x) e of
+    `projective.TensorSeminorm(p, q)`, attained at that ray: for
     l1 (x) l1 the matrix units, for order-unit both sides w (x) v. A ray's
     cost is at least p(d), with equality at the vertices, so every kind fits.
 
@@ -238,13 +238,10 @@ def continuity_constant(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSemino
         raise DimensionMismatch(
             f"target seminorm dim {r.dim} does not match the bimorphism target {phi.target_dim}"
         )
-    right = [(qe, LatticeElement.sparse(m, e)) for qe, e in q.rays]
-    candidates = []
-    for pd, d in p.rays:
-        d = LatticeElement.sparse(n, d)
-        for qe, e in right:
-            candidates.append((_ratio(r(phi(d, e)), pd * qe), rank_one(d, e)))
-    return max(candidates, key=lambda cd: cd[0], default=(Fraction(0), None))
+    rays = [(cost, TensorElement(LatticeElement.sparse(n * m, ray).coords, (n, m)))
+            for cost, ray in projective.TensorSeminorm(p, q).rays]
+    return max(((_ratio(r(phi.apply(t)), cost), t) for cost, t in rays),
+               key=lambda cd: cd[0], default=(Fraction(0), None))
 
 
 def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSeminorm,
@@ -263,8 +260,6 @@ def continuity_certificate(phi: LatticeBimorphism, p: RieszSeminorm, q: RieszSem
       factor images Phi(|x_k|, |y_k|), checked term by term and then by an
       exact membership program.
     """
-    from . import projective
-
     if not phi.verified:
         raise BimorphismDefect(
             "only verified bimorphisms induce lattice homomorphisms; "

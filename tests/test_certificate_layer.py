@@ -7,7 +7,9 @@ value and domination test, the decomposition value and the five structural
 candidates). A certificate assembled from those bodies must serialize to the
 same JSON as `seminorm_certify`'s. Seminorms whose rays do not partition are
 evaluated by one covering LP over their rays, checked here against the gauge
-of the unit ball and the corner oracle.
+of the unit ball and the corner oracle. The tensor seminorm p (x) q reads the
+same ray arithmetic over the pairs of rays: it is the product on rank-ones,
+and when every cost is positive W(U, V) is its unit ball.
 """
 
 import random
@@ -28,12 +30,12 @@ from tensorlattice.projective import (
     Decomposition,
     DualCertificate,
     SeminormCertificate,
+    TensorSeminorm,
     _alternating_minimization,
     _block_candidate,
     _block_maxima,
     _col_candidate,
     _dominating_candidate,
-    _pair_dens,
     _row_candidate,
     _scaled_unit_candidate,
     dual_lower_bound,
@@ -41,7 +43,7 @@ from tensorlattice.projective import (
     seminorm_closed_form,
 )
 from tensorlattice.rng import SplitStream
-from tensorlattice.tensor import TensorElement
+from tensorlattice.tensor import TensorElement, rank_one
 
 
 def draw_value(r: random.Random, ties: bool):
@@ -182,13 +184,19 @@ class TestCertificatesAgainstFractionBodies:
             old_cert = fraction_certify(p, q, u, budget, altmin)
             assert cert.to_json() == old_cert.to_json(), (p, q, u, budget)
             altmin.runs.clear()
+            P = TensorSeminorm(p, q)
+            # P(u) is the exact value: the dual meets it, and so does the upper
+            # bound unless the term budget is starved
+            assert P(u) == cert.lower
+            assert starved or cert.upper == cert.lower
 
             # the layer piece by piece
-            maxima = _block_maxima(p, q, u)
+            maxima = _block_maxima(P, u)
             old = oracles.block_maxima(p, q, u)
-            _, _, rden = _pair_dens(p, q)
-            assert [(k, Fraction(ratio, u.den * rden)) for _, k, _, ratio in maxima] == \
-                [(k, ratio) for _, ratio, k, _ in old]
+            _, cden, _, rden = P._ray_ints
+            assert [(Fraction(scale, cden), k, Fraction(ratio, u.den * rden))
+                    for scale, k, _, ratio in maxima] == \
+                [(scale, k, ratio) for scale, ratio, k, _ in old]
             expected = sum((scale * ratio for scale, ratio, _, _ in old), Fraction(0)) \
                 if p.kind == q.kind else None
             assert seminorm_closed_form(p, q, u) == expected
@@ -197,7 +205,7 @@ class TestCertificatesAgainstFractionBodies:
                 (_scaled_unit_candidate(p, q, u), oracles.scaled_unit_candidate(p, q, u)),
                 (_row_candidate(u), oracles.row_candidate(u)),
                 (_col_candidate(u), oracles.col_candidate(u)),
-                (_block_candidate(p, q, u, maxima), oracles.block_candidate(p, q, u, old)),
+                (_block_candidate(P, u, maxima), oracles.block_candidate(p, q, u, old)),
             )
             for dec, terms in candidates:
                 assert dec.terms == terms
@@ -300,6 +308,90 @@ class TestCoveringLP:
         assert p(x) == 1 == hulls.gauge(p.unit_ball(), x)
         assert p(LatticeElement.make([1, 0, 1])) == 2
         assert p(x.scale(3)) == 3
+
+
+def draw_factor(r: random.Random, dim: int, positive: bool):
+    """A seminorm of any kind, a quarter of them with overlapping boxes; with
+    `positive`, no weighted l1 weight is 0, so every ray has a positive cost."""
+    kind = r.randrange(4)
+    if kind == 0:
+        return weighted_l1([draw_weight(r, positive) for _ in range(dim)])
+    if kind == 3:
+        return non_partitioning_gauge(r, dim)
+    return draw_seminorm(r, kind, dim, False)
+
+
+def draw_element(r: random.Random, dim: int) -> LatticeElement:
+    return LatticeElement(tuple(
+        Fraction(r.randint(-6, 6), r.randint(1, 4)) if r.randrange(3) else Fraction(0)
+        for _ in range(dim)))
+
+
+class TestTensorSeminorm:
+    """p (x) q as one ray seminorm on the n*m coordinates."""
+
+    def test_rays_pair_the_factor_rays_in_row_major_order(self):
+        P = TensorSeminorm(weighted_l1([1, 2]), weighted_order_unit([1, 3]))
+        assert P.dim == 4 and P.rays_partition
+        assert P.rays == ((1, ((0, 1), (1, 3))), (2, ((2, 1), (3, 3))))
+        u = TensorElement.make([[1, -3], [2, 1]])
+        assert P(u) == 1 + 2 * 2 == seminorm_certify(P.p, P.q, u).upper
+
+    def test_rank_ones_get_the_product_of_the_factor_values(self):
+        r = random.Random(22)
+        seen = {"pairs": 0, "overlapping": 0, "infinite": 0, "zero": 0}
+        for _ in range(300):
+            n, m = r.randint(1, 4), r.randint(1, 4)
+            p, q = draw_factor(r, n, False), draw_factor(r, m, False)
+            x, y = draw_element(r, n), draw_element(r, m)
+            px, qy = p(x), q(y)
+            if x.is_zero() or y.is_zero():
+                expected = Fraction(0)
+            elif px is INFINITE or qy is INFINITE:
+                expected = INFINITE
+            else:
+                expected = px * qy
+            assert TensorSeminorm(p, q)(rank_one(x, y)) == expected, (p, q, x, y)
+            seen["pairs"] += 1
+            seen["overlapping"] += not (p.rays_partition and q.rays_partition)
+            seen["infinite"] += expected is INFINITE
+            seen["zero"] += expected == 0
+        assert all(v >= 20 for v in seen.values()), seen
+
+    def test_the_unit_ball_is_w_u_v(self):
+        # W(U, V) = Conv_b(Sol(U (x) V)) has the vertices d (x) e / (p(d) q(e)),
+        # so with positive costs it is {P <= 1}, and its gauge is P.
+        r = random.Random(23)
+        seen = {"probes": 0, "inside": 0, "outside": 0, "overlapping": 0}
+        while seen["probes"] < 360:
+            n, m = r.randint(1, 3), r.randint(1, 3)
+            P = TensorSeminorm(draw_factor(r, n, True), draw_factor(r, m, True))
+            x = draw_element(r, n * m)
+            value = P(x)
+            if value is INFINITE or value == 0:
+                continue
+            ball = P.unit_ball()
+            for c in (Fraction(7, 8), Fraction(1), Fraction(9, 8)):
+                w = x.scale(c / value)
+                assert P(w) == c
+                assert hulls.member(ball, w) == (c <= 1), (P, w)
+                assert hulls.gauge(ball, w) == c, (P, w)
+                seen["probes"] += 1
+                seen["inside"] += c <= 1
+                seen["outside"] += c > 1
+                seen["overlapping"] += not P.rays_partition
+        assert all(v >= 30 for v in seen.values()), seen
+
+    def test_a_cell_in_no_pair_ray_is_infinite(self):
+        p = polyhedral_gauge([LatticeElement.make([1, 0])])  # blind to coordinate 1
+        for q in (weighted_l1([1, 1]),
+                  polyhedral_gauge([LatticeElement.make([2, 1]), LatticeElement.make([1, 2])])):
+            P = TensorSeminorm(p, q)
+            assert not P.rays_partition
+            assert P(TensorElement.make([[0, 0], [1, 0]])) is INFINITE
+            assert P(TensorElement.make([[0, 0], [0, "1/3"]])) is INFINITE
+            assert P(TensorElement.make([[1, 0], [0, 0]])) == q(LatticeElement.make([1, 0]))
+            assert P(TensorElement.zero(2, 2)) == 0
 
 
 class TestPairBoxMember:

@@ -278,7 +278,8 @@ def three_stage_certify(p, q, u, budget=None):
                 _row_candidate(u), _col_candidate(u)):
         consider(dec)
     if best[0] > lower:
-        consider(_block_candidate(p, q, u, _block_maxima(p, q, u)))
+        P = projective.TensorSeminorm(p, q)
+        consider(_block_candidate(P, u, _block_maxima(P, u)))
     if best[0] > lower and budget.restarts > 0:
         rng = SplitStream(budget.seed).split("altmin")
         for k in range(1, k_max + 1):
@@ -429,6 +430,16 @@ class TestCertificateObjects:
         u = TensorElement.make([[2, 0], [0, 1]])
         assert dec.dominates(u)
         assert dec.value(weighted_l1([1, 1]), weighted_order_unit([1, 2])) == 3
+
+    def test_decomposition_value_on_overlapping_factors(self):
+        # Boxes that overlap: each p(x_k), q(y_k) is one cover over the rays.
+        p = polyhedral_gauge([el(1, 1, 0), el(0, -1, 1)])
+        q = polyhedral_gauge([el(2, 1), el(1, 2)])
+        assert not (p.rays_partition or q.rays_partition)
+        dec = Decomposition((3, 2), ((el("1/2", 1, "1/2"), el(1, 1)), (el(1, 0, 1), el(2, 0))))
+        # p: 1 and 2; q: 2/3 (a third of each box) and 1
+        assert dec.value(p, q) == 1 * Fraction(2, 3) + 2 * 1 == Fraction(8, 3)
+        assert dec.value(p, q) >= projective.TensorSeminorm(p, q)(dec.bound())
 
     def test_decomposition_rejects_negative_factor(self):
         with pytest.raises(ValueError):

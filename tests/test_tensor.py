@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,15 @@ class TestTensorElement:
         for op in (u.join, u.__add__, u.le, DualCertificate(abs(u)).value):
             with pytest.raises(DimensionMismatch):
                 op(v)
+
+    def test_a_flat_element_is_a_dimension_mismatch_in_either_order(self):
+        # the same coordinates, but a tensor never mixes with a flat element
+        u, x = TensorElement.make([[1, 2]]), LatticeElement.make([1, 2])
+        for op in (operator.add, operator.sub, LatticeElement.join, LatticeElement.meet,
+                   LatticeElement.le):
+            for left, right in ((u, x), (x, u)):
+                with pytest.raises(DimensionMismatch, match=r"\(1, 2\) vs \(2,\)"):
+                    op(left, right)
 
     def test_lattice_operations_are_inherited(self):
         assert issubclass(TensorElement, LatticeElement)
