@@ -273,23 +273,23 @@ class UnsupportedSeminormKind(ValueError):
 
 
 class RaySeminorm:
-    """A solid seminorm given by `dim` and its `rays` (see `RieszSeminorm.rays`):
-    evaluation, the partition test, the integer rays and the unit ball read
-    nothing else."""
+    """A solid seminorm given by `dim` and its rays: `rays` (see `RieszSeminorm.rays`)
+    or the integer `_ray_ints`, a subclass defining one and reading the other from
+    it. Evaluation, the partition test and the unit ball read nothing else."""
 
     @cached_property
     def rays_partition(self) -> bool:
         """Whether the ray supports partition the coordinates. Then every cost
         is p(d), p(x) = sum_d p(d) max_{i in supp d} |x_i| / d_i, and
         `projective` certifies p (x) q exactly."""
-        covered = [i for _, d in self.rays for i, _ in d]
+        covered = [i for _, d in self._ray_ints[0] for i, _, _ in d]
         return len(covered) == self.dim == len(set(covered))
 
     @cached_property
     def _ray_ints(self) -> tuple:
         # The rays as integers: (cost, ((i, d_i, 1 / d_i), ...)) per ray, the
         # costs, the coordinates and the reciprocals each over one denominator,
-        # then those three denominators.
+        # then those three denominators; built here from `rays`.
         rays = self.rays
         cden = lcm(*(pd.denominator for pd, _ in rays))
         dden = lcm(*(di.denominator for _, d in rays for _, di in d))

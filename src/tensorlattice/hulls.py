@@ -38,6 +38,7 @@ explicit witnesses for the failures.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -272,13 +273,6 @@ def common_generators(A: GeneratedSet, B: GeneratedSet) -> tuple[LatticeElement,
 # true membership in the pointwise sets (not in any generator construction).
 
 
-def solid_sum_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
-    az = abs(z)
-    return any(
-        az.le(abs(a) + abs(b)) for a in A.generators for b in B.generators
-    )
-
-
 def _pair_box_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement, low, high) -> bool:
     """z lies in one box [-low(|a|, |b|), high(|a|, |b|)] over the pairs (a, b).
 
@@ -301,6 +295,11 @@ def _pair_box_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement, low, h
     return False
 
 
+def solid_sum_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
+    # {s + t : |s| <= |a|, |t| <= |b|} is the box |z| <= |a| + |b|
+    return _pair_box_member(A, B, z, operator.add, operator.add)
+
+
 def solid_join_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
     # {s ∨ t : |s| <= |a|, |t| <= |b|} is the box [-(|a| ∧ |b|), |a| ∨ |b|]
     return _pair_box_member(A, B, z, min, max)
@@ -312,15 +311,11 @@ def solid_meet_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bo
 
 
 def solid_union_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
-    az = abs(z)
-    return any(az.le(abs(g)) for g in A.generators + B.generators)
+    return _in_one_box(A.generators + B.generators, z)
 
 
 def solid_intersect_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) -> bool:
-    az = abs(z)
-    return any(az.le(abs(a)) for a in A.generators) and any(
-        az.le(abs(b)) for b in B.generators
-    )
+    return _in_one_box(A.generators, z) and _in_one_box(B.generators, z)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ one Fraction from an integer numerator and denominator.
 
 p (x) q is itself a ray seminorm on the n*m coordinates, `TensorSeminorm(p,
 q)`: one ray d (x) e at cost p(d) q(e) per pair of a ray of p and a ray of
-q. The block maxima, the dual, the block candidate, the closed form and the
-continuity constants read those rays, and one criterion decides domination:
-B is dominated by p (x) q when B(d, e) <= p(d) q(e) on every ray of
+q, its integer rays the products of the factors' (built afresh by each
+caller). The block maxima, the dual, the block candidate, the closed form
+and the continuity constants read those rays, and one criterion decides
+domination: B is dominated by p (x) q when B(d, e) <= p(d) q(e) on every ray of
 `TensorSeminorm(p, q)`. Certificates need each factor's ray supports to
 partition its coordinates (`RieszSeminorm.rays_partition`): weighted l1,
 the weighted order unit, and l1-of-l-infinity block seminorms (polyhedral
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 
 from .elements import (
@@ -112,16 +113,23 @@ class TensorSeminorm(RaySeminorm):
         return self.p.dim * self.q.dim
 
     @cached_property
-    def rays(self) -> tuple:
-        """One ray per pair, p's rays outermost, its cells in row-major order."""
+    def _ray_ints(self) -> tuple:
+        """The factors' integer rays multiplied, p's rays outermost, the cells row-major:
+        cost c_d c_e, cells (i * m + j, d_i e_j, r_i r_j), over cp cq, dp dq, rp rq."""
+        (p_rays, cp, dp, rp), (q_rays, cq, dq, rq) = self.p._ray_ints, self.q._ray_ints
         m = self.q.dim
-        return tuple((pd * qe, tuple((i * m + j, di * ej) for i, di in d for j, ej in e))
-                     for pd, d in self.p.rays for qe, e in self.q.rays)
+        return (tuple((cd * ce, tuple((i * m + j, di * ej, ri * rj)
+                                      for i, di, ri in d for j, ej, rj in e))
+                      for cd, d in p_rays for ce, e in q_rays),
+                cp * cq, dp * dq, rp * rq)
 
+    @cached_property
+    def rays(self) -> tuple:
+        """The rays d (x) e at cost p(d) q(e), as Fractions read from `_ray_ints`."""
+        rays, cden, dden, _ = self._ray_ints
+        return tuple((Fraction(cost, cden), tuple((k, Fraction(c, dden)) for k, c, _ in ray))
+                     for cost, ray in rays)
 
-# One instance per recent pair of factors, so that a certificate, its re-check
-# and the closed form build its rays once.
-_tensor = lru_cache(maxsize=16)(TensorSeminorm)
 
 # Each restart may run for every term count up to k_max, so the count is
 # bounded: a gap that cannot close would otherwise keep the search going.
@@ -261,7 +269,7 @@ class DualCertificate:
         if (p.dim, q.dim) != self.matrix.shape:
             raise DimensionMismatch(f"dual matrix {self.matrix.shape} vs seminorm dims ({p.dim},{q.dim})")
         M = self.matrix.num
-        rays, cden, dden, _ = _tensor(p, q)._ray_ints
+        rays, cden, dden, _ = TensorSeminorm(p, q)._ray_ints
         # Both sides of each inequality times every denominator.
         right = self.matrix.den * dden
         return all(cden * sum(M[k] * a for k, a, _ in ray) <= cost * right for cost, ray in rays)
@@ -348,7 +356,7 @@ def seminorm_closed_form(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
     _check_shapes(p, q, u)
     if p.kind != q.kind or not (p.rays_partition and q.rays_partition):
         return None
-    return _tensor(p, q)(u)
+    return TensorSeminorm(p, q)(u)
 
 
 def _block_dual(P: TensorSeminorm, u: TensorElement, maxima) -> DualCertificate:
@@ -372,7 +380,7 @@ def dual_lower_bound(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement) -> Du
     """
     _require_weighted(p, q)
     _check_shapes(p, q, u)
-    P = _tensor(p, q)
+    P = TensorSeminorm(p, q)
     cert = _block_dual(P, u, _block_maxima(P, u))
     if not cert.dominates(p, q):  # pragma: no cover - construction is tight
         raise RuntimeError("dual construction violated its own criterion")
@@ -542,7 +550,7 @@ def seminorm_certify(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement,
         dual = DualCertificate(TensorElement.zero(*u.shape))
         return SeminormCertificate(Fraction(0), Fraction(0), dual, zero)
 
-    P = _tensor(p, q)
+    P = TensorSeminorm(p, q)
     maxima = _block_maxima(P, u)
     dual = _block_dual(P, u, maxima)
     lower = dual.value(u)

@@ -52,7 +52,6 @@ from .hulls import (
     _close_checks,
     _report,
     _violation,
-    gauge,
     random_element,
     sample_box_point,
     sample_hull_point,
@@ -381,8 +380,8 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
     * translation: around an interior point z of W (margin 1/4), adding any
       w from W(U/4, V/4) stays in W, via the padded product witness whose
       terms are bounded by (|x_i|+|u_j|) (x) (|y_i|+|v_j|);
-    * intersection: a neighborhood built inside both factor intersections
-      lands in W1 and W2.
+    * intersection: a neighborhood built from W1's factors pulled into
+      {p <= 1} and {q <= 1} of W2 lands in W1 and W2.
 
     W2 supplies the second neighborhood for the intersection axiom.
     """
@@ -390,9 +389,9 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
         raise DimensionMismatch(f"neighborhoods over {W1.shape} vs {W2.shape}")
     rng = SplitStream(seed).split("nbhd-base")
     # factor pairs to sample from: W(U/2, V), and W1's factors pulled inside
-    # W2's for the intersection axiom; built once, since they draw nothing
+    # W2's {p <= 1} and {q <= 1}; built once, since they draw nothing
     half = (scale_set(W1.left, Fraction(1, 2)), W1.right)
-    inner = (_shrink_into(W1.left, W2.left), _shrink_into(W1.right, W2.right))
+    inner = (_shrink_into(W1.left, W2.p), _shrink_into(W1.right, W2.q))
     report = {axiom: _report(samples)
               for axiom in ("additivity", "balance", "translation", "intersection")}
 
@@ -444,17 +443,15 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
                          "the sets Conv_b(Sol(U (x) V)) satisfy the zero-neighborhood base axioms")
 
 
-def _shrink_into(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
-    """A generated convex-solid subset of A that also sits inside B."""
+def _shrink_into(A: GeneratedSet, p: RieszSeminorm) -> GeneratedSet:
+    """A generated convex-solid subset of A that also sits inside {p <= 1}."""
     gens = []
     for g in A.generators:
-        r = gauge(B, g)
+        r = p(g)
         if r is INFINITE:
-            continue  # direction not absorbed by B; drop it
-        gens.append(g if r <= 1 else g.scale(Fraction(1, 1) / r))
-    if not gens:
-        gens = [LatticeElement.zero(A.dim)]
-    return GeneratedSet(tuple(gens), A.decoration)
+            continue  # direction not absorbed by {p <= 1}; drop it
+        gens.append(g if r <= 1 else g.scale(1 / r))
+    return GeneratedSet(tuple(gens) or (LatticeElement.zero(A.dim),), A.decoration)
 
 
 def nbhd_solidity_check(W: TensorNbhd, *, seed: int, samples: int) -> dict:

@@ -24,9 +24,11 @@ different mathematical reduction:
 * the element layer, the samplers and the seminorm closed form on tuples of
   Fractions (the `coords_*` functions and the three samplers at the end),
   where the production code holds integer numerators over one denominator;
-* the certificate layer of `projective` and the pair-box test of
-  `hulls._pair_box_member` on Fractions, where the production code compares
-  and sums element numerators;
+* the certificate layer of `projective`, the rays of `TensorSeminorm` and
+  the pair-box test of `hulls._pair_box_member` on Fractions, where the
+  production code compares and sums element numerators, and the solid sum,
+  union and intersection oracles of `hulls` by element operations, where
+  the production code runs the two box kernels;
 * the random-instance layer as it drew before its integer forms (words
   through `next_word`, uncached label words, instances built from
   Fractions), phase 1 with stored artificial columns, and the image sums of
@@ -407,22 +409,20 @@ def ray_closed_form(p: RieszSeminorm, x):
 # built from `coords` and `RieszSeminorm.rays`.
 
 
-def ray_blocks(p: RieszSeminorm, q: RieszSeminorm):
-    """For each ray pair (d, e): the scale p(d) q(e) and the cells
-    (k, d_i e_j) of the block supp(d) x supp(e), in row-major order."""
+def tensor_rays(p: RieszSeminorm, q: RieszSeminorm):
+    """The rays of p (x) q from Fraction products: for each ray pair (d, e),
+    p's rays outermost, the scale p(d) q(e) and the cells (k, d_i e_j) of
+    the block supp(d) x supp(e), in row-major order."""
     m = q.dim
-    return [
-        (pd * qe, [(i * m + j, di * ej) for i, di in d for j, ej in e])
-        for pd, d in p.rays
-        for qe, e in q.rays
-    ]
+    return tuple((pd * qe, tuple((i * m + j, di * ej) for i, di in d for j, ej in e))
+                 for pd, d in p.rays for qe, e in q.rays)
 
 
 def block_maxima(p: RieszSeminorm, q: RieszSeminorm, u: TensorElement):
     """Per block: (scale, ratio, k, c) for the cell k with the largest ratio
     |u_k| / c, the first in row-major order on ties."""
     out = []
-    for scale, cells in ray_blocks(p, q):
+    for scale, cells in tensor_rays(p, q):
         best = None
         for k, c in cells:
             ratio = abs(u.coords[k]) / c
@@ -448,7 +448,7 @@ def dual_dominates(M: TensorElement, p: RieszSeminorm, q: RieszSeminorm) -> bool
     """sum_ij M_ij d_i e_j <= p(d) q(e) on every ray pair (d, e)."""
     return all(
         sum((M.coords[k] * c for k, c in cells), Fraction(0)) <= scale
-        for scale, cells in ray_blocks(p, q)
+        for scale, cells in tensor_rays(p, q)
     )
 
 
@@ -522,6 +522,22 @@ def pair_box_member(A_generators, B_generators, z: LatticeElement, low, high) ->
             if all(-low(aa[i], ab[i]) <= c <= high(aa[i], ab[i]) for i, c in enumerate(z.coords)):
                 return True
     return False
+
+
+def solid_sum_member(A, B, z: LatticeElement) -> bool:
+    """z lies in Sol(A) + Sol(B): |z| <= |a| + |b| for some pair, by element operations."""
+    az = abs(z)
+    return any(az.le(abs(a) + abs(b)) for a in A.generators for b in B.generators)
+
+
+def solid_union_member(A, B, z: LatticeElement) -> bool:
+    az = abs(z)
+    return any(az.le(abs(g)) for g in A.generators + B.generators)
+
+
+def solid_intersect_member(A, B, z: LatticeElement) -> bool:
+    az = abs(z)
+    return any(az.le(abs(a)) for a in A.generators) and any(az.le(abs(b)) for b in B.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ import oracles
 from tensorlattice import hulls, projective
 from tensorlattice.elements import (
     INFINITE,
+    POLYHEDRAL_GAUGE,
+    WEIGHTED_L1,
+    WEIGHTED_ORDER_UNIT,
     LatticeElement,
+    RieszSeminorm,
     polyhedral_gauge,
     weighted_l1,
     weighted_order_unit,
@@ -237,7 +241,7 @@ class TestCertificatesAgainstFractionBodies:
             seen["free_rays"] += any(pd == 0 for pd, _ in p.rays + q.rays)
             seen["ties"] += any(
                 sum(abs(u.coords[k]) / c == ratio for k, c in cells) > 1
-                for (_, cells), (_, ratio, _, _) in zip(oracles.ray_blocks(p, q), old) if ratio)
+                for (_, cells), (_, ratio, _, _) in zip(oracles.tensor_rays(p, q), old) if ratio)
             seen["blocks"] += "polyhedral_gauge" in (p.kind, q.kind)
             seen["big_den"] += u.den > 10**6 or p._ray_ints[1] > 10**6
             seen["zero"] += u.is_zero()
@@ -382,6 +386,36 @@ class TestTensorSeminorm:
                 seen["overlapping"] += not P.rays_partition
         assert all(v >= 30 for v in seen.values()), seen
 
+    def test_integer_rays_are_the_products_of_the_fraction_rays(self):
+        # ray for ray the Fraction pairing of `oracles.tensor_rays`, and read
+        # back from the integer rays: cost, d_i e_j and 1 / (d_i e_j)
+        r = random.Random(24)
+        seen = {"kinds": set(), "overlapping": 0, "free_rays": 0, "no_rays": 0,
+                "one_by_one": 0, "big_den": 0, "partition": 0}
+        for t in range(600):
+            n, m = (1, 1) if t % 10 == 0 else (r.randint(1, 5), r.randint(1, 5))
+            p, q = draw_factor(r, n, False), draw_factor(r, m, False)
+            if t % 15 == 7:  # all-zero generators: a gauge with no rays
+                p = polyhedral_gauge([LatticeElement.zero(n)] * r.randint(1, 2))
+            P = TensorSeminorm(p, q)
+            expected = oracles.tensor_rays(p, q)
+            assert P.rays == expected, (p, q)
+            rays, cden, dden, rden = P._ray_ints
+            assert [(Fraction(cost, cden),
+                     tuple((k, Fraction(c, dden), Fraction(rc, rden)) for k, c, rc in ray))
+                    for cost, ray in rays] == \
+                [(cost, tuple((k, c, 1 / c) for k, c in ray)) for cost, ray in expected]
+            assert P.rays_partition == (p.rays_partition and q.rays_partition)
+            seen["kinds"].add((p.kind, q.kind))
+            seen["overlapping"] += not P.rays_partition and bool(expected)
+            seen["free_rays"] += any(cost == 0 for cost, _ in expected)
+            seen["no_rays"] += not expected
+            seen["one_by_one"] += P.dim == 1
+            seen["big_den"] += max(cden, dden, rden) > 10**6
+            seen["partition"] += P.rays_partition
+        assert len(seen.pop("kinds")) == 9
+        assert all(v >= 20 for v in seen.values()), seen
+
     def test_a_cell_in_no_pair_ray_is_infinite(self):
         p = polyhedral_gauge([LatticeElement.make([1, 0])])  # blind to coordinate 1
         for q in (weighted_l1([1, 1]),
@@ -392,6 +426,29 @@ class TestTensorSeminorm:
             assert P(TensorElement.make([[0, 0], [0, "1/3"]])) is INFINITE
             assert P(TensorElement.make([[1, 0], [0, 0]])) == q(LatticeElement.make([1, 0]))
             assert P(TensorElement.zero(2, 2)) == 0
+
+
+class TestListBuiltSeminorms:
+    """A seminorm built with a list of weights or generators certifies as the
+    tuple-built one does: no certificate path hashes its factors."""
+
+    def test_list_fields_answer_as_tuple_fields(self):
+        weights = [Fraction(1), Fraction(2), Fraction(1, 3)]
+        gens = [LatticeElement.make([2, 0, 0]), LatticeElement.make([0, 1, "1/2"])]
+        pairs = (
+            (RieszSeminorm(WEIGHTED_L1, weights=weights), weighted_l1(weights)),
+            (RieszSeminorm(WEIGHTED_ORDER_UNIT, weights=weights), weighted_order_unit(weights)),
+            (RieszSeminorm(POLYHEDRAL_GAUGE, generators=gens), polyhedral_gauge(gens)),
+        )
+        u = TensorElement.make([[1, -2, 0], ["3/4", 1, -1], [0, "-1/3", "5/2"]])
+        for lp, tp in pairs:
+            for lq, tq in pairs:
+                for budget in (None, Budget(k_max=1, restarts=1)):
+                    cert = seminorm_certify(tp, tq, u, budget)
+                    assert seminorm_certify(lp, lq, u, budget).to_json() == cert.to_json()
+                    assert cert.verify(lp, lq, u)
+                assert seminorm_closed_form(lp, lq, u) == seminorm_closed_form(tp, tq, u)
+                assert dual_lower_bound(lp, lq, u) == dual_lower_bound(tp, tq, u)
 
 
 class TestPairBoxMember:
@@ -418,3 +475,40 @@ class TestPairBoxMember:
                 assert got == oracles.pair_box_member(A.generators, B.generators, z, low, high)
                 verdicts.add(got)
         assert verdicts == {True, False}
+
+    def test_sum_union_and_intersection_match_the_element_bodies(self):
+        r = random.Random(21)
+        verdicts = {"sum": set(), "union": set(), "intersect": set()}
+        seen = {"zero": 0, "repeated": 0}
+        for _ in range(2000):
+            dim = r.randint(1, 4)
+
+            def element():
+                return LatticeElement(tuple(draw_value(r, r.randrange(3) == 0)
+                                            for _ in range(dim)))
+
+            def bare_set():
+                gens = [element() for _ in range(r.randint(1, 3))]
+                if r.randrange(4) == 0:
+                    gens.insert(r.randint(0, len(gens)), LatticeElement.zero(dim))
+                if r.randrange(4) == 0:
+                    gens.append(r.choice(gens))
+                seen["zero"] += any(g.is_zero() for g in gens)
+                seen["repeated"] += len(set(gens)) < len(gens)
+                return GeneratedSet(tuple(gens), ())
+
+            A, B = bare_set(), bare_set()
+            z = element()
+            if r.randrange(3):  # a point of one box, so every verdict occurs
+                a, b = abs(r.choice(A.generators)), abs(r.choice(B.generators))
+                box = r.choice((a + b, a.meet(b), a))
+                z = LatticeElement(tuple(c * Fraction(r.randint(-4, 4), 4) for c in box.coords))
+            for name, new, old in (
+                    ("sum", hulls.solid_sum_member, oracles.solid_sum_member),
+                    ("union", hulls.solid_union_member, oracles.solid_union_member),
+                    ("intersect", hulls.solid_intersect_member, oracles.solid_intersect_member)):
+                got = new(A, B, z)
+                assert got == old(A, B, z), (name, A, B, z)
+                verdicts[name].add(got)
+        assert all(v == {True, False} for v in verdicts.values()), verdicts
+        assert all(v >= 100 for v in seen.values()), seen

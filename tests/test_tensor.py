@@ -20,6 +20,7 @@ from tensorlattice.tensor import (
     Membership,
     TensorElement,
     TensorNbhd,
+    _shrink_into,
     base_axiom_check,
     dominating_rank_one,
     matrix_unit,
@@ -303,6 +304,20 @@ def test_base_axiom_check_small_run():
     for axiom in ("additivity", "balance", "translation", "intersection"):
         assert rep["checks"][axiom]["violations"] == 0, axiom
         assert rep["checks"][axiom]["samples"] >= 10
+    assert rep["ok"]
+
+
+def test_base_axiom_intersection_keeps_a_free_direction():
+    # W2's p vanishes on e_2, so W1's generator e_2 lies in {p <= 1} and is
+    # kept as it is; the gauge of p's unit ball, which has no extent along
+    # e_2, is INFINITE there
+    W1 = unit_l1_nbhd()
+    W2 = TensorNbhd.from_seminorms(weighted_l1([1, 0]), weighted_order_unit([1, 1]))
+    e2 = el(0, 1)
+    assert hulls.gauge(W2.left, e2) is elements.INFINITE
+    assert _shrink_into(W1.left, W2.p).generators == (el(1, 0), e2)
+    rep = base_axiom_check(W1, W2, seed=5, samples=10)
+    assert rep["checks"]["intersection"]["violations"] == 0
     assert rep["ok"]
 
 
