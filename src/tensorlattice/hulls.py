@@ -72,6 +72,7 @@ class GeneratedSet:
     decoration: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
         if not self.generators:
             raise ValueError("a generated set needs at least one generator")
         dims = {g.dim for g in self.generators}

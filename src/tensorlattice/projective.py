@@ -482,7 +482,7 @@ def _half_step(p: RieszSeminorm, fixed, u: TensorElement, left: bool):
                   abs(u).coords)
     if found is None:
         raise InfeasibleLP("a cell of |u| lies in no column")
-    value, lam = found
+    value, lam, _ = found
     points = [LatticeElement.sparse(p.dim, d) for _, d in rays]
     return value, [sum((d.scale(a) for d, a in zip(points, lam[t * len(rays):])),
                        LatticeElement.zero(p.dim)) for t in range(len(fixed))]

@@ -1,32 +1,25 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, with no floating point.
 
-Two-phase primal simplex with Bland's rule on a dense Fraction tableau. No
-floating point anywhere: feasibility answers and optima are exact, and with
-the fixed variable order the pivot sequence (hence the returned basic
-solution) is fully deterministic. Problem sizes here are small (tens of rows
-and columns). A pivot updates each row only over the nonzero columns of the
-pivot row; the arithmetic, and so every pivot, is that of the dense update.
-`solve_standard` handles min c.x s.t. Ax = b, x >= 0, and `LinearProgram`
-builds such programs from <=/>=/== rows, one slack column per inequality.
+Bland's rule and a fixed variable order make every pivot sequence, hence
+every returned basic solution, deterministic. The library's programs are
+small (tens of rows and columns) and have three shapes:
 
-The library's programs have three shapes:
+* `feasible`: bare hull membership, Ax = b, x >= 0, by phase 1 with
+  implicit artificial columns; every ``Conv`` and ``Conv_b`` query.
+* `cover`: min c.lam s.t. R lam >= t, lam >= 0, all nonnegative, through
+  its packing dual max t.y s.t. R^T y <= c, y >= 0: a seminorm's value on
+  overlapping rays and the half-steps of alternating minimization.
+* `hulls._box_program`: convex-solid membership and gauges, with split
+  variables and a mass row, through `LinearProgram` and `solve_standard`,
+  the two-phase simplex on a dense Fraction tableau (each row updated only
+  over the nonzero columns of the pivot row).
 
-* `feasible`: bare hull membership, Ax = b, x >= 0, by phase 1 on an integer
-  tableau with exact-division pivots and implicit artificial columns, so no
-  Fraction is made. It answers every ``Conv`` and ``Conv_b`` query, and
-  1,403 of the 1,483 programs of a seed-42 suite.
-* `cover`: min c.lam s.t. R lam >= t, lam >= 0, with R, c and t nonnegative:
-  the value of a seminorm whose rays do not partition its coordinates, and
-  the half-steps of alternating minimization.
-* `hulls._box_program` through `LinearProgram`: convex-solid membership and
-  gauges, with split variables and a mass row.
-
-Those two are covers too, over the boxes |g_k| at cost 1. On perfbench
-hull-lp's seed-42 queries, on a 2-core shared machine, `cover` answered its
-504 convex-solid `member` queries in 0.24-0.34 s against 2.0-2.8 s for
-`_box_program`, and its 126 gauges in 0.11-0.15 s against 1.25-1.90 s, with
-every answer identical. They stay on `_box_program` until the benchmark's
-peak memory stops growing with the number of answers (ROADMAP item 1).
+`feasible` and `cover` share one fraction-free integer pivot, `_bland_step`.
+Box programs are covers too, over the boxes |g_k| at cost 1: on perfbench
+hull-lp's seed-42 queries (2-core shared machine) a cover answered 504
+convex-solid members in 0.24-0.34 s against 2.0-2.8 s and 126 gauges in
+0.11-0.15 s against 1.25-1.90 s, every answer identical. They wait for the
+benchmark's peak memory to stop growing with the answers (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -86,21 +79,54 @@ def _run(tableau, obj, basis, ncols):
         _pivot(tableau, obj, basis, leave, enter)
 
 
+def _bland_step(tableau, obj, basis, ncols, d):
+    """One Bland pivot of the integer tableau: the new `d`, or None at optimality.
+
+    The first of the `ncols` columns with a negative objective entry enters;
+    the least ratio `r[-1] / r[enter]` (cross-multiplied, the smaller basic
+    index on ties) leaves, and `UnboundedLP` is raised when no row limits the
+    column. The rows and `obj` are integers over `d`, the last pivot: a pivot
+    on `p` replaces each other row `a` by `(p*a - f*b) // d`, `b` the pivot
+    row and `f` the entry of `a` in the entering column. Every entry is a
+    minor of the starting tableau, so the division is exact (Edmonds 1967,
+    Bareiss 1968). A row not yet pivoted on may also carry its own positive
+    scale, which no ratio within it sees, so Bland's rule picks as on the
+    rational tableau and cannot cycle.
+    """
+    enter = next((j for j in range(ncols) if obj[j] < 0), None)
+    if enter is None:
+        return None
+    leave = None
+    for i, r in enumerate(tableau):
+        c = r[enter]
+        if c > 0:
+            # r[-1] / c against the least ratio so far, cross-multiplied.
+            diff = r[-1] * best[1] - best[0] * c if leave is not None else -1
+            if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                leave, best = i, (r[-1], c)
+    if leave is None:
+        raise UnboundedLP(f"column {enter} improves without bound")
+    pivot_row = tableau[leave]
+    p = pivot_row[enter]
+    for r in [*tableau, obj]:
+        if r is pivot_row:
+            continue
+        f = r[enter]
+        if f:
+            r[:] = [(p * a - f * b) // d for a, b in zip(r, pivot_row)]
+        elif p != d:
+            r[:] = [p * a // d for a in r]
+    basis[leave] = enter
+    return p
+
+
 def feasible(rows, rhs) -> bool:
-    """Whether {x >= 0 : rows.x == rhs} is nonempty, by phase 1 on an integer tableau.
+    """Whether {x >= 0 : rows.x == rhs} is nonempty, by phase 1 on `_bland_step`.
 
     Entries are ints or Fractions. Each row is scaled by the lcm of its
-    denominators and negated when its rhs is negative. The tableau is
-    [A | b]: one artificial variable per row starts the basis, but its
-    column is never stored, and `basis` holds the indices n..n+m-1 of the
-    artificials only for Bland's tie-break. The tableau holds integers and
-    `d`, the last pivot (the determinant of the basis), divides every one of
-    them into the rational tableau. A pivot on `p` replaces each other row
-    `a`, the objective row included, by `(p*a - f*b) // d`, where `b` is the
-    pivot row and `f` the row's entry in the entering column; the division
-    is exact (Edmonds 1967, Bareiss 1968). Signs and ratio orders are those
-    of the rational tableau of the scaled rows, so Bland's rule picks as it
-    would there; phase 1 stops once the artificial mass is 0.
+    denominators and negated when its rhs is negative. One artificial per
+    row starts the basis, but its column is never stored: `basis` holds the
+    indices n..n+m-1 only for Bland's tie-break. Phase 1 stops at mass 0.
 
     Only real columns enter, and the answer is still exact. Each column of
     the integer tableau is computed on its own, so dropping the artificial
@@ -125,34 +151,14 @@ def feasible(rows, rhs) -> bool:
         return True
     n = len(tableau[0]) - 1
     basis = list(range(n, n + len(tableau)))
-    # Phase 1 minimizes the artificial mass; its value is -obj[-1] / d.
+    # Phase 1 minimizes the artificial mass; its value is -obj[-1] / d, which
+    # is bounded below by 0, so some row limits every entering column.
     obj = [-sum(column) for column in zip(*tableau)]
     d = 1
     while obj[-1]:
-        enter = next((j for j in range(n) if obj[j] < 0), None)
-        if enter is None:
+        d = _bland_step(tableau, obj, basis, n, d)
+        if d is None:
             return False
-        # The phase-1 value is bounded below by 0, so some row limits `enter`.
-        leave = None
-        for i, r in enumerate(tableau):
-            c = r[enter]
-            if c > 0:
-                # r[-1] / c against the least ratio so far, cross-multiplied.
-                diff = r[-1] * best[1] - best[0] * c if leave is not None else -1
-                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
-                    leave, best = i, (r[-1], c)
-        pivot_row = tableau[leave]
-        p = pivot_row[enter]
-        for r in [*tableau, obj]:
-            if r is pivot_row:
-                continue
-            f = r[enter]
-            if f:
-                r[:] = [(p * a - f * b) // d for a, b in zip(r, pivot_row)]
-            elif p != d:
-                r[:] = [p * a // d for a in r]
-        basis[leave] = enter
-        d = p
     return True
 
 
@@ -209,27 +215,40 @@ def solve_standard(rows, rhs, costs):
 
 
 def cover(columns, target):
-    """min sum_k c_k lam_k s.t. sum_k lam_k a_k >= target, lam >= 0; (value, lam).
+    """min sum_k c_k lam_k s.t. sum_k lam_k a_k >= target, lam >= 0: (value, lam, y).
 
     Column k is (c_k, ((row, a_k[row]), ...)), all of it and the target
-    nonnegative. The program is the one `LinearProgram` would build: a >= row
-    per target coordinate, the lam_k, then a surplus column per row. None
-    when a positive target coordinate lies in no column, the only failure
-    nonnegative costs leave; a zero target gets lam = 0 with no LP.
+    nonnegative. `_bland_step` solves the packing dual, max target.y s.t.
+    a_k.y <= c_k, y >= 0, from y = 0 with no phase 1: row k is a_k.y + s_k =
+    c_k times the lcm of its denominators (s_k's entry is that scale), the
+    slacks start the basis, and the objective is -target times the lcm `ts`
+    of its denominators. At the optimum lam_k is the objective entry under
+    s_k and the value its last one, over d * ts, and y the basic values, so
+    target.y == value == c.lam. None exactly when the dual is unbounded,
+    that is when no lam covers the target.
     """
     n, m = len(columns), len(target)
-    if not any(target):
-        return Fraction(0), [Fraction(0)] * n
-    rows = [[0] * (n + m) for _ in range(m)]
-    for k, (_, entries) in enumerate(columns):
-        for r, a in entries:
-            rows[r][k] = a
-    for r, (row, b) in enumerate(zip(rows, target)):
-        if b and not any(row[:n]):
-            return None
-        row[n + r] = -1
-    value, x = solve_standard(rows, target, [c for c, _ in columns] + [0] * m)
-    return value, x[:n]
+    tableau = []
+    for k, (c, entries) in enumerate(columns):
+        scale = lcm(c.denominator, *(a.denominator for _, a in entries))
+        row = [0] * (m + n + 1)
+        for i, a in entries:
+            row[i] = a.numerator * (scale // a.denominator)
+        row[m + k] = scale
+        row[-1] = c.numerator * (scale // c.denominator)
+        tableau.append(row)
+    ts = lcm(*(b.denominator for b in target))
+    obj = [-b.numerator * (ts // b.denominator) for b in target] + [0] * (n + 1)
+    basis = list(range(m, m + n))
+    d = 1
+    try:
+        while (step := _bland_step(tableau, obj, basis, m + n, d)) is not None:
+            d = step
+    except UnboundedLP:
+        return None
+    basic = {i: r[-1] for i, r in zip(basis, tableau)}
+    return (Fraction(obj[-1], d * ts), [Fraction(obj[m + k], d * ts) for k in range(n)],
+            [Fraction(basic.get(i, 0), d) for i in range(m)])
 
 
 class LinearProgram:

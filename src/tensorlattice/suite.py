@@ -21,7 +21,6 @@ no timestamps and serialize with sorted keys.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 from fractions import Fraction
 
 from . import hulls, projective, universal
@@ -199,6 +198,7 @@ def hull_law_suite_sharded(*, triples: int, seed: int, workers: int = 1) -> list
     run_law = functools.partial(hulls.hull_law_suite, triples=triples, seed=seed)
     laws = sorted(hulls.LAW_EXPECTATIONS)
     if workers > 1:
+        import multiprocessing
         with multiprocessing.Pool(workers) as pool:
             return pool.map(run_law, laws, chunksize=1)
     return [run_law(law) for law in laws]

@@ -463,6 +463,18 @@ def test_entry_point_runs_as_subprocess(tmp_path):
     assert json.loads(result.stdout)["z1"] == ["2"]
 
 
+def test_cli_import_leaves_multiprocessing_out():
+    # only a suite run with more than one worker loads it
+    import subprocess
+    import sys
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tensorlattice.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # The tensor JSON boundary under generated payloads
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from tensorlattice.hulls import (
     solid_join_member,
     solid_meet_member,
     solid_sum_member,
+    solid_union_member,
     sum_sets,
+    union_sets,
 )
 from tensorlattice.jsonio import FormatError
 from tensorlattice.rng import SplitStream
@@ -260,6 +262,15 @@ class TestSetAlgebra:
         assert solid_join_member(A, B, el(2, 3))
         assert solid_meet_member(A, B, el(1, 1))
         assert not solid_meet_member(A, B, el(2, 0))
+
+    def test_generators_given_as_a_list_or_a_tuple(self):
+        A = GeneratedSet([el(2, 0)], ("Sol",))
+        B = GeneratedSet((el(0, 2),), ("Sol",))
+        A_tuple = GeneratedSet((el(2, 0),), ("Sol",))
+        assert A == A_tuple and hash(A) == hash(A_tuple)
+        assert union_sets(A, B) == union_sets(A_tuple, B)
+        for z in (el(1, 0), el(0, 2), el(1, 1)):
+            assert solid_union_member(A, B, z) == solid_union_member(A_tuple, B, z)
 
 
 def check_law(law, A, B=None, *, samples, seed, **operands):

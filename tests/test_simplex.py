@@ -464,14 +464,39 @@ def _cover_by_builder(columns, target):
         return None
 
 
+def _check_cover(columns, target, found):
+    """`found` is a cover's (value, lam, y): lam covers the target at cost
+    value, y packs under every column's cost at profit value."""
+    value, lam, y = found
+    assert len(lam) == len(columns) and all(a >= 0 for a in lam)
+    assert len(y) == len(target) and all(b >= 0 for b in y)
+    for i, b in enumerate(target):
+        assert sum(a * dict(entries).get(i, 0) for a, (_, entries) in zip(lam, columns)) >= b
+    assert all(sum(y[i] * a for i, a in entries) <= c for c, entries in columns)
+    assert sum(a * c for a, (c, _) in zip(lam, columns)) == value
+    assert sum(b * t for b, t in zip(y, target)) == value
+
+
+def _solved(columns, target):
+    """`cover`'s (value, lam), its certificates checked, or None."""
+    found = simplex.cover(columns, target)
+    if found is None:
+        return None
+    _check_cover(columns, target, found)
+    return found[:2]
+
+
 def test_cover_against_the_builder_and_scipy():
     optimize = pytest.importorskip("scipy.optimize")
     rng = SplitStream(2024).split("cover")
     seen = {"solved": 0, "uncovered": 0, "zero target": 0, "zero rows": 0, "free columns": 0}
     for t in range(400):
         columns, target = _random_cover(rng.split(t))
-        found = simplex.cover(columns, target)
-        assert found == _cover_by_builder(columns, target), (columns, target)
+        found, ref = _solved(columns, target), _cover_by_builder(columns, target)
+        # A degenerate optimum has several optimal lam: compare the values
+        # (`_solved` checks lam and y against their own inequalities).
+        assert (found is None) == (ref is None), (columns, target)
+        assert found is None or found[0] == ref[0], (columns, target)
         res = optimize.linprog(
             [float(c) for c, _ in columns],
             A_ub=[[-float(dict(entries).get(i, 0)) for _, entries in columns]
@@ -485,13 +510,8 @@ def test_cover_against_the_builder_and_scipy():
             assert res.status == 2
             seen["uncovered"] += 1
             continue
-        value, lam = found
+        value = found[0]
         assert res.status == 0 and abs(float(value) - res.fun) < 1e-7, (value, res.fun)
-        assert len(lam) == len(columns) and all(a >= 0 for a in lam)
-        covered = [sum((a * dict(entries).get(i, 0) for a, (_, entries) in zip(lam, columns)),
-                       Fraction(0)) for i in range(len(target))]
-        assert all(c >= b for c, b in zip(covered, target))
-        assert sum(a * c for a, (c, _) in zip(lam, columns)) == value
         seen["solved"] += 1
         seen["zero target"] += not any(target)
         seen["zero rows"] += any(b == 0 for b in target)
@@ -499,16 +519,77 @@ def test_cover_against_the_builder_and_scipy():
     assert min(seen.values()) >= 20, seen
 
 
+def _any_cover(r):
+    """Covers of 0-7 rows and columns, denominators up to 4: empty and
+    cost-0 columns, zero target rows, now and then an all-zero target and a
+    positive target coordinate that no column covers."""
+    m, n = r.randint(0, 7), r.randint(0, 7)
+    uncovered = r.randint(0, m) if r.randint(0, 3) == 0 else None
+
+    def entry(hi):
+        return r.fraction(0, hi, r.randint(1, 4))
+
+    columns = []
+    for _ in range(n):
+        cost = Fraction(0) if r.randint(0, 4) == 0 else entry(3)
+        entries = () if r.randint(0, 5) == 0 else tuple(
+            (i, entry(2)) for i in range(m) if i != uncovered and r.randint(0, 2))
+        columns.append((cost, entries))
+    zero = r.randint(0, 7) == 0
+    target = [Fraction(0) if zero or not r.randint(0, 2) else entry(3) for _ in range(m)]
+    if uncovered is not None and uncovered < m:
+        target[uncovered] = r.fraction(1, 3, r.randint(1, 4))
+    return columns, target
+
+
+def test_cover_dual_certificates():
+    """On 1,200 random covers the dual returns lam and y that certify the
+    builder's value, and None exactly when the builder finds no cover."""
+    rng = SplitStream(2026).split("cover-dual")
+    seen = {"solved": 0, "none": 0, "no rows": 0, "no columns": 0, "empty column": 0,
+            "free column": 0, "zero target": 0, "zero row": 0, "denominator 3": 0}
+    for t in range(1200):
+        columns, target = _any_cover(rng.split(t))
+        found, ref = _solved(columns, target), _cover_by_builder(columns, target)
+        assert (found is None) == (ref is None), (columns, target)
+        if found is None:
+            seen["none"] += 1
+            continue
+        assert found[0] == ref[0], (columns, target)
+        seen["solved"] += 1
+        seen["no rows"] += not target
+        seen["no columns"] += not columns
+        seen["empty column"] += any(not entries for _, entries in columns)
+        seen["free column"] += any(c == 0 for c, _ in columns)
+        seen["zero target"] += bool(target) and not any(target)
+        seen["zero row"] += any(b == 0 for b in target)
+        seen["denominator 3"] += any(b.denominator == 3 for b in target)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_cover_fixtures():
     one = Fraction(1)
     # (1, 1) under (1, 1) at cost 1, or under two unit columns at cost 1 each
     columns = [(one, ((0, one), (1, one))), (one, ((0, one),)), (one, ((1, one),))]
-    assert simplex.cover(columns, [one, one]) == (1, [1, 0, 0])
+    assert _solved(columns, [one, one]) == (1, [1, 0, 0])
     # a cost-0 column covers its row for free
-    assert simplex.cover([(Fraction(0), ((0, one),)), (one, ((1, 2),))], [5, 3]) == \
+    assert _solved([(Fraction(0), ((0, one),)), (one, ((1, 2),))], [5, 3]) == \
         (Fraction(3, 2), [5, Fraction(3, 2)])
     # a zero target coordinate may lie in no column; a positive one may not
-    assert simplex.cover([(one, ((0, one),))], [2, 0]) == (2, [2])
-    assert simplex.cover([(one, ((0, one),))], [2, 1]) is None
-    # a zero target solves no LP
-    assert simplex.cover([(one, ((0, one),))], [0, 0]) == (0, [0])
+    assert _solved([(one, ((0, one),))], [2, 0]) == (2, [2])
+    assert _solved([(one, ((0, one),))], [2, 1]) is None
+    # a zero target is covered by lam = 0, and y = 0 certifies it
+    assert simplex.cover([(one, ((0, one),))], [0, 0]) == (0, [0], [0, 0])
+    # a row scale other than 1: lam reads the slack's entry as it stands
+    assert simplex.cover([(Fraction(1, 3), ((0, Fraction(1, 2)),))], [1]) == \
+        (Fraction(2, 3), [2], [Fraction(2, 3)])
+
+
+def test_suites_leave_the_fraction_tableau(monkeypatch):
+    """Every program of a seed-42 suite and of the starved seed-7 suite runs
+    on the integer pivot: neither calls `solve_standard`."""
+    calls = []
+    monkeypatch.setattr(simplex, "solve_standard", lambda *args: calls.append(args))
+    run_suite(seed=42)
+    run_suite(seed=7, triples=6, samples=12, k_max=1, restarts=1)
+    assert calls == []
