@@ -6,6 +6,7 @@ one positive denominator, in lowest terms, and its operations run on those
 integers; `fractions.Fraction` stays the interface, for inputs and for the
 `coords` view. On top of the element type this module provides:
 
+* `combination`, the one kernel for exact linear combinations sum c_k x_k,
 * the constructive Riesz decomposition and disjointification used by the
   hull identities,
 * Riesz seminorms of three kinds (weighted l1, weighted order-unit, and
@@ -13,7 +14,7 @@ integers; `fractions.Fraction` stays the interface, for inputs and for the
   `RaySeminorm`, the base that `projective.TensorSeminorm` shares,
 * seminorm families with a computed separating flag,
 * lattice homomorphisms between coordinate lattices (nonnegative matrices
-  with pairwise disjoint columns).
+  with pairwise disjoint columns), applied on integers by `combination`.
 """
 
 from __future__ import annotations
@@ -220,6 +221,24 @@ def _element(num: tuple[int, ...], den: int) -> LatticeElement:
     _set(out, "num", num)
     _set(out, "den", den)
     return out
+
+
+def combination(terms, like: LatticeElement, den: int = 1) -> LatticeElement:
+    """sum c_k x_k / den over the (c_k, x_k) pairs, each c_k an int or a Fraction,
+    as an element of the lattice of `like` (flat or shaped, through `like._like`).
+
+    Zero coefficients are skipped; the numerators are summed over the lcm of
+    the terms' denominators and reduced with one gcd.
+    """
+    terms = [(c, x) for c, x in terms if c]
+    common = lcm(*(c.denominator * x.den for c, x in terms))
+    num = [0] * like.dim
+    for c, x in terms:
+        f = c.numerator * (common // (c.denominator * x.den))
+        for i, a in enumerate(x.num):
+            if a:
+                num[i] += f * a
+    return like._like(*_lowest(tuple(num), den * common))
 
 
 def riesz_decompose(z: LatticeElement, x: LatticeElement, y: LatticeElement):
@@ -481,6 +500,8 @@ class LatticeHom:
 
     def __post_init__(self):
         for j, row in enumerate(self.rows):
+            if len(row) != self.source_dim:
+                raise DimensionMismatch(f"hom row {j} has {len(row)} entries, row 0 has {self.source_dim}")
             nonzero = 0
             for i, a in enumerate(row):
                 if a < 0:
@@ -496,11 +517,11 @@ class LatticeHom:
     def source_dim(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
+    @cached_property
+    def _columns(self) -> tuple[LatticeElement, ...]:
+        return tuple(LatticeElement(column) for column in zip(*self.rows))
+
     def apply(self, x: LatticeElement) -> LatticeElement:
         if x.dim != self.source_dim:
             raise DimensionMismatch(f"hom over dim {self.source_dim} applied to dim {x.dim}")
-        return LatticeElement(
-            tuple(
-                sum((a * c for a, c in zip(row, x.coords)), Fraction(0)) for row in self.rows
-            )
-        )
+        return combination(zip(x.num, self._columns), LatticeElement.zero(len(self.rows)), x.den)

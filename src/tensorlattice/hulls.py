@@ -50,6 +50,7 @@ from .elements import (
     LatticeHom,
     _element,
     _lowest,
+    combination,
     riesz_decompose,
 )
 from .jsonio import FormatError, _quote, require_key
@@ -348,8 +349,8 @@ def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
 
     A combination is sum_k c_k g_k / D over the raw integer weights of the
     stream: c_k = r_k and D = sum r for ``Conv``; c_k = m r_k and
-    D = 16 sum |r| for ``Conv_b`` (mass m/16, signed r). The generators are
-    summed as numerators over one denominator.
+    D = 16 sum |r| for ``Conv_b`` (mass m/16, signed r), summed by
+    `elements.combination` in the generators' lattice.
     """
     gens = S.generators
     deco = S.decoration
@@ -368,14 +369,7 @@ def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
         raise UnsupportedDecoration(f"sampling not implemented for decoration {_quote(deco)}")
     if deco[0] == SOL:
         gens = [sample_box_point(rng, g) for g in gens]  # drawn after the weights
-    den = lcm(*(g.den for g in gens))
-    num = [0] * S.dim
-    for c, g in zip(coeffs, gens):
-        if c:
-            f = c * (den // g.den)
-            for i, a in enumerate(g.num):
-                num[i] += f * a
-    return _element(*_lowest(tuple(num), den * scale))
+    return combination(zip(coeffs, gens), gens[0], scale)
 
 
 def random_element(rng: SplitStream, dim: int, lo=-3, hi=3) -> LatticeElement:

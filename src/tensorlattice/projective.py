@@ -67,6 +67,7 @@ from .elements import (
     UnsupportedSeminormKind,
     _element,
     _lowest,
+    combination,
 )
 from .hulls import _close, _report, _violation, random_element, sample_box_point
 from .jsonio import FormatError, _quote, as_fraction, fraction_str, require_key
@@ -484,8 +485,8 @@ def _half_step(p: RieszSeminorm, fixed, u: TensorElement, left: bool):
         raise InfeasibleLP("a cell of |u| lies in no column")
     value, lam, _ = found
     points = [LatticeElement.sparse(p.dim, d) for _, d in rays]
-    return value, [sum((d.scale(a) for d, a in zip(points, lam[t * len(rays):])),
-                       LatticeElement.zero(p.dim)) for t in range(len(fixed))]
+    zero = LatticeElement.zero(p.dim)
+    return value, [combination(zip(lam[t * len(rays):], points), zero) for t in range(len(fixed))]
 
 
 def _alternating_minimization(p, q, u, k: int, rng: SplitStream):

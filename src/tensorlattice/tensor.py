@@ -42,6 +42,7 @@ from .elements import (
     _element,
     _lowest,
     _set,
+    combination,
 )
 from .hulls import (
     CONV,
@@ -229,12 +230,14 @@ class TensorNbhd:
     q: RieszSeminorm
 
     def __post_init__(self):
-        for name, side in (("left", self.left), ("right", self.right)):
+        for name, side, p in (("left", self.left, self.p), ("right", self.right, self.q)):
             if side.decoration not in _CONVEX_SOLID:
                 raise ValueError(
                     f"{name} factor must be convex-solid (decoration Sol then Conv/Conv_b), "
                     f"got {_quote(side.decoration)}"
                 )
+            if side.dim != p.dim:
+                raise DimensionMismatch(f"{name} factor has dim {side.dim}, its seminorm dim {p.dim}")
 
     @staticmethod
     def from_seminorms(p: RieszSeminorm, q: RieszSeminorm) -> "TensorNbhd":
@@ -306,34 +309,28 @@ def sample_nbhd_point(U: GeneratedSet, V: GeneratedSet, rng: SplitStream, margin
     lams = rng.balanced_weights(count, ceiling=1 - margin)
     shrink = 1 - margin
     witness = []
-    u = TensorElement.zero(U.dim, V.dim)
     for k in range(count):
         trng = rng.split("term", k)
         x = sample_hull_point(trng.split("x"), U).scale(shrink)
         y = sample_hull_point(trng.split("y"), V).scale(shrink)
         z = sample_box_point(trng.split("z"), rank_one(x, y))
         witness.append((lams[k], z, x, y))
-        u = u + z.scale(lams[k])
-    return u, witness
+    return combination(((lam, z) for lam, z, _, _ in witness), witness[0][1]), witness
 
 
 def verify_nbhd_witness(W: TensorNbhd, u: TensorElement, witness) -> bool:
     """Exact check of a witness for u in W(U, V) (format above).
 
     Each factor point is checked against U = {p <= 1} and V = {q <= 1}, as
-    `nbhd_member` does.
+    `nbhd_member` does, and sum lam_k z_k is formed once, by
+    `elements.combination`, to compare with u.
     """
-    total = Fraction(0)
-    acc = TensorElement.zero(*W.shape)
-    for lam, z, x, y in witness:
-        lam = as_fraction(lam)
-        total += abs(lam)
-        if not abs(z).le(rank_one(abs(x), abs(y))):
+    for _, z, x, y in witness:
+        if not (abs(z).le(rank_one(abs(x), abs(y))) and W.p(x) <= 1 and W.q(y) <= 1):
             return False
-        if not (W.p(x) <= 1 and W.q(y) <= 1):
-            return False
-        acc = acc + z.scale(lam)
-    return total <= 1 and acc == u
+    terms = [(as_fraction(lam), z) for lam, z, _, _ in witness]
+    return (sum(abs(lam) for lam, _ in terms) <= 1
+            and combination(terms, TensorElement.zero(*W.shape)) == u)
 
 
 def _signed_padded(witness):

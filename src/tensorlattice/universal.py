@@ -6,7 +6,8 @@ disjoint in the target lattice (g_ij and g_kl meet at zero whenever
 (i, j) != (k, l)). Every such grid induces a unique lattice homomorphism on
 the tensor model, u |-> sum_ij u_ij g_ij (Fremlin's universal property),
 and `LatticeBimorphism.apply` is that map: it factors the bimorphism
-through rank-ones, T(x (x) y) = Phi(x, y).
+through rank-ones, T(x (x) y) = Phi(x, y). Both are one call of
+`elements.combination` over the image grid.
 
 The induced map is checked both algebraically (join, absolute value, and
 solidity preservation, which genuinely fail when the disjointness premise
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm, _element, _lowest
+from .elements import INFINITE, DimensionMismatch, LatticeElement, RieszSeminorm, combination
 from .jsonio import fraction_str
 from .rng import SplitStream
 from .tensor import (
@@ -103,30 +103,14 @@ class LatticeBimorphism:
     def target_dim(self) -> int:
         return self.images[0][0].dim
 
-    def _image_sum(self, terms, den: int) -> LatticeElement:
-        """sum c images[i][j] / den over the terms (i, j, c), c an integer.
-
-        The images are summed as numerators over the lcm of their denominators.
-        """
-        terms = list(terms)
-        common = lcm(*(self.images[i][j].den for i, j, _ in terms))
-        num = [0] * self.target_dim
-        for i, j, c in terms:
-            g = self.images[i][j]
-            c *= common // g.den
-            for k, a in enumerate(g.num):
-                if a:
-                    num[k] += c * a
-        return _element(*_lowest(tuple(num), den * common))
-
     def __call__(self, x: LatticeElement, y: LatticeElement) -> LatticeElement:
         n, m = self.source_shape
         if x.dim != n or y.dim != m:
             raise DimensionMismatch(
                 f"bimorphism over ({n},{m}) applied to dims ({x.dim},{y.dim})"
             )
-        return self._image_sum(((i, j, a * b) for i, a in enumerate(x.num) if a
-                                for j, b in enumerate(y.num) if b), x.den * y.den)
+        return combination(((a * b, g) for a, row in zip(x.num, self.images)
+                            for b, g in zip(y.num, row)), self.images[0][0], x.den * y.den)
 
     def apply(self, u: TensorElement) -> LatticeElement:
         """The induced map T(u) = sum_ij u_ij Phi(e_i, f_j)."""
@@ -134,8 +118,8 @@ class LatticeBimorphism:
             raise DimensionMismatch(
                 f"induced map over {self.source_shape} applied to {u.shape}"
             )
-        m = self.source_shape[1]
-        return self._image_sum(((k // m, k % m, c) for k, c in enumerate(u.num) if c), u.den)
+        images = (g for row in self.images for g in row)
+        return combination(zip(u.num, images), self.images[0][0], u.den)
 
 
 def hom_property_report(phi: LatticeBimorphism, *, samples: int, seed: int) -> dict:

@@ -31,9 +31,10 @@ different mathematical reduction:
   the production code runs the two box kernels;
 * the random-instance layer as it drew before its integer forms (words
   through `next_word`, uncached label words, instances built from
-  Fractions), phase 1 with stored artificial columns, and the image sums of
-  `Decomposition.bound` and `LatticeBimorphism` one element at a time (the
-  last section).
+  Fractions), phase 1 with stored artificial columns, the image sums of
+  `Decomposition.bound` and `LatticeBimorphism` one element at a time, and
+  `LatticeHom.apply` on Fractions, where the production code runs
+  `elements.combination` (the last section).
 """
 
 import hashlib
@@ -545,8 +546,9 @@ def solid_intersect_member(A, B, z: LatticeElement) -> bool:
 # ---------------------------------------------------------------------------
 # The stream's draws through `next_word` and an uncached blake2b label word,
 # the random instances built from Fractions, `simplex.feasible` with its
-# artificial columns stored, and the sums of `Decomposition.bound` and
-# `LatticeBimorphism` added one scaled element at a time.
+# artificial columns stored, the sums of `Decomposition.bound` and
+# `LatticeBimorphism` added one scaled element at a time, and
+# `LatticeHom.apply` summed on Fractions.
 
 
 def label_word(label) -> int:
@@ -663,3 +665,9 @@ def bimorphism_apply(phi, u: TensorElement) -> LatticeElement:
         if c != 0:
             total = total + phi.images[k // m][k % m].scale(c)
     return total
+
+
+def hom_apply(hom, x: LatticeElement) -> LatticeElement:
+    return LatticeElement(tuple(
+        sum((a * c for a, c in zip(row, x.coords)), Fraction(0)) for row in hom.rows
+    ))

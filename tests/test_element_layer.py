@@ -18,6 +18,8 @@ from tensorlattice import hulls
 from tensorlattice.elements import (
     DimensionMismatch,
     LatticeElement,
+    LatticeHom,
+    combination,
     polyhedral_gauge,
     weighted_l1,
     weighted_order_unit,
@@ -216,6 +218,51 @@ class TestRepresentation:
             assert x.coords == tuple(Fraction(a, x.den) for a in x.num)
         assert LatticeElement((Fraction(6, 4), 2)).coords == (Fraction(3, 2), Fraction(2))
         assert LatticeElement.sparse(3, ((2, Fraction(2, 6)),)).coords[2].denominator == 3
+
+
+class TestCombination:
+    def test_against_chained_add_and_scale(self):
+        r = random.Random(27)
+        seen = set()
+        for _ in range(2400):
+            dim = r.randint(0, 6)
+            shape = draw_shape(r, dim)
+            like = element_of(draw_coords(r, dim), shape)
+            terms = [(draw_value(r), element_of(draw_coords(r, dim), shape))
+                     for _ in range(r.choice((0, 1, 2, 3, 5)))]
+            den = r.choice((1, r.randint(1, 10**6)))
+            expected = element_of((0,) * dim, shape)
+            for c, x in terms:
+                expected = expected + x.scale(c)
+            got = combination(terms, like, den)
+            assert_holds(got, expected.scale(Fraction(1, den)).coords, like)
+            seen.update(("empty",) if not terms else
+                        (type(c).__name__ + ("-zero" if c == 0 else "-neg" if c < 0 else "")
+                         for c, _ in terms))
+            seen.add(("flat" if shape is None else "tensor", got.is_zero(), den > 1))
+        assert {"empty", "int", "int-zero", "int-neg", "Fraction", "Fraction-zero",
+                "Fraction-neg"} <= seen
+        assert {(kind, zero, den) for kind in ("flat", "tensor")
+                for zero in (False, True) for den in (False, True)} <= seen
+
+    def test_hom_apply_against_the_fraction_body(self):
+        r = random.Random(28)
+        seen = set()
+        for _ in range(1200):
+            target = r.randint(0, 4)
+            source = r.randint(0, 4) if target else 0
+            rows = [[0] * source for _ in range(target)]
+            for row in rows:
+                if source and r.randrange(4):  # a quarter of the rows stay zero
+                    row[r.randrange(source)] = abs(draw_value(r))
+            h = LatticeHom(tuple(tuple(map(Fraction, row)) for row in rows))
+            x = LatticeElement(draw_coords(r, h.source_dim))
+            assert_holds(h.apply(x), oracles.hom_apply(h, x).coords, LatticeElement.zero(target))
+            seen.add(("source-0", h.source_dim == 0))
+            seen.add(("zero-row", any(not any(row) for row in rows)))
+            seen.add(("zero-column", any(not any(col) for col in zip(*rows))))
+        assert {(k, v) for k in ("source-0", "zero-row", "zero-column")
+                for v in (False, True)} <= seen
 
 
 class TestSamplersDrawForDraw:

@@ -345,6 +345,13 @@ class TestLatticeHom:
         with pytest.raises(ValueError):
             hom([[-1, 0]])
 
+    def test_rejects_ragged_rows(self):
+        # zip would drop the 1 past source_dim: (3,) would map to (3, 0)
+        with pytest.raises(DimensionMismatch, match="hom row 1 has 2 entries, row 0 has 1"):
+            hom([[1], [0, 1]])
+        with pytest.raises(DimensionMismatch, match="hom row 2 has 1 entries"):
+            hom([[1, 0], [0, 0], [1]])
+
 
 class TestJson:
     def test_element_round_trip(self):

@@ -224,6 +224,13 @@ class TestNbhdMembership:
         with pytest.raises(DimensionMismatch):
             nbhd_member(W, TensorElement.make([[1, 0, 0]]))
 
+    def test_factor_dims_must_match_their_seminorms(self):
+        ball3, p = unit_l1_ball(3), weighted_l1([1, 1])
+        with pytest.raises(DimensionMismatch, match="left factor has dim 3"):
+            TensorNbhd(ball3, unit_l1_ball(2), p, p)
+        with pytest.raises(DimensionMismatch, match="right factor has dim 3"):
+            TensorNbhd(unit_l1_ball(2), ball3, p, p)
+
 
 def test_sample_box_point_keeps_the_tensor_shape():
     rng = SplitStream(53).split("box")
