@@ -15,11 +15,15 @@ Membership is exact and tries the cheap decisions first:
    member of all three without further work;
 3. span check: a convex-solid point outside every box that is nonzero where
    all boxes vanish is rejected;
-4. LP: what is left is one rational feasibility program. ``Conv`` and
-   ``Conv_b`` of bare generators (and sums of such hulls) go straight to
-   it: a mass row per block, one slack column per ``Conv_b`` block, then
-   the coordinates of x, decided by `simplex.feasible` on an integer
-   tableau. ``Conv(Sol(G))`` and
+4. generator box: ``Conv(G)`` lies in the box ``min g_i <= x_i <= max g_i``
+   and ``Conv_b(G)`` in ``|x_i| <= max |g_i|``, and a sum of such hulls in
+   the sum of their boxes, so a point outside it is rejected; on a line
+   each hull is its box, so a point inside it is a member;
+5. LP: what is left is one rational feasibility program. ``Conv`` and
+   ``Conv_b`` of bare generators (and sums of such hulls) go to it from
+   the generator box: a mass row per block, one slack column per
+   ``Conv_b`` block, then the coordinates of x, decided by
+   `simplex.feasible` on the integer rows. ``Conv(Sol(G))`` and
    ``Conv_b(Sol(G))`` are one set: every box is symmetric and contains 0, so
    a combination of total weight below 1 puts the rest of its mass on 0.
    Both are decided by one program with the mass row ``sum lam_k == 1``, and
@@ -118,29 +122,45 @@ def _check_dim(S: GeneratedSet, x: LatticeElement):
 
 
 def _sum_hull_member(blocks, x, balanced: bool) -> bool:
-    """x in hull(G_1) + ... + hull(G_k), one feasibility program: a mass row per
-    block, then x coordinate-wise.
+    """x in hull(G_1) + ... + hull(G_k), on integers over one denominator.
 
-    Each block gets its own weights: convex (sum == 1) or balanced (positive
-    and negative parts, plus one slack column, summing to 1). One block is
-    plain hull membership.
+    Each hull lies in its generators' box, [min g_i, max g_i] for ``Conv``
+    and |x_i| <= max |g_i| for ``Conv_b``, so a point outside the sum of the
+    boxes is rejected. On a line each hull is its box, and so is the sum, so
+    a point inside it is a member. Otherwise one feasibility program
+    decides: a mass row per block, then x coordinate-wise. Each block gets
+    its own weights: convex (sum == 1) or balanced (positive and negative
+    parts, plus one slack column, summing to 1). One block is plain hull
+    membership.
     """
+    den = lcm(x.den, *(g.den for gens in blocks for g in gens))
+    xs = [a * (den // x.den) for a in x.num]
+    # coords[b][i]: coordinate i of every generator of block b, over den
+    coords = [list(zip(*([a * (den // g.den) for a in g.num] for g in gens))) for gens in blocks]
+    for i, a in enumerate(xs):
+        if balanced:
+            high = sum(max(map(abs, block[i])) for block in coords)
+            low = -high
+        else:
+            low = sum(min(block[i]) for block in coords)
+            high = sum(max(block[i]) for block in coords)
+        if not low <= a <= high:
+            return False
+    if len(xs) <= 1:
+        return True
     signs = (1, -1) if balanced else (1,)
-    columns = [(b, s, g) for b, gens in enumerate(blocks) for s in signs for g in gens]
+    owners = [b for b, gens in enumerate(blocks) for _ in signs for _ in gens]
     slacks = range(len(blocks)) if balanced else ()
-    mass = [[int(b == k) for b, _, _ in columns] + [int(s == k) for s in slacks]
+    mass = [[int(b == k) for b in owners] + [int(s == k) for s in slacks]
             for k in range(len(blocks))]
-    # Coordinate row i over the one denominator `den` is integral; divided by
-    # its gcd with den it is the row `feasible` scales a Fraction row to.
-    den = lcm(x.den, *(g.den for _, _, g in columns))
-    factors = [(s * (den // g.den), g.num) for _, s, g in columns]
+    # Coordinate row i divided by its gcd with den is the Fraction row scaled
+    # by the lcm of its denominators.
     rows, rhs = [], []
-    for i, a in enumerate(x.num):
-        row = [f * num[i] for f, num in factors]
-        b = a * (den // x.den)
-        g = gcd(den, b, *row)
+    for i, a in enumerate(xs):
+        row = [s * c for block in coords for s in signs for c in block[i]]
+        g = gcd(den, a, *row)
         rows.append([c // g for c in row] + [0] * len(slacks))
-        rhs.append(b // g)
+        rhs.append(a // g)
     return feasible(mass + rows, [1] * len(blocks) + rhs)
 
 
@@ -325,23 +345,31 @@ def solid_intersect_member(A: GeneratedSet, B: GeneratedSet, z: LatticeElement) 
 # ---------------------------------------------------------------------------
 
 
-def sample_box_point(rng: SplitStream, bound: LatticeElement) -> LatticeElement:
-    """A point of the box |x| <= |bound| on the quarter grid, of the bound's type and shape.
+# Each box grid 1/d, d in 1..4, lies on the grid 1/12: 12 = lcm(1, 2, 3, 4).
+_BOX_GRID = 12
+
+
+def _box_draw(rng: SplitStream, bound: LatticeElement) -> tuple[int, ...]:
+    """The numerators over _BOX_GRID of a point of the box |x| <= |bound|.
 
     Each nonzero coordinate c draws a grid 1/d, d in 1..4, then a multiple
     k/d with |k| <= |c| d, as `SplitStream.fraction(-|c|, |c|, 4)` does.
     """
     den = bound.den
-    draws = []
+    num = []
     for a in bound.num:
         if a:
             d = rng.randint(1, 4)
             h = abs(a) * d // den
-            draws.append((rng.randint(-h, h), d))
+            num.append(rng.randint(-h, h) * (_BOX_GRID // d))
         else:
-            draws.append((0, 1))
-    grid = lcm(*(d for _, d in draws))
-    return bound._like(*_lowest(tuple(k * (grid // d) for k, d in draws), grid))
+            num.append(0)
+    return tuple(num)
+
+
+def sample_box_point(rng: SplitStream, bound: LatticeElement) -> LatticeElement:
+    """A point of the box |x| <= |bound| on the quarter grid, of the bound's type and shape."""
+    return bound._like(*_lowest(_box_draw(rng, bound), _BOX_GRID))
 
 
 def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
@@ -350,7 +378,9 @@ def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
     A combination is sum_k c_k g_k / D over the raw integer weights of the
     stream: c_k = r_k and D = sum r for ``Conv``; c_k = m r_k and
     D = 16 sum |r| for ``Conv_b`` (mass m/16, signed r), summed by
-    `elements.combination` in the generators' lattice.
+    `elements.combination` in the generators' lattice. Under ``Sol`` each
+    g_k is a box point, drawn after the weights as numerators over
+    _BOX_GRID and summed straight into the combination's.
     """
     gens = S.generators
     deco = S.decoration
@@ -368,7 +398,9 @@ def sample_hull_point(rng: SplitStream, S: GeneratedSet) -> LatticeElement:
     else:
         raise UnsupportedDecoration(f"sampling not implemented for decoration {_quote(deco)}")
     if deco[0] == SOL:
-        gens = [sample_box_point(rng, g) for g in gens]  # drawn after the weights
+        boxes = [_box_draw(rng, g) for g in gens]
+        num = tuple(sum(map(operator.mul, coeffs, column)) for column in zip(*boxes))
+        return gens[0]._like(*_lowest(num, _BOX_GRID * scale))
     return combination(zip(coeffs, gens), gens[0], scale)
 
 

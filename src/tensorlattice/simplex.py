@@ -4,8 +4,9 @@ Bland's rule and a fixed variable order make every pivot sequence, hence
 every returned basic solution, deterministic. The library's programs are
 small (tens of rows and columns) and have three shapes:
 
-* `feasible`: bare hull membership, Ax = b, x >= 0, by phase 1 with
-  implicit artificial columns; every ``Conv`` and ``Conv_b`` query.
+* `feasible`: bare hull membership, Ax = b, x >= 0 on integer rows, by
+  phase 1 with implicit artificial columns; every ``Conv`` and ``Conv_b``
+  query that its generators' box neither rejects nor settles on a line.
 * `cover`: min c.lam s.t. R lam >= t, lam >= 0, all nonnegative, through
   its packing dual max t.y s.t. R^T y <= c, y >= 0: a seminorm's value on
   overlapping rays and the half-steps of alternating minimization.
@@ -123,10 +124,11 @@ def _bland_step(tableau, obj, basis, ncols, d):
 def feasible(rows, rhs) -> bool:
     """Whether {x >= 0 : rows.x == rhs} is nonempty, by phase 1 on `_bland_step`.
 
-    Entries are ints or Fractions. Each row is scaled by the lcm of its
-    denominators and negated when its rhs is negative. One artificial per
-    row starts the basis, but its column is never stored: `basis` holds the
-    indices n..n+m-1 only for Bland's tie-break. Phase 1 stops at mass 0.
+    The rows and the right-hand side are integers; a caller scales a
+    rational program row by row. A row is negated when its rhs is negative.
+    One artificial per row starts the basis, but its column is never
+    stored: `basis` holds the indices n..n+m-1 only for Bland's tie-break.
+    Phase 1 stops at mass 0.
 
     Only real columns enter, and the answer is still exact. Each column of
     the integer tableau is computed on its own, so dropping the artificial
@@ -137,16 +139,7 @@ def feasible(rows, rhs) -> bool:
     solves with mass 0, so there is none. Bland's rule cannot cycle on the
     restricted program either.
     """
-    tableau = []
-    for row, b in zip(rows, rhs):
-        scale = lcm(b.denominator, *(a.denominator for a in row))
-        ints = [a.numerator * (scale // a.denominator) for a in row]
-        b = b.numerator * (scale // b.denominator)
-        if b < 0:
-            ints = [-a for a in ints]
-            b = -b
-        ints.append(b)
-        tableau.append(ints)
+    tableau = [[*row, b] if b >= 0 else [-a for a in row] + [-b] for row, b in zip(rows, rhs)]
     if not tableau:
         return True
     n = len(tableau[0]) - 1

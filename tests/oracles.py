@@ -16,7 +16,10 @@ different mathematical reduction:
 * bare hull membership via the generic program builder: `sum_hull_member_lp`
   states ``x in hull(G_1) + ... + hull(G_k)`` through `LinearProgram` and
   decides it with the Fraction two-phase simplex, where the production code
-  builds the integer phase-1 tableau of `simplex.feasible` directly;
+  rejects outside its generators' box, accepts on a line, and otherwise
+  builds the integer phase-1 tableau of `simplex.feasible` directly
+  (`sum_hull_rows` states that program on Fractions, and `integer_program`
+  scales a Fraction program to the integer rows `feasible` takes);
 * dual values via a generic linear program (`dual_lower_bound_lp` below,
   which writes out each kind pair's domination constraints by hand instead
   of deriving them from the ray pairs) and, for the simplex itself, scipy's
@@ -592,14 +595,34 @@ def random_bare_generators(rng, dim, max_gens=4):
                  for _ in range(count))
 
 
+def integer_program(rows, rhs):
+    """rows.x == rhs on integers: each row and its rhs times the lcm of their denominators."""
+    int_rows, int_rhs = [], []
+    for row, b in zip(rows, rhs):
+        scale = lcm(b.denominator, *(a.denominator for a in row))
+        int_rows.append([a.numerator * (scale // a.denominator) for a in row])
+        int_rhs.append(b.numerator * (scale // b.denominator))
+    return int_rows, int_rhs
+
+
+def sum_hull_rows(blocks, x: LatticeElement, balanced: bool):
+    """x in hull(G_1) + ... + hull(G_k) as Fraction rows: a mass row per block
+    (its columns, and its slack when balanced, summing to 1), then x."""
+    signs = (1, -1) if balanced else (1,)
+    columns = [(b, s, g) for b, gens in enumerate(blocks) for s in signs for g in gens]
+    slacks = range(len(blocks)) if balanced else ()
+    mass = [[Fraction(b == k) for b, _, _ in columns] + [Fraction(s == k) for s in slacks]
+            for k in range(len(blocks))]
+    rows = [[s * g.coords[i] for _, s, g in columns] + [Fraction(0)] * len(slacks)
+            for i in range(x.dim)]
+    return mass + rows, [Fraction(1)] * len(blocks) + list(x.coords)
+
+
 def feasible_with_artificials(rows, rhs) -> bool:
     """Integer phase 1 with one stored artificial column per row, free to re-enter."""
     m = len(rows)
     tableau = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        scale = lcm(b.denominator, *(a.denominator for a in row))
-        ints = [a.numerator * (scale // a.denominator) for a in row]
-        b = b.numerator * (scale // b.denominator)
+    for i, (ints, b) in enumerate(zip(*integer_program(rows, rhs))):
         if b < 0:
             ints = [-a for a in ints]
             b = -b

@@ -9,7 +9,7 @@ same next word of the stream after the call.
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -295,6 +295,26 @@ class TestSamplersDrawForDraw:
             assert_holds(x, expected, gens[0])
             assert oracles.next_word(a) == oracles.next_word(b)
 
+    def test_convex_solid_hull_point_on_elements_and_tensors(self):
+        """Under `Sol` the box points are drawn into the combination's numerators:
+        flat and shaped generators, zero and repeated ones, dims 0 to 6."""
+        r = random.Random(28)
+        seen = set()
+        for t in range(2400):
+            dim = r.randint(0, 6)
+            shape = draw_shape(r, dim)
+            gens = [element_of(draw_coords(r, dim), shape) for _ in range(r.randint(1, 4))]
+            if r.randrange(4) == 0:
+                gens.append(r.choice(gens))
+            deco = ((SOL, CONV), (SOL, CONV_B))[t % 2]
+            a, b = self.twin(r)
+            x = hulls.sample_hull_point(a, GeneratedSet(gens, deco))
+            expected = oracles.sample_hull_coords(b, [g.coords for g in gens], deco)
+            assert_holds(x, expected, gens[0])
+            assert oracles.next_word(a) == oracles.next_word(b)
+            seen.add((deco, shape is None, x.is_zero()))
+        assert len(seen) == 8, seen
+
     def test_unknown_decoration_draws_nothing(self):
         a, b = SplitStream(3), SplitStream(3)
         with pytest.raises(UnsupportedDecoration):
@@ -392,38 +412,26 @@ class TestSeminormClosedForm:
 
 
 class TestBareHullRows:
-    """The integer rows of `_sum_hull_member` are the rows `feasible` builds from Fractions."""
-
-    @staticmethod
-    def scaled(rows, rhs):
-        """What `simplex.feasible` makes of each row: scaled by its lcm, sign of rhs."""
-        out = []
-        for row, b in zip(rows, rhs):
-            row, b = [Fraction(a) for a in row], Fraction(b)
-            scale = lcm(b.denominator, *(a.denominator for a in row))
-            ints = [a.numerator * (scale // a.denominator) for a in row]
-            b = b.numerator * (scale // b.denominator)
-            out.append(([-a for a in ints], -b) if b < 0 else (ints, b))
-        return out
+    """The integer rows `_sum_hull_member` hands to phase 1 are the Fraction rows
+    of its program, each scaled by the lcm of its denominators."""
 
     def test_rows_match_the_fraction_rows(self, monkeypatch):
         seen = []
         monkeypatch.setattr(hulls, "feasible", lambda rows, rhs: seen.append((rows, rhs)))
         r = random.Random(15)
-        for _ in range(600):
+        compared = 0
+        while compared < 600:
             dim = r.randint(1, 5)
             blocks = [tuple(LatticeElement(draw_coords(r, dim)) for _ in range(r.randint(1, 3)))
                       for _ in range(r.randint(1, 2))]
             x = LatticeElement(draw_coords(r, dim))
             balanced = r.randrange(2) == 1
             hulls._sum_hull_member(blocks, x, balanced)
+            if not seen:  # the box rejected x, or accepted it on a line
+                continue
             rows, rhs = seen.pop()
             assert all(type(a) is int for row in rows for a in row)
-            # the Fraction rows of the coordinates, as built before
-            signs = (1, -1) if balanced else (1,)
-            columns = [(s, g) for gens in blocks for s in signs for g in gens]
-            slacks = len(blocks) if balanced else 0
-            fraction_rows = [[s * g.coords[i] for s, g in columns] + [0] * slacks
-                             for i in range(dim)]
-            assert self.scaled(rows, rhs) == self.scaled(
-                rows[:len(blocks)] + fraction_rows, [1] * len(blocks) + list(x.coords))
+            assert all(type(b) is int for b in rhs)
+            assert (rows, rhs) == oracles.integer_program(
+                *oracles.sum_hull_rows(blocks, x, balanced))
+            compared += 1

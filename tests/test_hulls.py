@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oracles import corner_gauge, corner_member, sum_hull_member_lp
-from tensorlattice import hulls
+from tensorlattice import hulls, simplex
 from tensorlattice.elements import LatticeElement, LatticeHom
 from tensorlattice.hulls import (
     CONV,
@@ -190,6 +191,64 @@ class TestBareHullOracle:
                 assert got == sum_hull_member_lp((gens, others), u, balanced), (t, balanced)
                 verdicts[got] += 1
         assert min(verdicts.values()) >= 150, verdicts
+
+    def test_box_edges_against_the_oracle(self, monkeypatch):
+        """The box of the sum rejects before phase 1, and accepts on a line.
+
+        Each point lies on an edge of the sum of the generators' boxes, with
+        its other coordinates inside the box: the sum of the generators that
+        attain the edge (a member), or any point of the edge. In dimension 2
+        and up both reach phase 1; on a line both are members without it.
+        Pushed 1/8 past the edge, the point is rejected without phase 1.
+        """
+        calls = []
+        monkeypatch.setattr(hulls, "feasible",
+                            lambda rows, rhs: calls.append(1) or simplex.feasible(rows, rhs))
+        rng = SplitStream(28).split("bare-hull-box")
+        seen = Counter()
+        for t in range(288):
+            r = rng.split(t)
+            dim, balanced = 1 + t % 6, t // 6 % 2 == 1
+            blocks = tuple(self.generators(r.split("block", b), dim)
+                           for b in range(1 + t // 12 % 2))
+            columns = [[[g.coords[j] for g in gens] for gens in blocks] for j in range(dim)]
+            if balanced:
+                high = [sum(max(map(abs, c)) for c in column) for column in columns]
+                low = [-h for h in high]
+            else:
+                low = [sum(min(c) for c in column) for column in columns]
+                high = [sum(max(c) for c in column) for column in columns]
+            i, top = r.randint(0, dim - 1), r.randint(0, 1) == 1
+            vertex = LatticeElement.zero(dim)
+            for gens in blocks:
+                if balanced:
+                    g = max(gens, key=lambda g: abs(g.coords[i]))
+                    vertex = vertex + g.scale(1 if (g.coords[i] >= 0) == top else -1)
+                else:
+                    vertex = vertex + (max if top else min)(gens, key=lambda g: g.coords[i])
+            edge = [high[j] if j == i and top else low[j] if j == i
+                    else low[j] + (high[j] - low[j]) * r.fraction(0, 1) for j in range(dim)]
+            outside = [c + Fraction(1 if top else -1, 8) if j == i else c
+                       for j, c in enumerate(edge)]
+            for kind, x in (("vertex", vertex), ("edge", el(*edge)), ("outside", el(*outside))):
+                before = len(calls)
+                got = hulls._sum_hull_member(blocks, x, balanced)
+                assert got == sum_hull_member_lp(blocks, x, balanced), (t, kind)
+                reached = len(calls) > before
+                if kind == "outside":
+                    assert not got and not reached, t
+                elif dim == 1:
+                    assert got and not reached, (t, kind)
+                else:
+                    assert reached, (t, kind)
+                assert got or kind != "vertex", t
+                seen[kind, "line" if dim == 1 else "space", len(blocks), balanced, got] += 1
+        for balanced in (False, True):
+            for count in (1, 2):
+                assert seen["vertex", "space", count, balanced, True] >= 10, seen
+                assert seen["edge", "space", count, balanced, False] >= 5, seen
+                assert seen["edge", "line", count, balanced, True] >= 5, seen
+                assert seen["outside", "space", count, balanced, False] >= 10, seen
 
 
 class TestBoxScan:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -330,17 +331,25 @@ def _standard_form(monkeypatch, lp):
     return seen[0]
 
 
+def _feasible(rows, rhs):
+    """`feasible` on a rational program, scaled row by row to integers first."""
+    return feasible(*oracles.integer_program(rows, rhs))
+
+
 def test_feasible_fixtures():
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert feasible([], [])
-    assert feasible([[Fraction(0), Fraction(0)]], [Fraction(0)])
-    assert not feasible([[Fraction(0), Fraction(0)]], [Fraction(1)])
-    assert feasible([[-half, third]], [Fraction(-1)])  # x = (2, 0), a negative rhs
-    assert not feasible([[half, third]], [Fraction(-1)])
+    assert feasible([[0, 0]], [0])
+    assert not feasible([[0, 0]], [1])
+    assert _feasible([[-half, third]], [Fraction(-1)])  # x = (2, 0), a negative rhs
+    assert not _feasible([[half, third]], [Fraction(-1)])
+    assert feasible([[-3, 2]], [-6])  # the same two rows on integers
+    assert not feasible([[3, 2]], [-6])
     assert feasible([[1, 1], [1, 1]], [2, 2])  # a duplicated row
     assert not feasible([[1, 1], [2, 2]], [2, 3])
     assert feasible([[1, -1], [1, 1]], [0, 0])  # degenerate: only x = 0
     assert not feasible([[1, 1]], [-1])
+    assert feasible([[2, 4]], [3])  # x = (3/2, 0): integer rows, a rational solution
 
 
 def test_feasible_agrees_with_solve_standard(monkeypatch):
@@ -348,14 +357,14 @@ def test_feasible_agrees_with_solve_standard(monkeypatch):
     verdicts = {True: 0, False: 0}
     for t in range(800):
         rows, rhs = _rational_program(rng.split("rational", t))
-        got = feasible(rows, rhs)
+        got = _feasible(rows, rhs)
         assert got == _has_solution(rows, rhs), t
         verdicts[got] += 1
     for name, build in (("box", _box_shaped), ("sum-hull", _sum_hull_shaped),
                         ("degenerate", _degenerate), ("general", _general)):
         for t in range(60):
             rows, rhs = _standard_form(monkeypatch, build(rng.split(name, t)))
-            got = feasible(rows, rhs)
+            got = _feasible(rows, rhs)
             assert got == _has_solution(rows, rhs), (name, t)
             verdicts[got] += 1
     assert sum(verdicts.values()) >= 1000
@@ -375,7 +384,7 @@ def test_feasible_agrees_with_scipy():
             method="highs",
         )
         assert res.status in (0, 2), res.message
-        assert feasible(rows, rhs) == (res.status == 0), t
+        assert _feasible(rows, rhs) == (res.status == 0), t
 
 
 def _multiple(a, b):
@@ -396,7 +405,7 @@ def test_feasible_against_stored_artificials(monkeypatch):
                         ("degenerate", _degenerate), ("general", _general)):
         programs += [_standard_form(monkeypatch, build(rng.split(name, t))) for t in range(40)]
     for t, (rows, rhs) in enumerate(programs):
-        got = feasible(rows, rhs)
+        got = _feasible(rows, rhs)
         assert got == oracles.feasible_with_artificials(rows, rhs) == _has_solution(rows, rhs), t
         seen["feasible" if got else "infeasible"] += 1
         seen["zero-row"] += any(not any(row) for row in rows)
@@ -408,21 +417,41 @@ def test_feasible_against_stored_artificials(monkeypatch):
 
 
 def test_feasible_on_the_bare_programs_of_a_suite(monkeypatch):
-    """Every bare Conv/Conv_b program of the seed-42 suite, recorded as the hull
-    laws send it, answered alike by all three methods."""
-    programs = []
+    """Every bare Conv/Conv_b question of the seed-42 suite, recorded as the hull
+    laws ask `_sum_hull_member`, with its route: rejected by the box, accepted
+    on a line, or decided by phase 1. Its answer agrees with every method on
+    the Fraction program of the question."""
+    questions, programs = [], []
+    decide = hulls._sum_hull_member
 
-    def recording(rows, rhs):
+    def recording(blocks, x, balanced):
+        before = len(programs)
+        got = decide(blocks, x, balanced)
+        route = "phase 1" if len(programs) > before else "line" if got else "box"
+        questions.append((blocks, x, balanced, got, route))
+        return got
+
+    def phase_1(rows, rhs):
         programs.append(([list(row) for row in rows], list(rhs)))
         return feasible(rows, rhs)
 
-    monkeypatch.setattr(hulls, "feasible", recording)
+    monkeypatch.setattr(hulls, "_sum_hull_member", recording)
+    monkeypatch.setattr(hulls, "feasible", phase_1)
     run_suite(seed=42)
-    assert len(programs) == 1403
-    verdicts = [feasible(rows, rhs) for rows, rhs in programs]
-    assert verdicts == [oracles.feasible_with_artificials(rows, rhs) for rows, rhs in programs]
-    assert verdicts == [_has_solution(rows, rhs) for rows, rhs in programs]
+    assert len(questions) == 1403
+    assert Counter(route for *_, route in questions) == {"box": 250, "line": 252, "phase 1": 901}
+    verdicts = [got for *_, got, _ in questions]
+    fraction_programs = [oracles.sum_hull_rows(blocks, x, balanced)
+                         for blocks, x, balanced, _, _ in questions]
+    assert verdicts == [oracles.feasible_with_artificials(rows, rhs)
+                        for rows, rhs in fraction_programs]
+    assert verdicts == [_has_solution(rows, rhs) for rows, rhs in fraction_programs]
+    assert verdicts == [_feasible(rows, rhs) for rows, rhs in fraction_programs]
     assert verdicts.count(False) == 462
+    # the tableaus phase 1 was handed are the scaled Fraction programs
+    assert programs == [oracles.integer_program(*program)
+                        for program, (*_, route) in zip(fraction_programs, questions)
+                        if route == "phase 1"]
 
 
 # ---------------------------------------------------------------------------
