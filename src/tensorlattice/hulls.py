@@ -15,20 +15,21 @@ Membership is exact and tries the cheap decisions first:
    member of all three without further work;
 3. span check: a convex-solid point outside every box that is nonzero where
    all boxes vanish is rejected;
-4. generator box: ``Conv(G)`` lies in the box ``min g_i <= x_i <= max g_i``
-   and ``Conv_b(G)`` in ``|x_i| <= max |g_i|``, and a sum of such hulls in
-   the sum of their boxes, so a point outside it is rejected; on a line
-   each hull is its box, so a point inside it is a member;
+4. generator box: each hull lies in the box ``min c_i <= x_i <= max c_i``
+   of its columns c, the generators g of ``Conv`` and g and -g of
+   ``Conv_b`` (so ``|x_i| <= max |g_i|``), and a sum of hulls in the sum of
+   the boxes; a point outside it is rejected, and on a line each hull is
+   its box, so a point inside it is a member;
 5. LP: what is left is one rational feasibility program. ``Conv`` and
    ``Conv_b`` of bare generators (and sums of such hulls) go to it from
    the generator box: a mass row per block, one slack column per
-   ``Conv_b`` block, then the coordinates of x, decided by
-   `simplex.feasible` on the integer rows. ``Conv(Sol(G))`` and
-   ``Conv_b(Sol(G))`` are one set: every box is symmetric and contains 0, so
-   a combination of total weight below 1 puts the rest of its mass on 0.
-   Both are decided by one program with the mass row ``sum lam_k == 1``, and
-   the gauge is the same program with the mass row turned into the
-   objective.
+   ``Conv_b`` block, then the coordinates of x on the same signed columns
+   the box read, decided by `simplex.feasible` on the integer rows.
+   ``Conv(Sol(G))`` and ``Conv_b(Sol(G))`` are one set: every box is
+   symmetric and contains 0, so a combination of total weight below 1 puts
+   the rest of its mass on 0. Both are decided by one program with the mass
+   row ``sum lam_k == 1``, and the gauge is the same program with the mass
+   row turned into the objective.
 
 The second half of the module is the law suite: eleven identities and
 inclusions relating hulls to pointwise set algebra, each checked by sampling
@@ -124,42 +125,38 @@ def _check_dim(S: GeneratedSet, x: LatticeElement):
 def _sum_hull_member(blocks, x, balanced: bool) -> bool:
     """x in hull(G_1) + ... + hull(G_k), on integers over one denominator.
 
-    Each hull lies in its generators' box, [min g_i, max g_i] for ``Conv``
-    and |x_i| <= max |g_i| for ``Conv_b``, so a point outside the sum of the
-    boxes is rejected. On a line each hull is its box, and so is the sum, so
-    a point inside it is a member. Otherwise one feasibility program
-    decides: a mass row per block, then x coordinate-wise. Each block gets
-    its own weights: convex (sum == 1) or balanced (positive and negative
-    parts, plus one slack column, summing to 1). One block is plain hull
-    membership.
+    Each coordinate gets one signed row: every block's columns g and, for
+    ``Conv_b``, -g. A hull lies in the box [min, max] of its block's part of
+    the row, so a point outside the sum of the boxes is rejected; on a line
+    each hull is its box, and so is the sum, so a point inside it is a
+    member. Otherwise the same rows decide one feasibility program after a
+    mass row per block: convex weights (sum == 1), or balanced ones (the
+    columns of g and -g plus one slack, summing to 1). One block is plain
+    hull membership.
     """
     den = lcm(x.den, *(g.den for gens in blocks for g in gens))
     xs = [a * (den // x.den) for a in x.num]
-    # coords[b][i]: coordinate i of every generator of block b, over den
-    coords = [list(zip(*([a * (den // g.den) for a in g.num] for g in gens))) for gens in blocks]
+    signs = (1, -1) if balanced else (1,)
+    slacks = range(len(blocks)) if balanced else ()
+    # factors[b]: block b's signed columns over den, as (scale, numerators)
+    factors = [[(s * (den // g.den), g.num) for s in signs for g in gens] for gens in blocks]
+    rows = []
     for i, a in enumerate(xs):
-        if balanced:
-            high = sum(max(map(abs, block[i])) for block in coords)
-            low = -high
-        else:
-            low = sum(min(block[i]) for block in coords)
-            high = sum(max(block[i]) for block in coords)
-        if not low <= a <= high:
+        parts = [[f * num[i] for f, num in block] for block in factors]
+        if not sum(map(min, parts)) <= a <= sum(map(max, parts)):
             return False
+        rows.append([c for part in parts for c in part])
     if len(xs) <= 1:
         return True
-    signs = (1, -1) if balanced else (1,)
     owners = [b for b, gens in enumerate(blocks) for _ in signs for _ in gens]
-    slacks = range(len(blocks)) if balanced else ()
     mass = [[int(b == k) for b in owners] + [int(s == k) for s in slacks]
             for k in range(len(blocks))]
-    # Coordinate row i divided by its gcd with den is the Fraction row scaled
-    # by the lcm of its denominators.
-    rows, rhs = [], []
-    for i, a in enumerate(xs):
-        row = [s * c for block in coords for s in signs for c in block[i]]
+    # Row i divided by its gcd with den and x_i is the Fraction row scaled by
+    # the lcm of its denominators.
+    rhs = []
+    for row, a in zip(rows, xs):
         g = gcd(den, a, *row)
-        rows.append([c // g for c in row] + [0] * len(slacks))
+        row[:] = [c // g for c in row] + [0] * len(slacks)
         rhs.append(a // g)
     return feasible(mass + rows, [1] * len(blocks) + rhs)
 
@@ -249,16 +246,6 @@ def gauge(S: GeneratedSet, x: LatticeElement):
 # ---------------------------------------------------------------------------
 
 
-def _distinct(gens) -> tuple[LatticeElement, ...]:
-    """The generators in first-seen order, each point once."""
-    seen, out = set(), []
-    for g in gens:
-        if (g.num, g.den) not in seen:
-            seen.add((g.num, g.den))
-            out.append(g)
-    return tuple(out)
-
-
 def _binary_pre(A: GeneratedSet, B: GeneratedSet):
     if A.dim != B.dim:
         raise DimensionMismatch(f"set algebra across dims {A.dim} and {B.dim}")
@@ -270,12 +257,13 @@ def _binary_pre(A: GeneratedSet, B: GeneratedSet):
 
 def sum_sets(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
     _binary_pre(A, B)
-    return GeneratedSet(_distinct(a + b for a in A.generators for b in B.generators), A.decoration)
+    return GeneratedSet(dict.fromkeys(a + b for a in A.generators for b in B.generators),
+                        A.decoration)
 
 
 def union_sets(A: GeneratedSet, B: GeneratedSet) -> GeneratedSet:
     _binary_pre(A, B)
-    return GeneratedSet(_distinct(A.generators + B.generators), A.decoration)
+    return GeneratedSet(dict.fromkeys(A.generators + B.generators), A.decoration)
 
 
 def scale_set(A: GeneratedSet, alpha) -> GeneratedSet:
@@ -283,8 +271,8 @@ def scale_set(A: GeneratedSet, alpha) -> GeneratedSet:
 
 
 def common_generators(A: GeneratedSet, B: GeneratedSet) -> tuple[LatticeElement, ...]:
-    bset = {g.coords for g in B.generators}
-    return tuple(g for g in A.generators if g.coords in bset)
+    shared = set(B.generators)
+    return tuple(g for g in A.generators if g in shared)
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +540,14 @@ def _vacuous(direction):
 def _law_sum(inst, rng, balanced: bool):
     A, B = inst["A"], inst["B"]
     deco = (CONV_B,) if balanced else (CONV,)
+    sums = _hull(sum_sets(A, B), deco)
     # LHS -> RHS: the hull of the pairwise sums splits into a sum of hulls.
-    u = sample_hull_point(rng, _hull(sum_sets(A, B), deco))
+    u = sample_hull_point(rng, sums)
     out = [_outcome("sum-splits", _sum_hull_member((A.generators, B.generators), u, balanced), u)]
     # RHS -> LHS: a sum of hull points lands in the hull of the pairwise sums.
     x = sample_hull_point(rng, _hull(A, deco))
     y = sample_hull_point(rng, _hull(B, deco))
-    out.append(_outcome("sum-absorbs", member(_hull(sum_sets(A, B), deco), x + y), x + y))
+    out.append(_outcome("sum-absorbs", member(sums, x + y), x + y))
     return out
 
 
@@ -577,20 +566,21 @@ def _law_union(inst, rng, deco, suffix):
 
 def _law_intersection(inst, rng, deco, suffix):
     """Hull of the common generators against the intersection of the hulls."""
-    A, B = inst["A"], inst["B"]
+    A, B = _hull(inst["A"], deco), _hull(inst["B"], deco)
     common = common_generators(A, B)
+    shared = common and GeneratedSet(common, deco)
     out = []
-    if common:
-        u = sample_hull_point(rng, GeneratedSet(common, deco))
-        ok = member(_hull(A, deco), u) and member(_hull(B, deco), u)
+    if shared:
+        u = sample_hull_point(rng, shared)
+        ok = member(A, u) and member(B, u)
         out.append(_outcome("printed" + suffix, ok, u))
     else:
         out.append(_vacuous("printed" + suffix))
     # Reverse: hunt for a point of hull(A) ∩ hull(B) by rejection.
     for _ in range(6):
-        u = sample_hull_point(rng, _hull(A, deco))
-        if member(_hull(B, deco), u):
-            ok = bool(common) and member(GeneratedSet(common, deco), u)
+        u = sample_hull_point(rng, A)
+        if member(B, u):
+            ok = bool(shared) and member(shared, u)
             out.append(_outcome("reverse" + suffix, ok, u))
             return out
     out.append(_vacuous("reverse" + suffix))

@@ -225,22 +225,22 @@ def gauge_consistency_suite(*, samples: int, seed: int) -> dict:
     exercised (the full-budget runs close their gaps).
     """
     rng = SplitStream(seed).split("gauge-consistency")
-    pairs = _kind_pairs()
-    # (witness tag, p, q, u, budget): the random instances, then the fixtures
+    nbhds = [TensorNbhd.from_seminorms(p, q) for p, q in _kind_pairs()]
+    # (witness tag, W, u, budget): the random instances, then the fixtures
     instances = []
     for s in range(samples):
-        p, q = pairs[s % len(pairs)]
-        instances.append(({"index": s}, p, q, random_tensor(rng.split(s), p.dim, q.dim), None))
+        W = nbhds[s % len(nbhds)]
+        instances.append(({"index": s}, W, random_tensor(rng.split(s), *W.shape), None))
     starved = projective.Budget(k_max=1, restarts=0)
+    l1, order_unit = weighted_l1([1, 1]), weighted_order_unit([1, 2])
     instances += [
-        ({"fixture": 0}, weighted_l1([1, 1]), weighted_order_unit([1, 2]),
+        ({"fixture": 0}, TensorNbhd.from_seminorms(l1, order_unit),
          TensorElement.make([[2, 0], [0, 1]]), starved),
-        ({"fixture": 1}, weighted_order_unit([1, 2]), weighted_l1([1, 1]),
+        ({"fixture": 1}, TensorNbhd.from_seminorms(order_unit, l1),
          TensorElement.make([[0, 2], [1, 0]]), starved),
     ]
     total = {"samples": len(instances), "probes": 0, "contradictions": 0, "witnesses": []}
-    for tag, p, q, u, budget in instances:
-        W = TensorNbhd.from_seminorms(p, q)
+    for tag, W, u, budget in instances:
         rep = projective.gauge_equivalence_check(W, u, budget=budget)
         total["probes"] += len(rep["probes"])
         if rep["contradictions"]:

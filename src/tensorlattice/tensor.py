@@ -385,9 +385,11 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
     if W1.shape != W2.shape:
         raise DimensionMismatch(f"neighborhoods over {W1.shape} vs {W2.shape}")
     rng = SplitStream(seed).split("nbhd-base")
-    # factor pairs to sample from: W(U/2, V), and W1's factors pulled inside
-    # W2's {p <= 1} and {q <= 1}; built once, since they draw nothing
+    # factor pairs to sample from: W(U/2, V), W(U/4, V/4), and W1's factors
+    # pulled inside W2's {p <= 1} and {q <= 1}; built once, since they draw nothing
+    eta = Fraction(1, 4)
     half = (scale_set(W1.left, Fraction(1, 2)), W1.right)
+    quarter = (scale_set(W1.left, eta), scale_set(W1.right, eta))
     inner = (_shrink_into(W1.left, W2.p), _shrink_into(W1.right, W2.q))
     report = {axiom: _report(samples)
               for axiom in ("additivity", "balance", "translation", "intersection")}
@@ -416,10 +418,8 @@ def base_axiom_check(W1: TensorNbhd, W2: TensorNbhd, *, seed: int, samples: int)
 
         # translation: interior z plus a small neighborhood
         trng = srng.split("translate")
-        eta = Fraction(1, 4)
         z, zwit = sample_nbhd_point(W1.left, W1.right, trng.split("z"), margin=eta)
-        w, wwit = sample_nbhd_point(scale_set(W1.left, eta), scale_set(W1.right, eta),
-                                    trng.split("w"))
+        w, wwit = sample_nbhd_point(*quarter, trng.split("w"))
         zs = _signed_padded(zwit)
         ws = _signed_padded(wwit)
         product = [

@@ -32,6 +32,8 @@ different mathematical reduction:
   production code compares and sums element numerators, and the solid sum,
   union and intersection oracles of `hulls` by element operations, where
   the production code runs the two box kernels;
+* the set algebra of `hulls` keyed by numerators or coordinates (`distinct`,
+  `common_generators`), where the production code compares the elements;
 * the random-instance layer as it drew before its integer forms (words
   through `next_word`, uncached label words, instances built from
   Fractions), phase 1 with stored artificial columns, the image sums of
@@ -542,6 +544,31 @@ def solid_union_member(A, B, z: LatticeElement) -> bool:
 def solid_intersect_member(A, B, z: LatticeElement) -> bool:
     az = abs(z)
     return any(az.le(abs(a)) for a in A.generators) and any(az.le(abs(b)) for b in B.generators)
+
+
+# ---------------------------------------------------------------------------
+# The generator-level set algebra, keyed by coordinates
+# ---------------------------------------------------------------------------
+# `hulls.sum_sets` and `union_sets` keep each generator once with
+# `dict.fromkeys` over the elements, and `hulls.common_generators` looks A's
+# generators up in a set of B's elements; these key a generator by its
+# numerators and denominator, or by its Fraction coordinates.
+
+
+def distinct(gens) -> tuple:
+    """The generators in first-seen order, each point once."""
+    seen, out = set(), []
+    for g in gens:
+        if (g.num, g.den) not in seen:
+            seen.add((g.num, g.den))
+            out.append(g)
+    return tuple(out)
+
+
+def common_generators(A, B) -> tuple:
+    """A's generators, in order and with repeats, whose coordinates a generator of B has."""
+    bset = {g.coords for g in B.generators}
+    return tuple(g for g in A.generators if g.coords in bset)
 
 
 # ---------------------------------------------------------------------------

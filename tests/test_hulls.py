@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import corner_gauge, corner_member, sum_hull_member_lp
 from tensorlattice import hulls, simplex
 from tensorlattice.elements import LatticeElement, LatticeHom
@@ -13,6 +14,7 @@ from tensorlattice.hulls import (
     LAW_EXPECTATIONS,
     GeneratedSet,
     UnsupportedDecoration,
+    common_generators,
     gauge,
     hull_law_suite,
     member,
@@ -30,6 +32,7 @@ from tensorlattice.hulls import (
 )
 from tensorlattice.jsonio import FormatError
 from tensorlattice.rng import SplitStream
+from tensorlattice.tensor import TensorElement
 
 
 def el(*coords):
@@ -250,6 +253,56 @@ class TestBareHullOracle:
                 assert seen["edge", "line", count, balanced, True] >= 5, seen
                 assert seen["outside", "space", count, balanced, False] >= 10, seen
 
+    def test_signed_box_against_the_oracle(self):
+        """Each block's box is the [min, max] of its signed columns (g, and -g
+        for Conv_b), and the boxes of the blocks add up.
+
+        One or two blocks, some with every coordinate negative, with zero and
+        repeated generators. Each point is the sum of the signed columns that
+        attain a coordinate's lowest or highest value (a member), a point of
+        the sum of the hulls moved onto that edge, or either pushed 1/8 past
+        it (rejected).
+        """
+        rng = SplitStream(29).split("signed-box")
+        seen = Counter()
+        for t in range(320):
+            r = rng.split(t)
+            dim, balanced, count = 1 + t % 4, t // 4 % 2 == 1, 1 + t // 8 % 2
+            deco = (CONV_B,) if balanced else (CONV,)
+            blocks, negative = [], t // 16 % 2 == 1
+            for b in range(count):
+                gens = self.generators(r.split("block", b), dim)
+                if negative:
+                    gens = [el(*[-1 - abs(c) for c in g.coords]) for g in gens]
+                blocks.append(gens)
+            i, top = r.randint(0, dim - 1), r.randint(0, 1) == 1
+            pick = max if top else min
+            vertex = LatticeElement.zero(dim)
+            inside = LatticeElement.zero(dim)
+            for b, gens in enumerate(blocks):
+                columns = gens + [-g for g in gens] if balanced else gens
+                vertex = vertex + pick(columns, key=lambda c: c.coords[i])
+                inside = inside + sample_hull_point(r.split("point", b), GeneratedSet(gens, deco))
+            edge = vertex.coords[i]
+            on_edge = el(*[edge if j == i else c for j, c in enumerate(inside.coords)])
+            step = el(*[Fraction(1 if top else -1, 8) if j == i else 0 for j in range(dim)])
+            for kind, x in (("vertex", vertex), ("edge", on_edge),
+                            ("past vertex", vertex + step), ("past edge", on_edge + step)):
+                if count == 1:
+                    got = member(GeneratedSet(blocks[0], deco), x)
+                else:
+                    got = hulls._sum_hull_member(blocks, x, balanced)
+                assert got == sum_hull_member_lp(blocks, x, balanced), (t, kind)
+                assert got == (kind == "vertex") or kind == "edge", (t, kind)
+                seen[kind, count, balanced, negative, got] += 1
+        for count in (1, 2):
+            for balanced in (False, True):
+                for negative in (False, True):
+                    assert seen["vertex", count, balanced, negative, True] >= 15, seen
+                    assert seen["past vertex", count, balanced, negative, False] >= 15, seen
+                    assert seen["past edge", count, balanced, negative, False] >= 15, seen
+                    assert seen["edge", count, balanced, negative, True] >= 3, seen
+
 
 class TestBoxScan:
     """Convex-solid membership decides points of a single box without an LP."""
@@ -330,6 +383,48 @@ class TestSetAlgebra:
         assert union_sets(A, B) == union_sets(A_tuple, B)
         for z in (el(1, 0), el(0, 2), el(1, 1)):
             assert solid_union_member(A, B, z) == solid_union_member(A_tuple, B, z)
+
+
+class TestSetAlgebraOracle:
+    """`sum_sets`, `union_sets` and `common_generators` against the references of
+    `oracles`, which key a generator by its numerators or its coordinates."""
+
+    @staticmethod
+    def generated_set(r, pool, shape):
+        """Generators drawn from `pool` with repeats, some rebuilt from their
+        coordinates, given as a list or as a tuple."""
+        gens = []
+        for _ in range(r.randint(1, 6)):
+            g = r.choice(pool)
+            if r.randint(0, 2) == 0:  # an equal element, built anew
+                g = TensorElement(g.coords, shape) if shape else el(*g.coords)
+            gens.append(g)
+        return GeneratedSet(gens if r.randint(0, 1) else tuple(gens))
+
+    def test_same_generators_in_the_same_order(self):
+        rng = SplitStream(29).split("set-algebra")
+        seen = Counter()
+        for t in range(400):
+            r = rng.split(t)
+            shape = (1 + t % 2, 1 + t // 2 % 3) if t % 5 == 0 else None
+            dim = shape[0] * shape[1] if shape else r.randint(1, 3)
+            pool = []
+            for _ in range(r.randint(1, 4)):
+                coords = [r.fraction(-2, 2, 2) for _ in range(dim)]
+                pool.append(TensorElement(coords, shape) if shape else el(*coords))
+            A = self.generated_set(r.split("A"), pool, shape)
+            B = self.generated_set(r.split("B"), pool, shape)
+            got = (sum_sets(A, B).generators, union_sets(A, B).generators,
+                   common_generators(A, B))
+            want = (oracles.distinct(a + b for a in A.generators for b in B.generators),
+                    oracles.distinct(A.generators + B.generators),
+                    oracles.common_generators(A, B))
+            assert got == want, t  # elements of another class are unequal
+            seen["repeats"] += len(A.generators) > len(oracles.distinct(A.generators))
+            seen["repeated common"] += len(got[2]) > len(set(got[2]))
+            seen["no common"] += not got[2]
+            seen["tensor"] += shape is not None
+        assert min(seen.values()) >= 20, seen
 
 
 def check_law(law, A, B=None, *, samples, seed, **operands):
