@@ -1,12 +1,13 @@
 """Exact linear programming over the rationals, with no floating point.
 
-Bland's rule and a fixed variable order make every pivot sequence, hence
-every returned basic solution, deterministic. The library's programs are
-small (tens of rows and columns) and have three shapes:
+Three solvers pick every pivot by one rule, `_bland_choice` (Bland 1977), so
+every pivot sequence, hence every returned basic solution, is deterministic.
+The library's programs are small (tens of rows and columns) and have three
+shapes:
 
 * `feasible`: bare hull membership, Ax = b, x >= 0 on integer rows, by
-  phase 1 with implicit artificial columns; every ``Conv`` and ``Conv_b``
-  query that its generators' box neither rejects nor settles on a line.
+  phase 1; every ``Conv`` and ``Conv_b`` query that its generators' box
+  neither rejects nor settles on a line.
 * `cover`: min c.lam s.t. R lam >= t, lam >= 0, all nonnegative, through
   its packing dual max t.y s.t. R^T y <= c, y >= 0: a seminorm's value on
   overlapping rays and the half-steps of alternating minimization.
@@ -16,6 +17,8 @@ small (tens of rows and columns) and have three shapes:
   over the nonzero columns of the pivot row).
 
 `feasible` and `cover` share one fraction-free integer pivot, `_bland_step`.
+`feasible` and `solve_standard` share one phase-1 start and stop, and no
+tableau stores an artificial column.
 Box programs are covers too, over the boxes |g_k| at cost 1: on perfbench
 hull-lp's seed-42 queries (2-core shared machine) a cover answered 504
 convex-solid members in 0.24-0.34 s against 2.0-2.8 s and 126 gauges in
@@ -56,43 +59,14 @@ def _pivot(tableau, obj, basis, row, col):
     basis[row] = col
 
 
-def _run(tableau, obj, basis, ncols):
-    """Pivot to optimality (Bland's rule: smallest eligible indices)."""
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            return
-        leave = -1
-        best = None
-        for i, r in enumerate(tableau):
-            coeff = r[enter]
-            if coeff > 0:
-                ratio = r[-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise UnboundedLP(f"column {enter} improves without bound")
-        _pivot(tableau, obj, basis, leave, enter)
-
-
-def _bland_step(tableau, obj, basis, ncols, d):
-    """One Bland pivot of the integer tableau: the new `d`, or None at optimality.
+def _bland_choice(tableau, obj, basis, ncols):
+    """Bland's rule: the (row, col) of the next pivot, or None at optimality.
 
     The first of the `ncols` columns with a negative objective entry enters;
     the least ratio `r[-1] / r[enter]` (cross-multiplied, the smaller basic
     index on ties) leaves, and `UnboundedLP` is raised when no row limits the
-    column. The rows and `obj` are integers over `d`, the last pivot: a pivot
-    on `p` replaces each other row `a` by `(p*a - f*b) // d`, `b` the pivot
-    row and `f` the entry of `a` in the entering column. Every entry is a
-    minor of the starting tableau, so the division is exact (Edmonds 1967,
-    Bareiss 1968). A row not yet pivoted on may also carry its own positive
-    scale, which no ratio within it sees, so Bland's rule picks as on the
-    rational tableau and cannot cycle.
+    column. Each ratio is read within its own row, so the rule picks the
+    same pivot on `Fraction` rows and on integer rows with positive scales.
     """
     enter = next((j for j in range(ncols) if obj[j] < 0), None)
     if enter is None:
@@ -107,6 +81,30 @@ def _bland_step(tableau, obj, basis, ncols, d):
                 leave, best = i, (r[-1], c)
     if leave is None:
         raise UnboundedLP(f"column {enter} improves without bound")
+    return leave, enter
+
+
+def _run(tableau, obj, basis, ncols):
+    """Pivot the `Fraction` tableau to optimality by `_bland_choice`."""
+    while (choice := _bland_choice(tableau, obj, basis, ncols)) is not None:
+        _pivot(tableau, obj, basis, *choice)
+
+
+def _bland_step(tableau, obj, basis, ncols, d):
+    """One `_bland_choice` pivot of the integer tableau: the new `d`, or None at optimality.
+
+    The rows and `obj` are integers over `d`, the last pivot: a pivot on `p`
+    replaces each other row `a` by `(p*a - f*b) // d`, `b` the pivot row and
+    `f` the entry of `a` in the entering column. Every entry is a minor of
+    the starting tableau, so the division is exact (Edmonds 1967, Bareiss
+    1968). A row not yet pivoted on may also carry its own positive scale,
+    which no ratio within it sees, so Bland's rule picks as on the rational
+    tableau and cannot cycle.
+    """
+    choice = _bland_choice(tableau, obj, basis, ncols)
+    if choice is None:
+        return None
+    leave, enter = choice
     pivot_row = tableau[leave]
     p = pivot_row[enter]
     for r in [*tableau, obj]:
@@ -125,19 +123,20 @@ def feasible(rows, rhs) -> bool:
     """Whether {x >= 0 : rows.x == rhs} is nonempty, by phase 1 on `_bland_step`.
 
     The rows and the right-hand side are integers; a caller scales a
-    rational program row by row. A row is negated when its rhs is negative.
-    One artificial per row starts the basis, but its column is never
-    stored: `basis` holds the indices n..n+m-1 only for Bland's tie-break.
-    Phase 1 stops at mass 0.
+    rational program row by row. Phase 1 starts and stops as in
+    `solve_standard`: a row is negated when its rhs is negative, one
+    artificial per row starts the basis, but its column is never stored
+    (`basis` holds the indices n..n+m-1 only for Bland's tie-break), the
+    objective is minus the sum of the rows, and phase 1 stops at mass 0.
 
     Only real columns enter, and the answer is still exact. Each column of
-    the integer tableau is computed on its own, so dropping the artificial
-    ones changes no other entry. An artificial column that has left the
-    basis is never needed again: if no real column can enter while mass is
-    left, the current basis is optimal for phase 1 with the departed
-    artificials fixed at 0, a program that every solution of Ax = b, x >= 0
-    solves with mass 0, so there is none. Bland's rule cannot cycle on the
-    restricted program either.
+    the tableau is computed on its own, so dropping the artificial ones
+    changes no other entry. An artificial column that has left the basis is
+    never needed again: if no real column can enter while mass is left, the
+    current basis is optimal for phase 1 with the departed artificials
+    fixed at 0, a program that every solution of Ax = b, x >= 0 solves with
+    mass 0, so there is none. Bland's rule cannot cycle on the restricted
+    program either.
     """
     tableau = [[*row, b] if b >= 0 else [-a for a in row] + [-b] for row, b in zip(rows, rhs)]
     if not tableau:
@@ -156,29 +155,26 @@ def feasible(rows, rhs) -> bool:
 
 
 def solve_standard(rows, rhs, costs):
-    """Minimize costs.x subject to rows.x == rhs, x >= 0. Returns (value, x)."""
-    m, n = len(rows), len(costs)
+    """Minimize costs.x subject to rows.x == rhs, x >= 0. Returns (value, x).
+
+    Two phases on a `Fraction` tableau, pivoting by `_bland_choice`; phase 1
+    is `feasible`'s and stores no artificial column.
+    """
+    n = len(costs)
     tableau = []
     for row, b in zip(rows, rhs):
         row = [as_fraction(a) for a in row]
         b = as_fraction(b)
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        tableau.append(row + [Fraction(0)] * m + [b])
-    for i in range(m):
-        tableau[i][n + i] = Fraction(1)
-    basis = [n + i for i in range(m)]
+        tableau.append(row + [b] if b >= 0 else [-a for a in row] + [-b])
+    basis = list(range(n, n + len(tableau)))
 
-    # Phase 1: minimize the artificial mass.
-    obj = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        obj = [a - b for a, b in zip(obj, tableau[i])]
-    for i in range(m):
-        obj[n + i] = Fraction(0)
-    _run(tableau, obj, basis, n + m)
-    if -obj[-1] != 0:
-        raise InfeasibleLP(f"artificial mass {-obj[-1]} at phase-1 optimum")
+    # Phase 1: minimize the artificial mass, -obj[-1].
+    obj = [-sum(column) for column in zip(*tableau)] if tableau else [Fraction(0)] * (n + 1)
+    while obj[-1]:
+        choice = _bland_choice(tableau, obj, basis, n)
+        if choice is None:
+            raise InfeasibleLP(f"artificial mass {-obj[-1]} at phase-1 optimum")
+        _pivot(tableau, obj, basis, *choice)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
     keep = []
@@ -190,7 +186,7 @@ def solve_standard(rows, rhs, costs):
         if col is not None:
             _pivot(tableau, obj, basis, i, col)
             keep.append(i)
-    tableau = [[*tableau[i][:n], tableau[i][-1]] for i in keep]
+    tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     # Phase 2 with the real costs.

@@ -75,6 +75,7 @@ class TensorElement(LatticeElement):
 
     def __init__(self, coords, shape: tuple[int, int]):
         n, m = shape
+        coords = tuple(coords)  # any iterable, as for LatticeElement
         _check_shape(n, m, len(coords))
         super().__init__(coords)
         _set(self, "shape", shape)

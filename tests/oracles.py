@@ -36,9 +36,10 @@ different mathematical reduction:
   `common_generators`), where the production code compares the elements;
 * the random-instance layer as it drew before its integer forms (words
   through `next_word`, uncached label words, instances built from
-  Fractions), phase 1 with stored artificial columns, the image sums of
-  `Decomposition.bound` and `LatticeBimorphism` one element at a time, and
-  `LatticeHom.apply` on Fractions, where the production code runs
+  Fractions), phase 1 with stored artificial columns, on integers and in
+  the two-phase Fraction simplex that divides for its ratios, the image
+  sums of `Decomposition.bound` and `LatticeBimorphism` one element at a
+  time, and `LatticeHom.apply` on Fractions, where the production code runs
   `elements.combination` (the last section).
 """
 
@@ -58,7 +59,7 @@ from tensorlattice.elements import (
 from tensorlattice.jsonio import as_fraction
 from tensorlattice.projective import _check_shapes, _require_weighted
 from tensorlattice.rng import _GOLDEN, _WEIGHT_GRID, _mix
-from tensorlattice.simplex import InfeasibleLP, LinearProgram
+from tensorlattice.simplex import InfeasibleLP, LinearProgram, UnboundedLP, _pivot
 from tensorlattice.tensor import TensorElement, rank_one
 
 
@@ -687,6 +688,85 @@ def feasible_with_artificials(rows, rhs) -> bool:
         basis[leave] = enter
         d = p
     return True
+
+
+def run_dividing(tableau, obj, basis, ncols):
+    """Pivot to optimality (Bland's rule: smallest eligible indices)."""
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return
+        leave = -1
+        best = None
+        for i, r in enumerate(tableau):
+            coeff = r[enter]
+            if coeff > 0:
+                ratio = r[-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise UnboundedLP(f"column {enter} improves without bound")
+        _pivot(tableau, obj, basis, leave, enter)
+
+
+def solve_standard_with_artificials(rows, rhs, costs):
+    """Minimize costs.x subject to rows.x == rhs, x >= 0. Returns (value, x).
+
+    The two-phase Fraction simplex with one stored artificial column per
+    row, free to re-enter in phase 1, and ratios by division."""
+    m, n = len(rows), len(costs)
+    tableau = []
+    for row, b in zip(rows, rhs):
+        row = [as_fraction(a) for a in row]
+        b = as_fraction(b)
+        if b < 0:
+            row = [-a for a in row]
+            b = -b
+        tableau.append(row + [Fraction(0)] * m + [b])
+    for i in range(m):
+        tableau[i][n + i] = Fraction(1)
+    basis = [n + i for i in range(m)]
+
+    # Phase 1: minimize the artificial mass.
+    obj = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        obj = [a - b for a, b in zip(obj, tableau[i])]
+    for i in range(m):
+        obj[n + i] = Fraction(0)
+    run_dividing(tableau, obj, basis, n + m)
+    if -obj[-1] != 0:
+        raise InfeasibleLP(f"artificial mass {-obj[-1]} at phase-1 optimum")
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    keep = []
+    for i in range(len(tableau)):
+        if basis[i] < n:
+            keep.append(i)
+            continue
+        col = next((j for j in range(n) if tableau[i][j] != 0), None)
+        if col is not None:
+            _pivot(tableau, obj, basis, i, col)
+            keep.append(i)
+    tableau = [[*tableau[i][:n], tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # Phase 2 with the real costs.
+    obj = [as_fraction(c) for c in costs] + [Fraction(0)]
+    for i, r in enumerate(tableau):
+        f = obj[basis[i]]
+        if f != 0:
+            obj = [a - f * b for a, b in zip(obj, r)]
+    run_dividing(tableau, obj, basis, n)
+
+    solution = [Fraction(0)] * n
+    for i, r in enumerate(tableau):
+        solution[basis[i]] = r[-1]
+    return -obj[-1], solution
 
 
 def decomposition_bound(shape, terms) -> TensorElement:

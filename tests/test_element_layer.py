@@ -209,6 +209,13 @@ class TestRepresentation:
         assert LatticeElement(c for c in (1, Fraction(1, 2))) == expected
         assert LatticeElement([1, Fraction(1, 2)]) == expected
 
+    def test_a_tensor_takes_any_iterable_of_coordinates(self):
+        expected = TensorElement.make([[1, 2], [3, Fraction(1, 2)]])
+        assert TensorElement((c for c in (1, 2, 3, Fraction(1, 2))), (2, 2)) == expected
+        assert TensorElement([1, 2, 3, Fraction(1, 2)], (2, 2)) == expected
+        with pytest.raises(DimensionMismatch, match="cannot reshape dim 3 to 2x2"):
+            TensorElement((c for c in (1, 2, 3)), (2, 2))
+
     def test_coords_are_lowest_terms_fractions(self):
         for x in (LatticeElement((1, -2, 0)), LatticeElement.zero(3),
                   LatticeElement((Fraction(6, 4), 2)), TensorElement((0, 5), (1, 2)),

@@ -455,6 +455,130 @@ def test_feasible_on_the_bare_programs_of_a_suite(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The two-phase simplex against its form with stored artificial columns
+# ---------------------------------------------------------------------------
+
+
+def _standard_program(r):
+    """min costs.x s.t. rows.x == rhs, x >= 0 on 1-6 rows and 1-8 columns.
+
+    Small entries make tied ratios common. The right-hand side is the image
+    of a random x >= 0 (feasible), all zero (degenerate) or random with
+    either sign; some programs get a zero row, a repeated row or a row that
+    is the sum of two others, and costs of either sign leave some unbounded.
+    """
+    m, n = r.randint(1, 5), r.randint(1, 8)
+    rows = [[r.fraction(-2, 2, denominator=2) if r.randint(0, 2) else Fraction(0)
+             for _ in range(n)] for _ in range(m)]
+    kind = r.randint(0, 2)
+    if kind == 0:
+        x = [Fraction(r.randint(0, 2)) if r.randint(0, 1) else Fraction(0) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    elif kind == 1:
+        rhs = [Fraction(0)] * m
+    else:
+        rhs = [Fraction(r.randint(-3, 3)) for _ in range(m)]
+    if r.randint(0, 3) == 0:
+        rows[r.randint(0, m - 1)] = [Fraction(0)] * n
+    extra = r.randint(0, 3)
+    if extra == 1:
+        i = r.randint(0, m - 1)
+        rows.append(list(rows[i]))
+        rhs.append(rhs[i])
+    elif extra == 2 and m > 1:
+        i, j = r.randint(0, m - 2), r.randint(1, m - 1)
+        rows.append([a + b for a, b in zip(rows[i], rows[j])])
+        rhs.append(rhs[i] + rhs[j])
+    costs = [Fraction(r.randint(-2, 3)) for _ in range(n)]
+    return rows, rhs, costs
+
+
+def _tied(rows, rhs):
+    """Whether some column's least ratio, on the rows signed by their rhs, is tied."""
+    signed = [(row, b) if b >= 0 else ([-a for a in row], -b) for row, b in zip(rows, rhs)]
+    for j in range(len(rows[0])):
+        ratios = sorted(b / row[j] for row, b in signed if row[j] > 0)
+        if len(ratios) > 1 and ratios[0] == ratios[1]:
+            return True
+    return False
+
+
+def _outcome(solve, rows, rhs, costs):
+    try:
+        return solve(rows, rhs, costs)
+    except (InfeasibleLP, UnboundedLP) as exc:
+        return type(exc)
+
+
+def test_solve_standard_against_stored_artificials():
+    """On 800 random programs the two-phase simplex with implicit artificials
+    returns the value of the one that stores them, or raises the same
+    exception, and every x it returns is an optimal solution."""
+    rng = SplitStream(2026).split("standard-form")
+    seen = Counter()
+    for t in range(800):
+        rows, rhs, costs = _standard_program(rng.split(t))
+        got = _outcome(solve_standard, rows, rhs, costs)
+        ref = _outcome(oracles.solve_standard_with_artificials, rows, rhs, costs)
+        if isinstance(ref, type):
+            assert got is ref, t
+            seen[ref.__name__] += 1
+        else:
+            value, x = got
+            assert value == ref[0], t
+            assert len(x) == len(costs) and all(v >= 0 for v in x), t
+            assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs)), t
+            assert sum(c * v for c, v in zip(costs, x)) == value, t
+            seen["optimal"] += 1
+        seen["negative rhs"] += any(b < 0 for b in rhs)
+        seen["zero rhs"] += not any(rhs)
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["repeated row"] += any(rows[i] == rows[j] and any(rows[i])
+                                    for i in range(len(rows)) for j in range(i))
+        seen["sum row"] += any(rows[k] == [a + b for a, b in zip(rows[i], rows[j])]
+                               for k in range(len(rows)) for i in range(k) for j in range(i)
+                               if any(rows[i]) and any(rows[j]))
+        seen["tied ratio"] += _tied(rows, rhs)
+    assert min(seen.values()) >= 40 and len(seen) == 9, seen
+
+
+def test_phase_1_takes_the_pivots_of_feasible(monkeypatch):
+    """`feasible` on integer rows and `solve_standard` at zero cost on the
+    same rows as Fractions ask `_bland_choice` for the same pivots, and
+    reach the same verdict; zero costs leave phase 2 nothing to pivot."""
+    choose = simplex._bland_choice
+    trail = []
+
+    def recording(tableau, obj, basis, ncols):
+        choice = choose(tableau, obj, basis, ncols)
+        if choice is not None:
+            trail.append(choice)
+        return choice
+
+    rng = SplitStream(2026).split("phase-1-pivots")
+    programs = [_rational_program(rng.split("rational", t)) for t in range(400)]
+    for name, build in (("box", _box_shaped), ("sum-hull", _sum_hull_shaped),
+                        ("degenerate", _degenerate), ("general", _general)):
+        programs += [_standard_form(monkeypatch, build(rng.split(name, t))) for t in range(40)]
+    monkeypatch.setattr(simplex, "_bland_choice", recording)
+    verdicts, pivots = Counter(), 0
+    for t, program in enumerate(programs):
+        rows, rhs = oracles.integer_program(*program)
+        trail.clear()
+        verdict = feasible(rows, rhs)
+        integer_trail = list(trail)
+        trail.clear()
+        fraction_rows = [[Fraction(a) for a in row] for row in rows]
+        outcome = _outcome(solve_standard, fraction_rows, [Fraction(b) for b in rhs],
+                           [Fraction(0)] * len(rows[0]))
+        assert (outcome is not InfeasibleLP) == verdict, t
+        assert trail == integer_trail, t
+        verdicts[verdict] += 1
+        pivots += len(trail)
+    assert min(verdicts.values()) >= 150 and pivots >= 900, (verdicts, pivots)
+
+
+# ---------------------------------------------------------------------------
 # The covering LP
 # ---------------------------------------------------------------------------
 
